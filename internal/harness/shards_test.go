@@ -138,3 +138,58 @@ func TestShardsValidation(t *testing.T) {
 		t.Fatalf("Shards=64 on N=5 failed: %v", err)
 	}
 }
+
+// TestLateJoinerTrafficDroppedOffline: messages that reach a node before
+// it boots are lost at the far end, and the run must say so — the network
+// counts them as DroppedOffline and reports message_drop_offline, not
+// Delivered / message_delivered. The expected count is taken from the
+// probe stream itself (sends to the joiner landing before its boot), the
+// counters must balance once nothing is in flight (the horizon falls
+// mid-period, long after the last round's copies arrived), and a 2-shard
+// run must agree with the serial one.
+func TestLateJoinerTrafficDroppedOffline(t *testing.T) {
+	const joiner, bootAt = 4, 5.5
+	spec := Spec{
+		Name: "late-joiner", Algo: AlgoAuth, Params: quickParams(5, bounds.Auth),
+		Attack: AttackNone, Seed: 3, Horizon: 10.5,
+		StartAt: map[int]float64{joiner: bootAt},
+	}
+	run := func(shards int) (Result, uint64, uint64) {
+		s := spec
+		s.Shards = shards
+		var preBoot, offlineEvents uint64
+		res, err := RunObserved(context.Background(), s, func(_ Spec, bus *probe.Bus) {
+			bus.Attach(probe.Func(func(ev probe.Event) {
+				switch ev.Type {
+				case probe.TypeMessageDropOffline:
+					offlineEvents++
+				case probe.TypeMessageSent:
+					if ev.To == joiner && ev.Value < bootAt { // Value is the delivery instant
+						preBoot++
+					}
+				}
+			}), probe.TypeMessageSent, probe.TypeMessageDropOffline)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, preBoot, offlineEvents
+	}
+	res, preBoot, offlineEvents := run(1)
+	if preBoot == 0 {
+		t.Fatal("fixture sent nothing to the joiner before its boot")
+	}
+	if res.DroppedOffline != preBoot || offlineEvents != preBoot {
+		t.Errorf("DroppedOffline = %d, message_drop_offline events = %d, want %d (sends landing on the joiner before t=%v)",
+			res.DroppedOffline, offlineEvents, preBoot, bootAt)
+	}
+	if res.TotalMsgs != res.Delivered+res.Dropped+res.DroppedOffline {
+		t.Errorf("Sent %d != Delivered %d + Dropped %d + DroppedOffline %d",
+			res.TotalMsgs, res.Delivered, res.Dropped, res.DroppedOffline)
+	}
+	sharded, _, _ := run(2)
+	res.Spec, sharded.Spec = Spec{}, Spec{}
+	if !reflect.DeepEqual(res, sharded) {
+		t.Errorf("2 shards diverged from serial:\n serial  %+v\n sharded %+v", res, sharded)
+	}
+}

@@ -10,24 +10,28 @@
 //
 // Connectivity is produced by a pluggable Topology (full mesh by default;
 // WAN regions, sparse graphs, and scheduled partition churn are built in —
-// see topology.go). The message path is allocation-light: envelopes are
-// typed values (Message), deliveries ride value-inline sim message events
-// instead of per-send closures, and Broadcast schedules one batched event
-// per distinct delivery time rather than n independent queue entries
-// (recipients are grouped through a sorted scratch array, not a hash map,
-// so the per-broadcast cost is a contiguous sort instead of n map probes).
+// see topology.go).
+//
+// There is one message path. Send and Broadcast run the same per-link
+// sequence (linked → transmit → place), Broadcast being exactly Send to
+// each recipient in ascending id order: the model delays every copy
+// independently, so every copy is its own event. place has three
+// outcomes — a scalar-only envelope rides the sim event inline, a
+// payload envelope parks in a recycled single-recipient arena slot, and a
+// recipient owned by another shard goes to that shard's mailbox — and
+// Dispatch has one delivery body that undoes whichever it was. Serial and
+// sharded runs execute the same code; shard ownership is consulted in
+// place alone. In steady state the path performs no allocation.
 //
 // Observation goes through the engine's probe bus: every send, delivery,
-// and drop emits a typed probe.Event. The Bus.Active guards are hoisted
-// out of the per-recipient loops, so an uninstrumented run pays one
-// predictable branch per message on a cached local and an instrumented
-// one stays allocation-free.
+// and drop emits a typed probe.Event behind a Bus.Active guard, so an
+// uninstrumented run pays one predictable branch per message and an
+// instrumented one stays allocation-free.
 package network
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"optsync/internal/probe"
 	"optsync/internal/sim"
@@ -71,35 +75,18 @@ type Stats struct {
 	BySender []uint64
 }
 
-// delivery is one scheduled transmission batch: the envelope plus every
-// recipient sharing its delivery instant. Slots live in an arena indexed
-// by sim.Message.Index and are recycled through a free list, so the
-// steady-state send path performs no allocation.
-type delivery struct {
-	from    NodeID
-	msg     Message
-	targets []NodeID
-}
-
-// sendRec is one accepted transmission of a broadcast, before grouping:
-// a plain 16-byte value sorted by (delivery instant, recipient).
-type sendRec struct {
-	at sim.Time
-	to int32
-}
-
-// arenaTrimCap is the arena size (in delivery slots) above which a fully
-// idle arena is released when the burst that just drained used less than
-// a quarter of it: long runs and campaign batches do not retain one
-// worst-case round's batch memory forever.
+// arenaTrimCap is the arena size (in slots) above which a fully idle
+// arena is released when the burst that just drained used less than a
+// quarter of it: long runs and campaign batches do not retain one
+// worst-case round's envelope memory forever.
 const arenaTrimCap = 4096
 
 // msgInline marks a sim.Message whose scalar fields carry the whole
-// envelope: Kind/Round/Value inline, no arena slot, exactly one
-// recipient (To). Scalar-only envelopes — nil Payload, zero Src, Round
-// within int32 — take this path, which is the entire traffic of the
-// O(n^2) pulse rounds: delivery reads one self-contained 32-byte value
-// instead of chasing an arena slot and its targets array.
+// envelope: Kind/Round/Value inline, no arena slot. Scalar-only
+// envelopes — nil Payload, zero Src, Round within int32 — take this
+// path, which is the entire traffic of the O(n^2) pulse rounds: delivery
+// reads one self-contained 32-byte value instead of chasing an arena
+// slot.
 const msgInline uint16 = 1
 
 // inlinable reports whether msg can ride a sim event inline.
@@ -126,12 +113,14 @@ type Net struct {
 	// lazily on first transmit.
 	delayRng []*rand.Rand
 
-	target    int // sim dispatch target id
-	arena     []delivery
+	target int // sim dispatch target id
+	// arena holds the payload envelopes of scheduled deliveries, one
+	// recipient per slot, indexed by sim.Message.Index and recycled through
+	// freeSlots so the steady-state send path performs no allocation.
+	arena     []Message
 	freeSlots []uint32
-	inUse     int // arena slots currently holding scheduled batches
-	peakInUse int // max inUse since the arena was last fully idle
-	scratch   []sendRec
+	inUse     int      // arena slots currently holding scheduled envelopes
+	peakInUse int      // max inUse since the arena was last fully idle
 	nbrBuf    []NodeID // reused AppendNeighbors buffer
 
 	// Sharded-execution context, zero in a serial run. Each shard of a
@@ -146,14 +135,13 @@ type Net struct {
 }
 
 // outMsg is one cross-shard transmission parked in a mailbox until the
-// window barrier: the sender-assigned event key plus the sim envelope.
-// Non-inline messages carry the full payload; the destination shard
-// re-interns it into its own arena at exchange time.
+// window barrier: the sender-assigned event key plus the envelope, which
+// the destination shard packs into its own engine's event (and, for a
+// payload, its own arena) at exchange time.
 type outMsg struct {
-	key        sim.Key
-	sm         sim.Message
-	payload    Message
-	hasPayload bool
+	key      sim.Key
+	from, to int32
+	msg      Message
 }
 
 // New creates a network of n endpoints over the engine with the given
@@ -224,13 +212,7 @@ func exchange(nets []*Net) {
 			dn := nets[dst]
 			for i := range box {
 				om := &box[i]
-				sm := om.sm
-				if om.hasPayload {
-					idx := dn.alloc(NodeID(sm.From), om.payload)
-					dn.arena[idx].targets = append(dn.arena[idx].targets, NodeID(sm.To))
-					sm.Index = idx
-				}
-				dn.engine.ScheduleMsg(om.key, dn.target, sm)
+				dn.engine.ScheduleMsg(om.key, dn.target, dn.pack(NodeID(om.from), NodeID(om.to), om.msg))
 				*om = outMsg{} // release the payload reference
 			}
 			src.outbox[dst] = box[:0]
@@ -285,11 +267,6 @@ func (nt *Net) Stats() Stats {
 	return s
 }
 
-// ResetStats zeroes the traffic counters (used by per-phase measurements).
-func (nt *Net) ResetStats() {
-	nt.stats = Stats{BySender: make([]uint64, nt.n)}
-}
-
 // delaySalt derives the per-sender delay streams from the engine seed
 // (see sim.StreamSeed); any fixed value distinct from other salts works.
 const delaySalt = 0x6e65742d646c79 // "net-dly"
@@ -323,20 +300,28 @@ func (nt *Net) linkDelay(from, to NodeID, now sim.Time) float64 {
 	return d
 }
 
-// transmit runs the per-link send sequence shared by Send and Broadcast:
-// topology gating, traffic accounting, delay resolution, and probe
-// emission. It returns the delivery instant, or ok=false when the
-// message was dropped at send time (already counted).
+// linked is the topology gate of one transmission: it reports whether
+// the from->to link is usable now, charging and reporting the suppressed
+// transmission when it is not.
 //
 //syncsim:hotpath
-func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) (deliverAt sim.Time, ok bool) {
-	if !nt.mesh && !nt.topo.Linked(from, to, now) {
-		nt.stats.DroppedLink++
-		if nt.probes.Active(probe.TypeMessageDropLink) {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropLink, from, to, now, -1, msg))
-		}
-		return 0, false
+func (nt *Net) linked(from, to NodeID, now sim.Time, msg Message) bool {
+	if nt.mesh || nt.topo.Linked(from, to, now) {
+		return true
 	}
+	nt.stats.DroppedLink++
+	if nt.probes.Active(probe.TypeMessageDropLink) {
+		nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropLink, from, to, now, -1, msg))
+	}
+	return false
+}
+
+// transmit puts one message on a usable link: traffic accounting, delay
+// resolution, probe emission, and — unless the policy dropped it —
+// placement for delivery.
+//
+//syncsim:hotpath
+func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) {
 	nt.stats.Sent++
 	nt.stats.BySender[from]++
 	d := nt.linkDelay(from, to, now)
@@ -345,13 +330,52 @@ func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) (deliverAt s
 		if nt.probes.Active(probe.TypeMessageDropPolicy) {
 			nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropPolicy, from, to, now, -1, msg))
 		}
-		return 0, false
+		return
 	}
-	deliverAt = now + d
+	deliverAt := now + d
 	if nt.probes.Active(probe.TypeMessageSent) {
 		nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
 	}
-	return deliverAt, true
+	nt.place(from, to, deliverAt, msg)
+}
+
+// place schedules one accepted transmission for delivery at instant at:
+// on this engine when the recipient lives here, in the owning shard's
+// mailbox otherwise. This is the only place shard ownership matters.
+//
+//syncsim:hotpath
+func (nt *Net) place(from, to NodeID, at sim.Time, msg Message) {
+	if nt.owner != nil && nt.owner[to] != nt.shard {
+		nt.sendRemote(nt.owner[to], from, to, at, msg)
+		return
+	}
+	nt.engine.MustAtMsg(at, nt.target, nt.pack(from, to, msg))
+}
+
+// sendRemote parks one accepted transmission in shard dst's mailbox. The
+// event key is taken from the sender's engine — consuming the sender
+// lane's next sequence number exactly as a local schedule would — so the
+// merged event order is independent of where the recipient lives.
+//
+//syncsim:hotpath
+func (nt *Net) sendRemote(dst int32, from, to NodeID, at sim.Time, msg Message) {
+	nt.outbox[dst] = append(nt.outbox[dst], outMsg{
+		key: nt.engine.TakeKey(at), from: int32(from), to: int32(to), msg: msg,
+	})
+}
+
+// pack builds the sim event of one delivery on this engine: the scalars
+// inline when the envelope fits them, an arena slot otherwise.
+//
+//syncsim:hotpath
+func (nt *Net) pack(from, to NodeID, msg Message) sim.Message {
+	if inlinable(msg) {
+		return sim.Message{
+			From: int32(from), To: int32(to), Kind: uint16(msg.Kind),
+			Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
+		}
+	}
+	return sim.Message{From: int32(from), To: int32(to), Index: nt.alloc(msg)}
 }
 
 // msgEvent builds the probe event for one per-message moment.
@@ -368,9 +392,9 @@ func (nt *Net) msgEvent(t probe.Type, from, to NodeID, at sim.Time, deliverAt fl
 	}
 }
 
-// alloc takes an arena slot for a new delivery batch, reusing a recycled
-// slot (and its targets backing array) when one is free.
-func (nt *Net) alloc(from NodeID, msg Message) uint32 {
+// alloc takes an arena slot for one payload envelope, reusing a recycled
+// slot when one is free.
+func (nt *Net) alloc(msg Message) uint32 {
 	nt.inUse++
 	if nt.inUse > nt.peakInUse {
 		nt.peakInUse = nt.inUse
@@ -378,92 +402,65 @@ func (nt *Net) alloc(from NodeID, msg Message) uint32 {
 	if k := len(nt.freeSlots); k > 0 {
 		idx := nt.freeSlots[k-1]
 		nt.freeSlots = nt.freeSlots[:k-1]
-		d := &nt.arena[idx]
-		d.from, d.msg = from, msg
+		nt.arena[idx] = msg
 		return idx
 	}
-	nt.arena = append(nt.arena, delivery{from: from, msg: msg})
+	nt.arena = append(nt.arena, msg)
 	return uint32(len(nt.arena) - 1)
 }
 
-// release recycles an arena slot after its batch delivered, and — when
-// the arena goes fully idle far below its high-water mark — drops the
-// arena entirely so one oversized burst does not pin memory for the rest
-// of the run.
-func (nt *Net) release(idx uint32, targets []NodeID) {
-	d := &nt.arena[idx]
-	d.msg = Message{}
-	d.targets = targets[:0]
+// release takes the envelope out of an arena slot and recycles the slot,
+// and — when the arena goes fully idle far below its high-water mark —
+// drops the arena entirely so one oversized burst does not pin memory for
+// the rest of the run.
+func (nt *Net) release(idx uint32) Message {
+	msg := nt.arena[idx]
+	nt.arena[idx] = Message{}
 	nt.inUse--
 	if nt.inUse == 0 {
-		if len(nt.arena) > arenaTrimCap && nt.peakInUse*4 < len(nt.arena) {
-			nt.arena = nil
-			nt.freeSlots = nil
-		} else {
-			nt.freeSlots = append(nt.freeSlots, idx)
-		}
+		peak := nt.peakInUse
 		nt.peakInUse = 0
-		return
+		if len(nt.arena) > arenaTrimCap && peak*4 < len(nt.arena) {
+			nt.arena, nt.freeSlots = nil, nil
+			return msg
+		}
 	}
 	nt.freeSlots = append(nt.freeSlots, idx)
+	return msg
 }
 
-// Dispatch implements sim.Dispatcher: deliver one inline message or one
-// arena batch. Before each handler runs, the engine's execution lane is
-// rebound to the recipient: everything the handler schedules — relays,
-// timers — then carries the recipient's lane in its event key, which is
-// what lets a sharded run (where the recipient's shard does the
-// scheduling) assign the exact keys a serial run assigns.
+// Dispatch implements sim.Dispatcher: deliver one message to m.To. The
+// envelope is taken out of its arena slot before the handler runs —
+// handlers may send, and a reentrant send can grow or reuse the arena.
+// The engine's execution lane is rebound to the recipient first:
+// everything the handler schedules — relays, timers — then carries the
+// recipient's lane in its event key, which is what lets a sharded run
+// (where the recipient's shard does the scheduling) assign the exact keys
+// a serial run assigns.
 //
 //syncsim:hotpath
 func (nt *Net) Dispatch(now sim.Time, m sim.Message) {
+	from, to := NodeID(m.From), NodeID(m.To)
+	var msg Message
 	if m.Flags&msgInline != 0 {
-		from, to := NodeID(m.From), NodeID(m.To)
-		msg := Message{Kind: Kind(m.Kind), Round: int(m.Round), Value: m.Value}
-		h := nt.handlers[to]
-		if h == nil {
-			nt.stats.DroppedOffline++
-			if nt.probes.Active(probe.TypeMessageDropOffline) {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropOffline, from, to, now, now, msg))
-			}
-			return
+		msg = Message{Kind: Kind(m.Kind), Round: int(m.Round), Value: m.Value}
+	} else {
+		msg = nt.release(m.Index)
+	}
+	h := nt.handlers[to]
+	if h == nil {
+		nt.stats.DroppedOffline++
+		if nt.probes.Active(probe.TypeMessageDropOffline) {
+			nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropOffline, from, to, now, now, msg))
 		}
-		nt.stats.Delivered++
-		if nt.probes.Active(probe.TypeMessageDelivered) {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageDelivered, from, to, now, now, msg))
-		}
-		nt.engine.SetExecLane(int32(to))
-		h(from, msg)
 		return
 	}
-	// Copy the batch out of the arena first: handlers may send, and a
-	// reentrant send can grow the arena, invalidating the slot pointer.
-	d := &nt.arena[m.Index]
-	from, msg, targets := d.from, d.msg, d.targets
-	// Hoist the probe guards and counters out of the per-delivery loop:
-	// the common unobserved run pays two local bool tests per batch.
-	deliveredActive := nt.probes.Active(probe.TypeMessageDelivered)
-	offlineActive := nt.probes.Active(probe.TypeMessageDropOffline)
-	var delivered, offline uint64
-	for _, to := range targets {
-		h := nt.handlers[to]
-		if h == nil {
-			offline++
-			if offlineActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropOffline, from, to, now, now, msg))
-			}
-			continue
-		}
-		delivered++
-		if deliveredActive {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageDelivered, from, to, now, now, msg))
-		}
-		nt.engine.SetExecLane(int32(to))
-		h(from, msg)
+	nt.stats.Delivered++
+	if nt.probes.Active(probe.TypeMessageDelivered) {
+		nt.probes.Emit(nt.msgEvent(probe.TypeMessageDelivered, from, to, now, now, msg))
 	}
-	nt.stats.Delivered += delivered
-	nt.stats.DroppedOffline += offline
-	nt.release(m.Index, targets)
+	nt.engine.SetExecLane(int32(to))
+	h(from, msg)
 }
 
 // Send transmits msg from -> to. Delivery is scheduled according to the
@@ -474,277 +471,38 @@ func (nt *Net) Dispatch(now sim.Time, m sim.Message) {
 func (nt *Net) Send(from, to NodeID, msg Message) {
 	nt.checkID(from)
 	nt.checkID(to)
-	deliverAt, ok := nt.transmit(from, to, nt.engine.Now(), msg)
-	if !ok {
-		return
+	now := nt.engine.Now()
+	if nt.linked(from, to, now, msg) {
+		nt.transmit(from, to, now, msg)
 	}
-	if nt.owner != nil && nt.owner[to] != nt.shard {
-		nt.sendRemote(from, to, deliverAt, msg)
-		return
-	}
-	if inlinable(msg) {
-		nt.engine.MustAtMsg(deliverAt, nt.target, sim.Message{
-			From: int32(from), To: int32(to), Kind: uint16(msg.Kind),
-			Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
-		})
-		return
-	}
-	idx := nt.alloc(from, msg)
-	nt.arena[idx].targets = append(nt.arena[idx].targets, to)
-	nt.engine.MustAtMsg(deliverAt, nt.target, sim.Message{
-		From: int32(from), To: int32(to), Index: idx,
-	})
-}
-
-// sendRemote parks one accepted transmission to a node owned by another
-// shard in that shard's mailbox. The event key is taken from the sender's
-// engine — consuming the sender lane's next sequence number exactly as a
-// local schedule would — so the merged event order is independent of
-// where the recipient lives.
-func (nt *Net) sendRemote(from, to NodeID, deliverAt sim.Time, msg Message) {
-	k := nt.engine.TakeKey(deliverAt)
-	box := &nt.outbox[nt.owner[to]]
-	if inlinable(msg) {
-		*box = append(*box, outMsg{key: k, sm: sim.Message{
-			From: int32(from), To: int32(to), Kind: uint16(msg.Kind),
-			Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
-		}})
-		return
-	}
-	*box = append(*box, outMsg{
-		key:        k,
-		sm:         sim.Message{From: int32(from), To: int32(to)},
-		payload:    msg,
-		hasPayload: true,
-	})
 }
 
 // Broadcast sends msg from -> every endpoint the topology links to the
 // sender, including the sender itself ("sends to all" in the paper
 // includes the sender; self-delivery obeys the same delay bounds, which is
-// the conservative reading). Recipients sharing a delivery instant ride a
-// single batched event, so a fixed-delay broadcast costs one queue entry
-// instead of n. Grouping runs over a sorted scratch array of (instant,
-// recipient) values; batches are scheduled in ascending delivery order,
-// which yields the exact delivery sequence of per-recipient scheduling
-// (recipient order breaks ties within an instant, broadcast order across
-// calls) without a hash map on the hot path.
+// the conservative reading). It is exactly Send to each recipient in
+// ascending id order: every copy draws its own delay and rides its own
+// event, and since one sender's events carry ascending sequence numbers,
+// copies sharing a delivery instant arrive in recipient order.
+//
+//syncsim:hotpath
 func (nt *Net) Broadcast(from NodeID, msg Message) {
 	nt.checkID(from)
 	now := nt.engine.Now()
-	if inlinable(msg) {
-		nt.broadcastInline(from, msg, now)
-		return
-	}
-	if nt.owner != nil {
-		nt.broadcastPayloadSharded(from, msg, now)
-		return
-	}
-	// Take exclusive ownership of the scratch array for the duration of
-	// this call: a probe may reenter Broadcast from OnEvent, and a shared
-	// scratch would let the inner call corrupt the outer call's batches.
-	// A reentrant call finds nil and allocates its own (the steady-state,
-	// non-reentrant path reuses one array forever).
-	scratch := nt.scratch
-	if scratch == nil {
-		scratch = make([]sendRec, 0, nt.n)
-	}
-	nt.scratch = nil
-	scratch = scratch[:0]
-	// Per-recipient transmit sequence with the topology fast path and
-	// probe guards hoisted out of the loop. Event emission (and the rng
-	// draw order) is identical to calling transmit per recipient.
-	mesh := nt.mesh
-	linkActive := nt.probes.Active(probe.TypeMessageDropLink)
-	policyActive := nt.probes.Active(probe.TypeMessageDropPolicy)
-	sentActive := nt.probes.Active(probe.TypeMessageSent)
-	sent, droppedLink, droppedPolicy := uint64(0), uint64(0), uint64(0)
-	// Same sparse fast path as broadcastInline: enumerate neighbours
-	// instead of probing all n links when the topology can list them and
-	// no drop-link probe needs the per-absent-link scan.
-	nbrs, count := nt.neighborList(from, linkActive)
+	nbrs, count := nt.neighborList(from)
 	for i := 0; i < count; i++ {
 		to := i
 		if nbrs != nil {
 			to = nbrs[i]
-		} else if !mesh && !nt.topo.Linked(from, to, now) {
-			droppedLink++
-			if linkActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropLink, from, to, now, -1, msg))
-			}
+		} else if !nt.linked(from, to, now, msg) {
 			continue
 		}
-		sent++
-		d := nt.linkDelay(from, to, now)
-		if d < 0 {
-			droppedPolicy++
-			if policyActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropPolicy, from, to, now, -1, msg))
-			}
-			continue
-		}
-		deliverAt := now + d
-		if sentActive {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
-		}
-		scratch = append(scratch, sendRec{at: deliverAt, to: int32(to)})
+		nt.transmit(from, to, now, msg)
 	}
 	if nbrs != nil {
-		droppedLink += uint64(nt.n - len(nbrs))
+		nt.stats.DroppedLink += uint64(nt.n - len(nbrs))
 		nt.nbrBuf = nbrs[:0]
 	}
-	nt.stats.Sent += sent
-	nt.stats.BySender[from] += sent
-	nt.stats.DroppedLink += droppedLink
-	nt.stats.Dropped += droppedPolicy
-	// Group recipients into one batch per distinct delivery instant.
-	// (at, to) pairs are unique, so the sort needs no stability.
-	slices.SortFunc(scratch, func(a, b sendRec) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		return int(a.to) - int(b.to)
-	})
-	for i := 0; i < len(scratch); {
-		j := i + 1
-		for j < len(scratch) && scratch[j].at == scratch[i].at {
-			j++
-		}
-		idx := nt.alloc(from, msg)
-		d := &nt.arena[idx]
-		for k := i; k < j; k++ {
-			d.targets = append(d.targets, NodeID(scratch[k].to))
-		}
-		nt.engine.MustAtMsg(scratch[i].at, nt.target, sim.Message{
-			From: int32(from), To: -1, Index: idx,
-		})
-		i = j
-	}
-	nt.scratch = scratch[:0]
-}
-
-// broadcastPayloadSharded is the payload Broadcast of a sharded run:
-// recipients may live on different shards, so instead of grouping by
-// delivery instant it schedules one single-target batch per local
-// recipient and parks remote ones in the mailboxes. The transmit loop —
-// link gating, stats, rng draws, probe emissions — is identical to the
-// serial path, and so is the observable delivery order: per-recipient
-// events carry ascending sender-lane sequence numbers in recipient
-// order, the same (instant, broadcast, recipient) order the serial
-// batch path sorts into.
-func (nt *Net) broadcastPayloadSharded(from NodeID, msg Message, now sim.Time) {
-	mesh := nt.mesh
-	linkActive := nt.probes.Active(probe.TypeMessageDropLink)
-	policyActive := nt.probes.Active(probe.TypeMessageDropPolicy)
-	sentActive := nt.probes.Active(probe.TypeMessageSent)
-	sent, droppedLink, droppedPolicy := uint64(0), uint64(0), uint64(0)
-	nbrs, count := nt.neighborList(from, linkActive)
-	for i := 0; i < count; i++ {
-		to := i
-		if nbrs != nil {
-			to = nbrs[i]
-		} else if !mesh && !nt.topo.Linked(from, to, now) {
-			droppedLink++
-			if linkActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropLink, from, to, now, -1, msg))
-			}
-			continue
-		}
-		sent++
-		d := nt.linkDelay(from, to, now)
-		if d < 0 {
-			droppedPolicy++
-			if policyActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropPolicy, from, to, now, -1, msg))
-			}
-			continue
-		}
-		deliverAt := now + d
-		if sentActive {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
-		}
-		if nt.owner[to] != nt.shard {
-			nt.sendRemote(from, to, deliverAt, msg)
-			continue
-		}
-		idx := nt.alloc(from, msg)
-		nt.arena[idx].targets = append(nt.arena[idx].targets, to)
-		nt.engine.MustAtMsg(deliverAt, nt.target, sim.Message{
-			From: int32(from), To: int32(to), Index: idx,
-		})
-	}
-	if nbrs != nil {
-		droppedLink += uint64(nt.n - len(nbrs))
-		nt.nbrBuf = nbrs[:0]
-	}
-	nt.stats.Sent += sent
-	nt.stats.BySender[from] += sent
-	nt.stats.DroppedLink += droppedLink
-	nt.stats.Dropped += droppedPolicy
-}
-
-// broadcastInline is Broadcast for scalar-only envelopes: every accepted
-// recipient gets one self-contained inline event, so the fan-out needs no
-// scratch array, no sort, and no arena slot — and delivery needs no
-// arena load. Per-recipient event order equals the batched order exactly:
-// the global (time, seq) order delivers by (instant, broadcast call,
-// recipient id), the same key the batch path sorts by.
-func (nt *Net) broadcastInline(from NodeID, msg Message, now sim.Time) {
-	mesh := nt.mesh
-	linkActive := nt.probes.Active(probe.TypeMessageDropLink)
-	policyActive := nt.probes.Active(probe.TypeMessageDropPolicy)
-	sentActive := nt.probes.Active(probe.TypeMessageSent)
-	proto := sim.Message{
-		From: int32(from), Kind: uint16(msg.Kind),
-		Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
-	}
-	sharded := nt.owner != nil
-	sent, droppedLink, droppedPolicy := uint64(0), uint64(0), uint64(0)
-	nbrs, count := nt.neighborList(from, linkActive)
-	if nbrs != nil {
-		droppedLink += uint64(nt.n - len(nbrs))
-	}
-	for i := 0; i < count; i++ {
-		to := i
-		if nbrs != nil {
-			to = nbrs[i]
-		} else if !mesh && !nt.topo.Linked(from, to, now) {
-			droppedLink++
-			if linkActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropLink, from, to, now, -1, msg))
-			}
-			continue
-		}
-		sent++
-		d := nt.linkDelay(from, to, now)
-		if d < 0 {
-			droppedPolicy++
-			if policyActive {
-				nt.probes.Emit(nt.msgEvent(probe.TypeMessageDropPolicy, from, to, now, -1, msg))
-			}
-			continue
-		}
-		deliverAt := now + d
-		if sentActive {
-			nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
-		}
-		if sharded && nt.owner[to] != nt.shard {
-			nt.sendRemote(from, to, deliverAt, msg)
-			continue
-		}
-		proto.To = int32(to)
-		nt.engine.MustAtMsg(deliverAt, nt.target, proto)
-	}
-	if nbrs != nil {
-		nt.nbrBuf = nbrs[:0]
-	}
-	nt.stats.Sent += sent
-	nt.stats.BySender[from] += sent
-	nt.stats.DroppedLink += droppedLink
-	nt.stats.Dropped += droppedPolicy
 }
 
 // neighborList decides the sparse broadcast fast path: when the topology
@@ -759,8 +517,8 @@ func (nt *Net) broadcastInline(from NodeID, msg Message, now sim.Time) {
 // slice is taken from nt.nbrBuf under take-ownership-nil (a probe may
 // reenter Broadcast from OnEvent): the caller must restore nt.nbrBuf
 // and add n-len(nbrs) to DroppedLink when nbrs is non-nil.
-func (nt *Net) neighborList(from NodeID, linkActive bool) ([]NodeID, int) {
-	if nt.lister == nil || linkActive {
+func (nt *Net) neighborList(from NodeID) ([]NodeID, int) {
+	if nt.lister == nil || nt.probes.Active(probe.TypeMessageDropLink) {
 		return nil, nt.n
 	}
 	buf := nt.nbrBuf
@@ -769,6 +527,11 @@ func (nt *Net) neighborList(from NodeID, linkActive bool) ([]NodeID, int) {
 	return nbrs, len(nbrs)
 }
 
+// checkID panics on an endpoint id outside [0, n). Not inlined, so the
+// panic message's formatting stays out of the hot-path callers' bodies
+// (check_hotpath_allocs.sh reads escape analysis per annotated function).
+//
+//go:noinline
 func (nt *Net) checkID(id NodeID) {
 	if id < 0 || id >= nt.n {
 		panic(fmt.Sprintf("network: node id %d out of range [0,%d)", id, nt.n))

@@ -239,9 +239,6 @@ func (nd *Node) Pulse(round int) {
 			Round: int32(round), T: now, Value: rec.Logical,
 		})
 	}
-	if c.coord == nil && c.OnPulse != nil {
-		c.OnPulse(rec)
-	}
 }
 
 // Rand implements Env.
@@ -313,15 +310,12 @@ type Cluster struct {
 	Engine *sim.Engine
 	// Net is the serial run's network; nil in a sharded run, where each
 	// shard owns one (use NetStats for merged counters).
-	Net    *network.Net
-	Nodes  []*Node
+	Net   *network.Net
+	Nodes []*Node
+	// Pulses logs every accepted round in global event order. To observe
+	// pulses as they happen, subscribe a probe to probe.TypePulse on
+	// Engine.Probes().
 	Pulses []PulseRecord
-	// OnPulse, if set, observes every pulse as it happens. New code
-	// should prefer a probe subscribed to probe.TypePulse on
-	// Engine.Probes(); the hook predates the bus and is kept for direct
-	// cluster embedders. In a sharded run the hook fires at window
-	// barriers, in the exact serial order, rather than mid-window.
-	OnPulse func(PulseRecord)
 
 	cfg    Config
 	probes *probe.Bus
@@ -420,24 +414,23 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Start boots every node at its configured start time and registers
-// delivery handlers. A node delivers messages only once booted. Boot
-// events are scheduled on the node's own lane (and, in a sharded run, on
-// the node's own shard engine): the boot and everything the protocol's
-// Start schedules belong to the node, so the event keys — and therefore
-// the execution order — are identical at every shard count.
+// Start boots every node at its configured start time. A node's delivery
+// handler is registered by its boot, so traffic reaching a node that has
+// not booted is lost at the far end and accounted as such
+// (Stats.DroppedOffline, probe.TypeMessageDropOffline). Boot events are
+// scheduled on the node's own lane (and, in a sharded run, on the node's
+// own shard engine): the boot and everything the protocol's Start
+// schedules belong to the node, so the event keys — and therefore the
+// execution order — are identical at every shard count.
 func (c *Cluster) Start() {
 	for _, nd := range c.Nodes {
 		nd := nd
-		nd.net.Register(nd.id, func(from ID, msg Message) {
-			if !nd.started {
-				return // offline: pre-boot traffic is lost
-			}
-			nd.proto.Deliver(nd, from, msg)
-		})
 		at := c.cfg.StartAt[nd.id]
 		nd.eng.MustAtLane(int32(nd.id), at, func() {
 			nd.started = true
+			nd.net.Register(nd.id, func(from ID, msg Message) {
+				nd.proto.Deliver(nd, from, msg)
+			})
 			if nd.probes.Active(probe.TypeNodeBoot) {
 				nd.probes.Emit(probe.Event{
 					Type: probe.TypeNodeBoot, From: int32(nd.id), To: -1,
@@ -513,9 +506,6 @@ func (c *Cluster) mergePulses() {
 	})
 	for i := range buf {
 		c.Pulses = append(c.Pulses, buf[i].rec)
-		if c.OnPulse != nil {
-			c.OnPulse(buf[i].rec)
-		}
 	}
 	c.pulseMerge = buf[:0]
 }

@@ -171,8 +171,8 @@ func TestPulseRecording(t *testing.T) {
 	c, _ := newEchoCluster(2)
 	c.Start()
 	c.Run(1)
-	var observed []PulseRecord
-	c.OnPulse = func(r PulseRecord) { observed = append(observed, r) }
+	var observed []probe.Event
+	c.Engine.Probes().Attach(probe.Func(func(ev probe.Event) { observed = append(observed, ev) }), probe.TypePulse)
 	c.Nodes[0].Pulse(3)
 	c.Nodes[1].Pulse(3)
 	if len(c.Pulses) != 2 || len(observed) != 2 {
@@ -181,6 +181,10 @@ func TestPulseRecording(t *testing.T) {
 	r := c.Pulses[0]
 	if r.Node != 0 || r.Round != 3 || r.Real != 1 {
 		t.Fatalf("record = %+v", r)
+	}
+	// The probe stream carries the same record, as it happens.
+	if ev := observed[0]; ev.From != 0 || ev.Round != 3 || ev.T != r.Real || ev.Value != r.Logical {
+		t.Fatalf("pulse event = %+v, record = %+v", ev, r)
 	}
 }
 

@@ -6,16 +6,16 @@ import "slices"
 // ladder/calendar queue of value-inline events.
 //
 // Motivation: the simulator's O(n^2)-per-round hot path schedules and
-// drains one event per message (or per delivery batch). On a binary heap
-// of *Event pointers every message pays two O(log k) pointer-chasing
-// reorganizations (push + pop), and the heap itself is a large
-// pointer-dense allocation the garbage collector must trace. The ladder
-// replaces both costs for message events: scheduling is an append into a
-// time-indexed bucket of plain values (no pointers anywhere), and
-// draining sorts one small bucket at a time, so the steady-state cost per
-// message is O(1) amortized appends plus an O(log b) share of sorting a
-// bucket of b ~ tens of events. Closure events keep the heap: they are
-// rare (timers), escape to callers, and must support Cancel.
+// drains one event per message. On a binary heap of *Event pointers
+// every message pays two O(log k) pointer-chasing reorganizations (push
+// + pop), and the heap itself is a large pointer-dense allocation the
+// garbage collector must trace. The ladder replaces both costs for
+// message events: scheduling is an append into a time-indexed bucket of
+// plain values (no pointers anywhere), and draining sorts one small
+// bucket at a time, so the steady-state cost per message is O(1)
+// amortized appends plus an O(log b) share of sorting a bucket of b ~
+// tens of events. Closure events keep the heap: they are rare (timers),
+// escape to callers, and must support Cancel.
 //
 // Structure. Rung 0 covers the near future [base, base+256*width) with
 // 256 equal buckets; events beyond it go to an unsorted far list. Events

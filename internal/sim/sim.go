@@ -34,14 +34,14 @@ type Time = float64
 
 // Message is a value-typed event payload routed to a registered
 // Dispatcher instead of a heap-allocated closure. The engine treats every
-// field as opaque; by convention From/To are endpoint ids and Index is a
-// slot in a dispatcher-owned arena holding the real payload — or, when
-// the dispatcher's Flags say so, the scalar fields carry the entire
-// payload inline and the event never touches an arena at all. Either
-// way the steady-state message path stays allocation-free.
+// field as opaque; by convention one event is one delivery, From/To are
+// its endpoint ids, and Index is a slot in a dispatcher-owned arena
+// holding the real payload — or, when the dispatcher's Flags say so, the
+// scalar fields carry the entire payload inline and the event never
+// touches an arena at all. Either way the steady-state message path
+// stays allocation-free.
 type Message struct {
-	// From and To are endpoint hints (dispatcher-defined; To < 0 for
-	// batched deliveries that fan out inside the dispatcher).
+	// From and To are the sender and the recipient (dispatcher-defined).
 	From, To int32
 	// Kind is a dispatcher-defined discriminator.
 	Kind uint16
@@ -226,15 +226,11 @@ func (e *Engine) ScheduleMsg(k Key, target int, m Message) {
 	e.ladder.push(e.now, msgEvent{key: k, msg: m, target: int32(target)})
 }
 
-// ExecLane returns the scheduling lane of the event currently executing
-// (LaneGlobal outside event execution).
-func (e *Engine) ExecLane() int32 { return e.curLane }
-
 // SetExecLane rebinds the current scheduling lane mid-event. It exists
-// for batch dispatchers: one message event may fan out to several
-// recipients, and each recipient's handler must schedule on its own lane
-// (the recipient's timers and relays belong to the recipient, not to the
-// batch's sender). The engine restores LaneGlobal after the event.
+// for message dispatchers: a message event is keyed on the sender's lane,
+// but the recipient's handler must schedule on its own lane (the
+// recipient's timers and relays belong to the recipient, not to the
+// sender). The engine restores LaneGlobal after the event.
 func (e *Engine) SetExecLane(lane int32) { e.curLane = lane }
 
 // ExecTag returns the key of the event currently executing plus the next
@@ -386,7 +382,7 @@ func (e *Engine) Step() bool {
 	e.ladder.pop()
 	e.now = m.key.At
 	// Message events order on the sender's lane but execute recipient
-	// code: the dispatcher rebinds the lane per recipient (SetExecLane).
+	// code: the dispatcher rebinds the lane to the recipient (SetExecLane).
 	e.execKey, e.curLane, e.emitSeq = m.key, LaneGlobal, 0
 	e.processed++
 	e.dispatchers[m.target].Dispatch(e.now, m.msg)
