@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"encoding/binary"
 
 	"optsync/internal/network"
 	"optsync/internal/node"
@@ -36,6 +36,35 @@ func AwakeMessage(sigs []SignedEntry) node.Message {
 	return node.Message{Kind: KindAwake, Payload: sigs}
 }
 
+// sigSet is the evidence held for one payload: verified entries of distinct
+// signers, kept sorted by signer. Flattening it for a broadcast is one copy,
+// runs are reproducible byte-for-byte, and its memory is proportional to the
+// entries held (at most f+1 before a correct process accepts), not to n.
+type sigSet []SignedEntry
+
+// search returns signer's position in s and whether s holds it; when it
+// does not, the position is where insert would put it.
+//
+//syncsim:hotpath
+func (s sigSet) search(signer node.ID) (int, bool) {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].Signer < signer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s) && s[lo].Signer == signer
+}
+
+// entries returns the copy of s that goes into a message: receivers keep
+// the slice they are handed, while the set is added to and later recycled.
+func (s sigSet) entries() []SignedEntry {
+	return append([]SignedEntry(nil), s...)
+}
+
 // AuthProtocol is the authenticated algorithm (paper Section 3).
 //
 // Behaviour of a correct process v:
@@ -56,11 +85,26 @@ type AuthProtocol struct {
 
 	lastAccepted int
 	lastSigned   int
-	evidence     map[int]map[node.ID]sig.Signature
-	timer        node.Timer
+	// evidence maps a round to its verified entries. A round gets a set
+	// only once an entry for it has verified, so forged traffic buys no
+	// state; spare is the buffer of the last accepted round, taken by the
+	// next set to be created.
+	evidence map[int]sigSet
+	spare    sigSet
+	// payload is roundPayload's buffer: the prefix, then the round.
+	payload [len(roundPrefix) + 8]byte
+
+	// timer is the one pending "sign round due" timer; onDue is its
+	// callback, bound once and reading due and dueEnv when it fires, so
+	// re-arming allocates no closure. Env.Cancel is exact: a cancelled
+	// timer never fires, hence the fields are those of the timer that does.
+	timer  node.Timer
+	due    int
+	dueEnv node.Env
+	onDue  func()
 
 	// Cold-start state (Config.ColdStart).
-	awake        map[node.ID]sig.Signature
+	awake        sigSet
 	synchronized bool
 
 	// OnAccept, if set, observes each acceptance (round, logical target).
@@ -76,11 +120,13 @@ var _ node.Protocol = (*AuthProtocol)(nil)
 func NewAuth(cfg Config) *AuthProtocol {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	return &AuthProtocol{
+	p := &AuthProtocol{
 		cfg:      cfg,
-		evidence: make(map[int]map[node.ID]sig.Signature),
-		awake:    make(map[node.ID]sig.Signature),
+		evidence: make(map[int]sigSet),
 	}
+	copy(p.payload[:], roundPrefix)
+	p.onDue = func() { p.signAndBroadcast(p.dueEnv, p.due) }
+	return p
 }
 
 // Synchronized reports whether the process has established
@@ -96,8 +142,8 @@ func (p *AuthProtocol) Start(env node.Env) {
 		// Announce liveness; the round schedule begins once f+1 distinct
 		// processes are provably up (or once any round is accepted, for
 		// processes that boot into a running system).
-		p.awake[env.ID()] = env.Sign(awakePayload())
-		env.Broadcast(AwakeMessage(awakeEntries(p.awake)))
+		p.awake = sigSet{{Signer: env.ID(), Sig: env.Sign(awakePayload())}}
+		env.Broadcast(AwakeMessage(p.awake.entries()))
 		p.maybeSynchronize(env)
 		return
 	}
@@ -117,29 +163,55 @@ func (p *AuthProtocol) Deliver(env node.Env, _ node.ID, msg node.Message) {
 		return // foreign or malformed traffic is ignored
 	}
 	round := msg.Round
+	if round <= p.lastAccepted || round > p.lastAccepted+p.cfg.MaxRoundAhead {
+		return // half of all deliveries are relays of a round already accepted
+	}
 	sigs, ok := msg.Payload.([]SignedEntry)
 	if !ok {
 		return
 	}
-	if round <= p.lastAccepted || round > p.lastAccepted+p.cfg.MaxRoundAhead {
-		return
-	}
-	payload := roundPayload(round)
-	set := p.evidence[round]
-	if set == nil {
-		set = make(map[node.ID]sig.Signature)
+	held := p.evidence[round]
+	set := p.merge(env, held, p.roundPayload(round), sigs)
+	if len(set) > len(held) {
 		p.evidence[round] = set
 	}
+	p.maybeAccept(env, round)
+}
+
+// roundPayload is the package-level roundPayload(round) in the protocol's
+// own buffer; the bytes are valid until the next call.
+func (p *AuthProtocol) roundPayload(round int) []byte {
+	binary.BigEndian.PutUint64(p.payload[len(roundPrefix):], uint64(int64(round)))
+	return p.payload[:]
+}
+
+// merge verifies every entry of sigs whose signer set does not hold and
+// returns set with the valid ones inserted.
+//
+//syncsim:hotpath
+func (p *AuthProtocol) merge(env node.Env, set sigSet, payload []byte, sigs []SignedEntry) sigSet {
 	for _, e := range sigs {
-		if _, dup := set[e.Signer]; dup {
-			continue
-		}
-		if !env.Verify(e.Signer, payload, e.Sig) {
+		i, dup := set.search(e.Signer)
+		if dup || !env.Verify(e.Signer, payload, e.Sig) {
 			continue // forged or corrupted entries contribute nothing
 		}
-		set[e.Signer] = e.Sig
+		set = p.insert(set, i, e)
 	}
-	p.maybeAccept(env, round)
+	return set
+}
+
+// insert puts e at position i of set (see search); a set that does not
+// exist yet starts in the spare buffer.
+//
+//syncsim:hotpath
+func (p *AuthProtocol) insert(set sigSet, i int, e SignedEntry) sigSet {
+	if set == nil {
+		set, p.spare = p.spare, nil
+	}
+	set = append(set, SignedEntry{})
+	copy(set[i+1:], set[i:])
+	set[i] = e
+	return set
 }
 
 // armTimer schedules the next "sign round k" action at C = k*P for the
@@ -147,13 +219,8 @@ func (p *AuthProtocol) Deliver(env node.Env, _ node.ID, msg node.Message) {
 // adjustment, since pending logical timers assume no jumps.
 func (p *AuthProtocol) armTimer(env node.Env) {
 	env.Cancel(p.timer)
-	next := p.lastSigned + 1
-	if next <= p.lastAccepted {
-		next = p.lastAccepted + 1
-	}
-	p.timer = env.AtLogical(p.cfg.roundDue(next), func() {
-		p.signAndBroadcast(env, next)
-	})
+	p.due, p.dueEnv = max(p.lastSigned, p.lastAccepted)+1, env
+	p.timer = env.AtLogical(p.cfg.roundDue(p.due), p.onDue)
 }
 
 // signAndBroadcast runs when the local clock reads k*P.
@@ -164,12 +231,14 @@ func (p *AuthProtocol) signAndBroadcast(env node.Env, k int) {
 	}
 	p.lastSigned = k
 	set := p.evidence[k]
-	if set == nil {
-		set = make(map[node.ID]sig.Signature)
+	own := SignedEntry{Signer: env.ID(), Sig: env.Sign(p.roundPayload(k))}
+	// Held already only where a harness gave this process's key away; the
+	// entry held then verified, and stays.
+	if i, held := set.search(own.Signer); !held {
+		set = p.insert(set, i, own)
 		p.evidence[k] = set
 	}
-	set[env.ID()] = env.Sign(roundPayload(k))
-	env.Broadcast(RoundMessage(k, entries(set)))
+	env.Broadcast(RoundMessage(k, set.entries()))
 	// Own signature may complete the quorum (e.g. f=0, or evidence
 	// arrived before our clock was due).
 	p.maybeAccept(env, k)
@@ -195,21 +264,18 @@ func (p *AuthProtocol) maybeAccept(env node.Env, k int) {
 	if !p.cfg.DisableRelay {
 		// Relay the complete evidence so every correct process accepts
 		// within one message delay (the relay property).
-		env.Broadcast(RoundMessage(k, entries(set)))
+		env.Broadcast(RoundMessage(k, set.entries()))
 	}
 	for r := range p.evidence {
 		if r <= k {
 			delete(p.evidence, r)
 		}
 	}
+	p.spare = set[:0]
 	if p.OnAccept != nil {
 		p.OnAccept(k)
 	}
 	p.armTimer(env)
-}
-
-func awakeEntries(set map[node.ID]sig.Signature) []SignedEntry {
-	return entries(set)
 }
 
 // deliverAwake merges awake evidence; on an f+1 quorum the process adopts
@@ -218,16 +284,7 @@ func (p *AuthProtocol) deliverAwake(env node.Env, sigs []SignedEntry) {
 	if !p.cfg.ColdStart || p.synchronized {
 		return
 	}
-	payload := awakePayload()
-	for _, e := range sigs {
-		if _, dup := p.awake[e.Signer]; dup {
-			continue
-		}
-		if !env.Verify(e.Signer, payload, e.Sig) {
-			continue
-		}
-		p.awake[e.Signer] = e.Sig
-	}
+	p.awake = p.merge(env, p.awake, awakePayload(), sigs)
 	p.maybeSynchronize(env)
 }
 
@@ -241,20 +298,9 @@ func (p *AuthProtocol) maybeSynchronize(env node.Env) {
 	// round adjustment). Relay the quorum so everyone starts within one
 	// message delay.
 	env.SetLogical(p.cfg.Alpha)
-	env.Broadcast(AwakeMessage(awakeEntries(p.awake)))
+	env.Broadcast(AwakeMessage(p.awake.entries()))
 	if p.OnSynchronized != nil {
 		p.OnSynchronized()
 	}
 	p.armTimer(env)
-}
-
-// entries flattens an evidence set deterministically (sorted by signer) so
-// runs are reproducible byte-for-byte.
-func entries(set map[node.ID]sig.Signature) []SignedEntry {
-	out := make([]SignedEntry, 0, len(set))
-	for id, s := range set {
-		out = append(out, SignedEntry{Signer: id, Sig: s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signer < out[j].Signer })
-	return out
 }

@@ -102,12 +102,13 @@ func RoundPayload(round int) []byte { return roundPayload(round) }
 // roundPayload is the canonical byte encoding of "round k" that gets
 // signed. The domain prefix prevents cross-protocol signature reuse.
 func roundPayload(round int) []byte {
-	const prefix = "optsync/st/round/"
-	buf := make([]byte, len(prefix)+8)
-	copy(buf, prefix)
-	binary.BigEndian.PutUint64(buf[len(prefix):], uint64(int64(round)))
+	buf := make([]byte, len(roundPrefix)+8)
+	copy(buf, roundPrefix)
+	binary.BigEndian.PutUint64(buf[len(roundPrefix):], uint64(int64(round)))
 	return buf
 }
+
+const roundPrefix = "optsync/st/round/"
 
 // awakePayload is the canonical byte encoding of the cold-start "awake"
 // announcement.

@@ -55,7 +55,9 @@ type Env interface {
 	// further adjustments: after any SetLogical, protocols must cancel
 	// and re-arm pending logical timers.
 	AtLogical(value float64, fn func()) Timer
-	// Cancel cancels a pending timer (nil-safe).
+	// Cancel cancels a pending timer (nil-safe). It is exact: a cancelled
+	// timer's fn never runs, so a protocol that cancels before re-arming
+	// has at most one timer that can fire.
 	Cancel(Timer)
 
 	// Send transmits a message to one process.

@@ -236,7 +236,25 @@ func (nd *rtNode) AtLogical(value float64, fn func()) node.Timer {
 		localDelta := value - adj - nd.hardwareAt(now)
 		wait = time.Duration(localDelta / nd.rate * float64(time.Second))
 	}
-	return time.AfterFunc(wait, func() { nd.post(fn) })
+	t := &rtTimer{}
+	t.timer = time.AfterFunc(wait, func() {
+		nd.post(func() {
+			if !t.cancelled {
+				fn()
+			}
+		})
+	})
+	return t
+}
+
+// rtTimer is a pending AtLogical callback. cancelled is set by Cancel and
+// read by the posted callback, both on the node's loop goroutine, so a
+// timer that had already fired into the inbox when it was cancelled still
+// does not run: Cancel is exact, as it is on the simulator, and protocols
+// may rely on only their latest timer firing.
+type rtTimer struct {
+	timer     *time.Timer
+	cancelled bool
 }
 
 // Cancel implements node.Env.
@@ -244,11 +262,12 @@ func (nd *rtNode) Cancel(t node.Timer) {
 	if t == nil {
 		return
 	}
-	tm, ok := t.(*time.Timer)
+	tm, ok := t.(*rtTimer)
 	if !ok {
 		panic(fmt.Sprintf("rt: foreign timer handle %T", t))
 	}
-	tm.Stop()
+	tm.cancelled = true
+	tm.timer.Stop()
 }
 
 // Send implements node.Env.

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,4 +128,41 @@ func TestRealTimeConfigValidation(t *testing.T) {
 		}
 	}()
 	New(Config{N: 0})
+}
+
+type startFunc func(node.Env)
+
+func (f startFunc) Start(env node.Env)                    { f(env) }
+func (startFunc) Deliver(node.Env, node.ID, node.Message) {}
+
+// TestCancelIsExactAfterFire cancels a timer that has already fired into
+// the inbox and sits there behind the running callback: it must not run.
+// core.AuthProtocol binds one callback that reads the round due from a
+// field, so a stale fire would sign the next round a period early.
+func TestCancelIsExactAfterFire(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	done := make(chan struct{})
+	c := New(Config{N: 1, Protocols: func(int) node.Protocol {
+		return startFunc(func(env node.Env) {
+			nd := env.(*rtNode)
+			tm := env.AtLogical(env.LogicalTime(), func() { ran <- struct{}{} })
+			for len(nd.inbox) == 0 {
+				runtime.Gosched()
+			}
+			env.Cancel(tm)
+			nd.post(func() { close(done) })
+		})
+	}})
+	c.Start()
+	defer c.Stop()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("node loop never reached the marker posted after the cancelled timer")
+	}
+	select {
+	case <-ran:
+		t.Fatal("cancelled timer ran")
+	default:
+	}
 }

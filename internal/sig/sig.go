@@ -10,17 +10,27 @@
 //   - HMAC: a fast symmetric stand-in where the scheme itself acts as a
 //     trusted verification oracle. Within the simulation, Byzantine code can
 //     only interact through Sign/Verify, so the unforgeability axiom holds
-//     by construction; this trades the cryptographic guarantee for ~50x
-//     faster simulation, which matters for large parameter sweeps.
+//     by construction; this trades the cryptographic guarantee for speed,
+//     which matters for large parameter sweeps. On the 25-byte round
+//     payload (`bash bench/run.sh -layers`, 2-core Xeon @ 2.10GHz) Ed25519
+//     takes 20.7 µs to sign and 46.0 µs to verify; HMAC takes 0.32 µs and
+//     0.30 µs (0.54 and 0.56 µs while every call built a crypto/hmac
+//     object), with no allocation in Verify and one, the signature, in
+//     Sign.
 //
 // Signer identities are small integers (node indices). Keys are derived
 // deterministically from a seed so that simulations are reproducible.
+//
+// HMAC and Ed25519 are immutable after construction: Sign and Verify read
+// the keys and write nothing, so one scheme is shared without locking by
+// the shard goroutines of a simulation and by the process goroutines of
+// rt.Cluster. Counting mutates its counters and belongs to one goroutine.
 package sig
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -101,18 +111,41 @@ func (s *Ed25519) check(signer int) {
 // is a trusted oracle; within the simulation the unforgeability axiom holds
 // because all parties (including Byzantine protocol code) interact only
 // through this API.
+//
+// The MAC bytes are those of crypto/hmac. What differs is the cost: the
+// two padded key blocks are computed once per signer, and each MAC is two
+// sha256.Sum256 calls over stack buffers, so Verify allocates nothing and
+// Sign only the signature it returns.
 type HMAC struct {
-	keys [][]byte
+	keys []hmacKey
 }
+
+// hmacKey is one signer's key in the form HMAC consumes it: the key
+// zero-padded to the SHA-256 block size and XORed with the inner and
+// outer pad bytes (RFC 2104).
+type hmacKey struct {
+	ipad, opad [sha256.BlockSize]byte
+}
+
+// maxStackPayload is the longest payload MACed without touching the heap.
+// The protocols sign 16 to 25 bytes.
+const maxStackPayload = 192
 
 var _ Scheme = (*HMAC)(nil)
 
 // NewHMAC derives n keys from seed.
 func NewHMAC(n int, seed int64) *HMAC {
-	s := &HMAC{keys: make([][]byte, n)}
-	for i := 0; i < n; i++ {
-		k := deriveSeed(seed, i)
-		s.keys[i] = k[:]
+	s := &HMAC{keys: make([]hmacKey, n)}
+	for i := range s.keys {
+		key := deriveSeed(seed, i)
+		k := &s.keys[i]
+		for j := range k.ipad {
+			k.ipad[j], k.opad[j] = 0x36, 0x5c
+		}
+		for j, b := range key {
+			k.ipad[j] ^= b
+			k.opad[j] ^= b
+		}
 	}
 	return s
 }
@@ -122,19 +155,50 @@ func (s *HMAC) Sign(signer int, payload []byte) Signature {
 	if signer < 0 || signer >= len(s.keys) {
 		panic(fmt.Sprintf("sig: signer %d out of range [0,%d)", signer, len(s.keys)))
 	}
-	mac := hmac.New(sha256.New, s.keys[signer])
-	mac.Write(payload)
-	return mac.Sum(nil)
+	mac := s.keys[signer].mac(payload)
+	return append(Signature(nil), mac[:]...)
 }
 
-// Verify implements Scheme.
+// Verify implements Scheme: a full recomputation of the MAC and a
+// constant-time comparison, every time.
+//
+//syncsim:hotpath
 func (s *HMAC) Verify(signer int, payload []byte, sg Signature) bool {
 	if signer < 0 || signer >= len(s.keys) {
 		return false
 	}
-	mac := hmac.New(sha256.New, s.keys[signer])
-	mac.Write(payload)
-	return hmac.Equal(mac.Sum(nil), []byte(sg))
+	mac := s.keys[signer].mac(payload)
+	return subtle.ConstantTimeCompare(mac[:], sg) == 1
+}
+
+// mac returns H(opad || H(ipad || payload)).
+//
+//syncsim:hotpath
+func (k *hmacKey) mac(payload []byte) [sha256.Size]byte {
+	if len(payload) > maxStackPayload {
+		return k.macLong(payload)
+	}
+	var inner [sha256.BlockSize + maxStackPayload]byte
+	copy(inner[:], k.ipad[:])
+	n := sha256.BlockSize + copy(inner[sha256.BlockSize:], payload)
+	return k.outer(sha256.Sum256(inner[:n]))
+}
+
+// macLong is mac for payloads that do not fit the stack buffer.
+func (k *hmacKey) macLong(payload []byte) [sha256.Size]byte {
+	inner := make([]byte, 0, sha256.BlockSize+len(payload))
+	inner = append(append(inner, k.ipad[:]...), payload...)
+	return k.outer(sha256.Sum256(inner))
+}
+
+// outer returns H(opad || innerSum).
+//
+//syncsim:hotpath
+func (k *hmacKey) outer(innerSum [sha256.Size]byte) [sha256.Size]byte {
+	var outer [sha256.BlockSize + sha256.Size]byte
+	copy(outer[:], k.opad[:])
+	copy(outer[sha256.BlockSize:], innerSum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // Name implements Scheme.
