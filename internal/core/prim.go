@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"optsync/internal/network"
 	"optsync/internal/node"
 )
@@ -40,9 +42,22 @@ type PrimitiveProtocol struct {
 
 	lastAccepted int
 	lastSent     int
-	readyFrom    map[int]map[node.ID]bool
-	sent         map[int]bool
-	timer        node.Timer
+	// readyFrom maps a round to the distinct senders that readied it, sorted
+	// by sender and created on the round's first ready inside the window:
+	// memory follows the entries held (f per open round at most from faulty
+	// senders), never n per round. spare is the accepted round's slice,
+	// taken by the next set created; the protocol holds that one only, so
+	// rounds that never complete cannot grow a free list.
+	readyFrom map[int][]node.ID
+	spare     []node.ID
+	sent      map[int]bool
+
+	// timer is the one pending "ready round due" timer; as in AuthProtocol,
+	// onDue is bound once and reads due and dueEnv when it fires.
+	timer  node.Timer
+	due    int
+	dueEnv node.Env
+	onDue  func()
 
 	// OnAccept, if set, observes each acceptance.
 	OnAccept func(round int)
@@ -54,11 +69,19 @@ var _ node.Protocol = (*PrimitiveProtocol)(nil)
 func NewPrimitive(cfg Config) *PrimitiveProtocol {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	return &PrimitiveProtocol{
+	p := &PrimitiveProtocol{
 		cfg:       cfg,
-		readyFrom: make(map[int]map[node.ID]bool),
+		readyFrom: make(map[int][]node.ID),
 		sent:      make(map[int]bool),
 	}
+	p.onDue = func() {
+		env, k := p.dueEnv, p.due
+		p.sendReady(env, k)
+		if p.lastAccepted < k {
+			p.armTimer(env)
+		}
+	}
+	return p
 }
 
 // LastAccepted returns the highest accepted round (0 before the first).
@@ -70,6 +93,8 @@ func (p *PrimitiveProtocol) Start(env node.Env) {
 }
 
 // Deliver implements node.Protocol.
+//
+//syncsim:hotpath
 func (p *PrimitiveProtocol) Deliver(env node.Env, from node.ID, msg node.Message) {
 	if msg.Kind != KindReady {
 		return
@@ -79,11 +104,17 @@ func (p *PrimitiveProtocol) Deliver(env node.Env, from node.ID, msg node.Message
 		return
 	}
 	set := p.readyFrom[round]
-	if set == nil {
-		set = make(map[node.ID]bool)
-		p.readyFrom[round] = set
+	i, dup := slices.BinarySearch(set, from)
+	if dup {
+		return // duplicate readies from one sender count once
 	}
-	set[from] = true // duplicate readies from one sender count once
+	if set == nil {
+		set, p.spare = p.spare, nil
+	}
+	set = append(set, 0)
+	copy(set[i+1:], set[i:])
+	set[i] = from
+	p.readyFrom[round] = set
 	if len(set) >= env.F()+1 {
 		p.sendReady(env, round) // join
 	}
@@ -94,16 +125,8 @@ func (p *PrimitiveProtocol) Deliver(env node.Env, from node.ID, msg node.Message
 
 func (p *PrimitiveProtocol) armTimer(env node.Env) {
 	env.Cancel(p.timer)
-	next := p.lastSent + 1
-	if next <= p.lastAccepted {
-		next = p.lastAccepted + 1
-	}
-	p.timer = env.AtLogical(p.cfg.roundDue(next), func() {
-		p.sendReady(env, next)
-		if p.lastAccepted < next {
-			p.armTimer(env)
-		}
-	})
+	p.due, p.dueEnv = max(p.lastSent, p.lastAccepted)+1, env
+	p.timer = env.AtLogical(p.cfg.roundDue(p.due), p.onDue)
 }
 
 func (p *PrimitiveProtocol) sendReady(env node.Env, k int) {
@@ -124,6 +147,7 @@ func (p *PrimitiveProtocol) accept(env node.Env, k int) {
 	p.lastAccepted = k
 	env.SetLogical(p.cfg.roundTarget(k))
 	env.Pulse(k)
+	p.spare = p.readyFrom[k][:0]
 	for r := range p.readyFrom {
 		if r <= k {
 			delete(p.readyFrom, r)

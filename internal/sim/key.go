@@ -55,13 +55,23 @@ func (k Key) Less(o Key) bool {
 
 // Compare returns -1, 0, or +1 by the total event order.
 func (k Key) Compare(o Key) int {
-	if k.Less(o) {
+	var less bool
+	switch {
+	case k.At != o.At:
+		less = k.At < o.At
+	case k.Cause != o.Cause:
+		less = k.Cause < o.Cause
+	case k.Lane != o.Lane:
+		less = k.Lane < o.Lane
+	case k.Seq != o.Seq:
+		less = k.Seq < o.Seq
+	default:
+		return 0
+	}
+	if less {
 		return -1
 	}
-	if o.Less(k) {
-		return 1
-	}
-	return 0
+	return 1
 }
 
 // keyBefore is the exclusive lower sentinel of instant t: every real event

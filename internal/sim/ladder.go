@@ -36,6 +36,15 @@ import "slices"
 // Step merges the ladder's head with the closure heap's head, so the
 // interleaving of message and closure events matches a single priority
 // queue exactly — pinned by TestLadderMatchesReferenceQueue.
+//
+// Sealing ahead of the clock. The run loop looks at the ladder's head
+// before every event, and peek seals the next non-empty bucket as soon as
+// the previous one is exhausted, even when it lies milliseconds ahead and
+// timers are due before it; what those timers send into the sealed span
+// are late arrivals, at a round start thousands of them into a bottom of
+// thousands. Hence the un-seal rule: a push that finds a rung-0 bottom with
+// ladderSpillMin or more unconsumed events hands them back to their bucket
+// and spills it, making this and every later arrival a rung-1 append.
 
 const (
 	// ladderBuckets is the bucket count per rung (a power of two keeps
@@ -44,6 +53,9 @@ const (
 	// ladderSpillMin is the sealed-bucket size above which a rung-0
 	// bucket is re-bucketed into rung 1 instead of sorted directly.
 	ladderSpillMin = 128
+	// ladderInsertionMax is the bucket size up to which seal sorts by
+	// straight insertion instead of the generic comparison sort.
+	ladderInsertionMax = 64
 	// ladderDefaultWidth is the initial rung-0 bucket width in seconds
 	// (LAN-scale delivery delays land a handful of buckets apart). The
 	// width re-tunes automatically at every re-anchor.
@@ -128,6 +140,9 @@ type ladder struct {
 	// the entire steady-state working set every round.
 	maxLen  int
 	prevMax int
+
+	// shifted counts the events insortBottom moved to make room.
+	shifted int
 }
 
 // push enqueues ev. ev.at must be finite and >= now, the engine's
@@ -149,8 +164,12 @@ func (l *ladder) push(now Time, ev msgEvent) {
 		return
 	}
 	// At or behind the drain point: the event belongs to the region
-	// already sealed. Route it into rung 1 if that still has unsealed
-	// buckets ahead of it, else into the sorted bottom.
+	// already sealed. Un-seal a large rung-0 bottom first; then route the
+	// event into rung 1 if that still has unsealed buckets ahead of it,
+	// else into the sorted bottom.
+	if l.srcRung == &l.r0 && len(l.bottom)-l.pos >= ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth {
+		l.unseal()
+	}
 	if l.r1active {
 		if j := l.r1.locate(ev.key.At); j > l.r1.cur {
 			l.r1.buckets[j] = append(l.r1.buckets[j], ev)
@@ -174,6 +193,21 @@ func (l *ladder) anchor(at Time) {
 	l.anchored = true
 }
 
+// unseal hands the unconsumed part of a rung-0 bottom back to its bucket
+// and spills it across rung 1, leaving no bottom: the consumed prefix is
+// behind every key still to come, so only the drain's granularity changes.
+//
+//syncsim:hotpath
+func (l *ladder) unseal() {
+	if len(l.bottom) > l.maxLen {
+		l.maxLen = len(l.bottom) // what releaseBottom would have recorded
+	}
+	n := copy(l.bottom, l.bottom[l.pos:])
+	l.r0.buckets[l.srcIdx] = l.bottom[:n]
+	l.bottom, l.pos, l.srcRung = nil, 0, nil
+	l.spill(l.srcIdx)
+}
+
 // insortBottom inserts ev into the sorted, partially drained bottom.
 func (l *ladder) insortBottom(ev msgEvent) {
 	lo, hi := l.pos, len(l.bottom)
@@ -185,20 +219,22 @@ func (l *ladder) insortBottom(ev msgEvent) {
 			lo = mid + 1
 		}
 	}
+	l.shifted += len(l.bottom) - lo
 	l.bottom = append(l.bottom, msgEvent{})
 	copy(l.bottom[lo+1:], l.bottom[lo:])
 	l.bottom[lo] = ev
 }
 
-// peek returns the earliest pending message event without consuming it.
-func (l *ladder) peek() (msgEvent, bool) {
+// peek returns the key of the earliest pending message event without
+// consuming it.
+func (l *ladder) peek() (Key, bool) {
 	if l.count == 0 {
-		return msgEvent{}, false
+		return Key{}, false
 	}
 	for l.pos >= len(l.bottom) {
 		l.advance()
 	}
-	return l.bottom[l.pos], true
+	return l.bottom[l.pos].key, true
 }
 
 // pop consumes the event peek returned. Callers must call peek first.
@@ -225,48 +261,61 @@ func (l *ladder) pop() msgEvent {
 // count > 0.
 func (l *ladder) advance() {
 	l.releaseBottom()
-	if l.r1active {
-		for j := l.r1.cur + 1; j < ladderBuckets; j++ {
-			if len(l.r1.buckets[j]) > 0 {
-				l.r1.cur = j
-				l.seal(&l.r1, j)
-				return
-			}
-		}
-		l.r1active = false
-	}
 	for {
-		for i := l.r0.cur + 1; i < ladderBuckets; i++ {
-			b := l.r0.buckets[i]
-			if len(b) == 0 {
-				continue
-			}
-			l.r0.cur = i
-			if len(b) > ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth {
-				l.spill(i)
-				for j := 0; j < ladderBuckets; j++ {
-					if len(l.r1.buckets[j]) > 0 {
-						l.r1.cur = j
-						l.seal(&l.r1, j)
-						return
-					}
+		if l.r1active {
+			for j := l.r1.cur + 1; j < ladderBuckets; j++ {
+				if len(l.r1.buckets[j]) > 0 {
+					l.r1.cur = j
+					l.seal(&l.r1, j)
+					return
 				}
-				// Unreachable: spill moved len(b) > 0 events into rung 1.
 			}
+			l.r1active = false
+		}
+		i := l.r0.cur + 1
+		for i < ladderBuckets && len(l.r0.buckets[i]) == 0 {
+			i++
+		}
+		switch {
+		case i == ladderBuckets:
+			l.reanchor()
+		case len(l.r0.buckets[i]) > ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth:
+			l.r0.cur = i
+			l.spill(i) // rung 1 is active again: seal its first bucket
+		default:
+			l.r0.cur = i
 			l.seal(&l.r0, i)
 			return
 		}
-		l.reanchor()
 	}
 }
 
 // seal sorts bucket i of r in place and makes it the drain bottom.
 func (l *ladder) seal(r *rung, i int) {
 	b := r.buckets[i]
-	slices.SortFunc(b, func(a, b msgEvent) int { return a.key.Compare(b.key) })
+	if len(b) <= ladderInsertionMax {
+		sortSmall(b)
+	} else {
+		slices.SortFunc(b, func(a, b msgEvent) int { return a.key.Compare(b.key) })
+	}
 	l.bottom = b
 	l.pos = 0
 	l.srcRung, l.srcIdx = r, i
+}
+
+// sortSmall sorts b by straight insertion: no comparison closure, and the
+// key order inlined.
+//
+//syncsim:hotpath
+func sortSmall(b []msgEvent) {
+	for i := 1; i < len(b); i++ {
+		ev := b[i]
+		j := i
+		for ; j > 0 && ev.key.Less(b[j-1].key); j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = ev
+	}
 }
 
 // releaseBottom returns bottom's backing array to the bucket it came

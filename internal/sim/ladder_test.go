@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -80,7 +81,7 @@ func ladderProgram(t *testing.T, seed int64, initial, spawn int) {
 
 	e := New(seed)
 	ref := &refQueue{}
-	var engineOrder, refOrder []int
+	var engineOrder []int
 	var engineTimes []Time
 
 	delta := func() Time {
@@ -147,9 +148,20 @@ func ladderProgram(t *testing.T, seed int64, initial, spawn int) {
 	e.RunAll(3)
 	e.RunAll(0)
 
-	// The reference executes its own copy of the schedule. Follow-ups are
-	// already in ref.items (the engine-side callbacks pushed them), so a
-	// straight drain yields the reference order.
+	requireReferenceOrder(t, seed, engineOrder, ref)
+	for i := 1; i < len(engineTimes); i++ {
+		if engineTimes[i] < engineTimes[i-1] {
+			t.Fatalf("seed %d: time ran backwards at %d: %v -> %v", seed, i, engineTimes[i-1], engineTimes[i])
+		}
+	}
+}
+
+// requireReferenceOrder drains the reference queue — follow-ups are already
+// in it, the engine-side callbacks pushed them — and requires the engine to
+// have fired the same events in the same order.
+func requireReferenceOrder(t *testing.T, seed int64, engineOrder []int, ref *refQueue) {
+	t.Helper()
+	var refOrder []int
 	for {
 		it, ok := ref.pop()
 		if !ok {
@@ -157,7 +169,6 @@ func ladderProgram(t *testing.T, seed int64, initial, spawn int) {
 		}
 		refOrder = append(refOrder, it.id)
 	}
-
 	if len(engineOrder) != len(refOrder) {
 		t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(engineOrder), len(refOrder))
 	}
@@ -168,24 +179,81 @@ func ladderProgram(t *testing.T, seed int64, initial, spawn int) {
 				refOrder[max(0, i-3):min(len(refOrder), i+3)])
 		}
 	}
-	for i := 1; i < len(engineTimes); i++ {
-		if engineTimes[i] < engineTimes[i-1] {
-			t.Fatalf("seed %d: time ran backwards at %d: %v -> %v", seed, i, engineTimes[i-1], engineTimes[i])
-		}
+}
+
+// sealedAheadProgram is the schedule of a round start: a few message events
+// 2 ms out, which the run loop's first look seals while the clock is still
+// at 0, then hundreds of timers, before and inside that millisecond, each
+// pushing a burst into the sealed span. The bottom is drained in part
+// before the burst that un-seals it and in part after; the execution order
+// must still be the reference queue's.
+func sealedAheadProgram(t *testing.T, seed int64, timers, burst int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	e := New(seed)
+	ref := &refQueue{}
+	var engineOrder []int
+	nextID := 0
+	target := e.RegisterDispatcher(&funcDispatcher{fn: func(_ Time, m Message) {
+		engineOrder = append(engineOrder, int(m.Index))
+	}})
+	msg := func(at Time) {
+		ref.push(at, nextID)
+		e.MustAtMsg(at, target, Message{Index: uint32(nextID)})
+		nextID++
 	}
+	const spanLo, spanHi = 2 * ladderDefaultWidth, 3 * ladderDefaultWidth
+	for i := 0; i < 5; i++ {
+		msg(spanLo + rng.Float64()*ladderDefaultWidth)
+	}
+	for i := 0; i < timers; i++ {
+		id := nextID
+		nextID++
+		// Odd seeds spread the timers over [0, 3 ms), so the bursts un-seal
+		// the bucket before the clock reaches it; even seeds keep them
+		// inside the span, so it is un-sealed half drained.
+		at := rng.Float64() * spanHi
+		if seed%2 == 0 {
+			at = spanLo + rng.Float64()*ladderDefaultWidth
+		}
+		ref.push(at, id)
+		e.MustAt(at, func() {
+			engineOrder = append(engineOrder, id)
+			for k := 0; k < burst; k++ {
+				lo := max(e.Now(), spanLo)
+				switch rng.Intn(8) {
+				case 0:
+					msg(lo) // the earliest instant still open: the bottom's head
+				case 1:
+					msg(e.Now() + rng.Float64()*spanLo) // an earlier bucket, or a later one
+				default:
+					msg(lo + rng.Float64()*(spanHi-lo))
+				}
+			}
+		})
+	}
+	e.Run(0) // looks ahead: seals the five events' bucket 2 ms before its time
+	if e.ladder.srcRung != &e.ladder.r0 || e.ladder.r0.cur != 2 {
+		t.Fatalf("seed %d: fixture did not seal rung-0 bucket 2 ahead of the clock (cur %d)", seed, e.ladder.r0.cur)
+	}
+	e.RunAll(0)
+	requireReferenceOrder(t, seed, engineOrder, ref)
 }
 
 // TestLadderMatchesReferenceQueue drives random schedules through the
 // ladder+heap engine and a brute-force reference queue: the execution
 // order — across closure and message events, equal timestamps, cancels,
-// spills, far-list re-anchors, and horizon boundaries — must match
-// event for event.
+// spills, far-list re-anchors, horizon boundaries, and buckets sealed ahead
+// of the clock and un-sealed again — must match event for event.
 func TestLadderMatchesReferenceQueue(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		ladderProgram(t, seed, 60, 120)
 	}
 	// One larger schedule to force multi-bucket spills.
 	ladderProgram(t, 4242, 600, 400)
+	for seed := int64(1); seed <= 6; seed++ {
+		sealedAheadProgram(t, seed, 100+50*int(seed), 12)
+	}
 }
 
 // ladderProgram's reference follow-up scheduling rides the engine
@@ -213,8 +281,8 @@ func TestLadderDrainOrderProperty(t *testing.T) {
 				t.Fatalf("seed %d: ladder empty after %d of %d", seed, k, n)
 			}
 			got := l.pop()
-			if got != ev {
-				t.Fatalf("seed %d: pop returned %+v, peek said %+v", seed, got, ev)
+			if got.key != ev {
+				t.Fatalf("seed %d: pop returned %+v, peek said key %+v", seed, got, ev)
 			}
 			if k > 0 && msgBefore(got, prev) {
 				t.Fatalf("seed %d: order violation at %d: %+v after %+v", seed, k, got, prev)
@@ -224,6 +292,79 @@ func TestLadderDrainOrderProperty(t *testing.T) {
 		if _, ok := l.peek(); ok || l.count != 0 {
 			t.Fatalf("seed %d: ladder not empty after full drain", seed)
 		}
+	}
+}
+
+// sealedAheadBurst drives the pure ladder through the sealed-ahead shape:
+// a few events 2 ms out, a peek that seals their bucket, then n events
+// pushed into that span in bursts, one event popped after each burst, and a
+// full drain. Every push is keyed after the last pop, as the engine
+// guarantees. It returns the drain order and what a sort of the same events
+// gives.
+func sealedAheadBurst(rng *rand.Rand, l *ladder, n, burst int) (got, want []msgEvent) {
+	var last Key
+	seq := uint32(0)
+	push := func(at Time) {
+		ev := msgEvent{key: Key{At: at, Cause: last.At, Seq: seq}, msg: Message{Index: seq}}
+		seq++
+		want = append(want, ev)
+		l.push(last.At, ev)
+	}
+	for i := 0; i < 5; i++ {
+		push(2*ladderDefaultWidth + rng.Float64()*ladderDefaultWidth)
+	}
+	l.peek()
+	for int(seq) < n {
+		lo := max(last.At, 2*ladderDefaultWidth)
+		for k := 0; k < burst; k++ {
+			push(lo + rng.Float64()*(3*ladderDefaultWidth-lo))
+		}
+		l.peek()
+		ev := l.pop()
+		got, last = append(got, ev), ev.key
+	}
+	for l.count > 0 {
+		l.peek()
+		got = append(got, l.pop())
+	}
+	sort.Slice(want, func(i, j int) bool { return msgBefore(want[i], want[j]) })
+	return got, want
+}
+
+// TestLadderSealedAheadDrainOrder is the drain-order property on the
+// sealed-ahead shape, for bursts below and above the un-seal threshold.
+func TestLadderSealedAheadDrainOrder(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		var l ladder
+		rng := rand.New(rand.NewSource(seed))
+		got, want := sealedAheadBurst(rng, &l, 500+rng.Intn(4000), 1+rng.Intn(300))
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: drained %d of %d events", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].key != want[i].key {
+				t.Fatalf("seed %d: drain position %d holds %+v, sorted order has %+v", seed, i, got[i].key, want[i].key)
+			}
+		}
+		if _, ok := l.peek(); ok {
+			t.Fatalf("seed %d: ladder not empty after full drain", seed)
+		}
+	}
+}
+
+// TestLadderSealedAheadIsLinear bounds what late arrivals into a bucket
+// sealed ahead of the clock cost: the events insortBottom shifts are
+// proportional to the events pushed, not to events x unconsumed bottom (on
+// this schedule a bottom that is never un-sealed shifts ~n^2/4, 2.5e9).
+func TestLadderSealedAheadIsLinear(t *testing.T) {
+	const n = 100_000
+	var l ladder
+	got, _ := sealedAheadBurst(rand.New(rand.NewSource(1)), &l, n, 100)
+	if len(got) < n {
+		t.Fatalf("drained %d of %d events", len(got), n)
+	}
+	if l.shifted > n {
+		t.Fatalf("%d late arrivals shifted %d events in the sorted bottom, want at most %d", n, l.shifted, n)
 	}
 }
 

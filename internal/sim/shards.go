@@ -182,11 +182,11 @@ func (s *Shards) run(until Time) {
 		// virtual time.
 		next := math.Inf(1)
 		for _, e := range s.engs {
-			if at, ok := e.nextAt(); ok && at < next {
-				next = at
+			if k, _, ok := e.head(); ok && k.At < next {
+				next = k.At
 			}
 		}
-		gk, gok := s.global.nextKey()
+		gk, _, gok := s.global.head()
 		if gok && gk.At < next {
 			next = gk.At
 		}

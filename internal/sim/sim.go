@@ -365,56 +365,48 @@ func (e *Engine) Cancel(ev *Event) {
 //
 //syncsim:hotpath
 func (e *Engine) Step() bool {
-	m, okM := e.ladder.peek()
-	if len(e.closures) == 0 {
-		if !okM {
-			return false
-		}
-	} else if c := e.closures[0]; !okM || c.key.Less(m.key) {
-		heap.Pop(&e.closures)
-		e.now = c.key.At
-		e.execKey, e.curLane, e.emitSeq = c.key, c.key.Lane, 0
-		e.processed++
-		c.fn()
-		e.curLane = LaneGlobal
-		return true
+	_, closure, ok := e.head()
+	if ok {
+		e.exec(closure)
 	}
-	e.ladder.pop()
-	e.now = m.key.At
-	// Message events order on the sender's lane but execute recipient
-	// code: the dispatcher rebinds the lane to the recipient (SetExecLane).
-	e.execKey, e.curLane, e.emitSeq = m.key, LaneGlobal, 0
+	return ok
+}
+
+// head returns the key of the earliest pending event and whether it is the
+// closure heap's head or the ladder's; exec consumes what it reported, so
+// the run loops look at the queues once per event.
+//
+//syncsim:hotpath
+func (e *Engine) head() (k Key, closure, ok bool) {
+	k, ok = e.ladder.peek()
+	if len(e.closures) > 0 {
+		if c := e.closures[0]; !ok || c.key.Less(k) {
+			return c.key, true, true
+		}
+	}
+	return k, false, ok
+}
+
+// exec executes the event head just reported.
+//
+//syncsim:hotpath
+func (e *Engine) exec(closure bool) {
 	e.processed++
-	e.dispatchers[m.target].Dispatch(e.now, m.msg)
+	e.emitSeq = 0
+	if closure {
+		c := heap.Pop(&e.closures).(*Event)
+		e.now = c.key.At
+		e.execKey, e.curLane = c.key, c.key.Lane
+		c.fn()
+	} else {
+		m := e.ladder.pop()
+		e.now = m.key.At
+		// Message events order on the sender's lane but execute recipient
+		// code: the dispatcher rebinds the lane to the recipient (SetExecLane).
+		e.execKey, e.curLane = m.key, LaneGlobal
+		e.dispatchers[m.target].Dispatch(e.now, m.msg)
+	}
 	e.curLane = LaneGlobal
-	return true
-}
-
-// nextAt returns the instant of the earliest pending event.
-func (e *Engine) nextAt() (Time, bool) {
-	m, okM := e.ladder.peek()
-	if len(e.closures) == 0 {
-		return m.key.At, okM
-	}
-	if c := e.closures[0]; !okM || c.key.At < m.key.At {
-		return c.key.At, true
-	}
-	return m.key.At, true
-}
-
-// nextKey returns the key of the earliest pending event.
-func (e *Engine) nextKey() (Key, bool) {
-	m, okM := e.ladder.peek()
-	if len(e.closures) == 0 {
-		if !okM {
-			return Key{}, false
-		}
-		return m.key, true
-	}
-	if c := e.closures[0]; !okM || c.key.Less(m.key) {
-		return c.key, true
-	}
-	return m.key, true
 }
 
 // runBefore executes every pending event ordering strictly before bound,
@@ -422,11 +414,11 @@ func (e *Engine) nextKey() (Key, bool) {
 // worker's inner loop: bound is the window's safe horizon.
 func (e *Engine) runBefore(bound Key) {
 	for {
-		k, ok := e.nextKey()
+		k, closure, ok := e.head()
 		if !ok || !k.Less(bound) {
 			return
 		}
-		e.Step()
+		e.exec(closure)
 	}
 }
 
@@ -443,11 +435,11 @@ func (e *Engine) advanceTo(t Time) {
 // subsequent scheduling is relative to the horizon.
 func (e *Engine) Run(until Time) {
 	for {
-		at, ok := e.nextAt()
-		if !ok || at > until {
+		k, closure, ok := e.head()
+		if !ok || k.At > until {
 			break
 		}
-		e.Step()
+		e.exec(closure)
 	}
 	if e.now < until {
 		e.now = until
