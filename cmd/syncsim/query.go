@@ -34,10 +34,11 @@ type queryRecord struct {
 // or CSV in the lake's block order, decoded by a parallel worker pool
 // (-workers; 0 = one per core) with output bytes identical at every
 // worker count; -ordered switches to the k-way merge that interleaves
-// event types by (T, Seq) at some merge cost. -stats prints only what
-// the scan touched — the observable proof that the footer index pruned
-// non-matching blocks — and answers fully-covered blocks from the
-// footer alone, without decoding them.
+// event types back into recorded stream order (by the lake's seq column,
+// not by time) at some merge cost. -stats prints only what the scan
+// touched — the observable proof that the footer index pruned
+// non-matching blocks — and answers fully-covered blocks from the footer
+// alone, without decoding them.
 func runQueryCmd(args []string) (err error) {
 	fs := flag.NewFlagSet("syncsim query", flag.ContinueOnError)
 	var (
@@ -50,7 +51,7 @@ func runQueryCmd(args []string) (err error) {
 		csv     = fs.Bool("csv", false, "emit CSV instead of JSONL")
 		stats   = fs.Bool("stats", false, "print scan statistics (blocks pruned/covered/scanned) instead of events")
 		workers = fs.Int("workers", 0, "decode workers (0 = one per core, 1 = serial); output is identical at every count")
-		ordered = fs.Bool("ordered", false, "merge event types into (T, Seq) order instead of the lake's block order")
+		ordered = fs.Bool("ordered", false, "merge event types back into recorded stream order (the seq column) instead of the lake's block order")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

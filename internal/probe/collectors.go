@@ -2,6 +2,7 @@ package probe
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -137,10 +138,27 @@ func NewSkewStats() *SkewStats {
 
 // OnEvent implements Probe.
 func (s *SkewStats) OnEvent(ev Event) {
-	if ev.Type != TypeSkewSample {
+	if ev.Type == TypeSkewSample {
+		s.observe(ev.Value)
+	}
+}
+
+// Fold implements Folder.
+//
+//syncsim:hotpath
+func (s *SkewStats) Fold(b *Batch) {
+	if b.Type != TypeSkewSample {
 		return
 	}
-	v := ev.Value
+	for _, v := range b.Value {
+		s.observe(v)
+	}
+}
+
+// observe folds one skew sample.
+//
+//syncsim:hotpath
+func (s *SkewStats) observe(v float64) {
 	s.count++
 	s.sum += v
 	if v > s.max {
@@ -262,6 +280,13 @@ func (s *SpreadStats) OnEvent(ev Event) {
 	r.count++
 }
 
+// Fold implements Folder.
+func (s *SpreadStats) Fold(b *Batch) {
+	for i, t := range b.T {
+		s.OnEvent(Event{Type: b.Type, Round: b.Round[i], T: t})
+	}
+}
+
 // Rounds returns the number of distinct rounds observed.
 func (s *SpreadStats) Rounds() int { return len(s.rounds) }
 
@@ -299,8 +324,10 @@ func (s *SpreadStats) Types() []Type { return []Type{TypePulse} }
 
 // Aggregate implements Collector.
 func (s *SpreadStats) Aggregate() []Stat {
+	// In round order, not map order: float addition is not associative.
 	var sum float64
-	for _, r := range s.rounds {
+	for _, k := range sortedKeys(s.rounds) {
+		r := s.rounds[k]
 		sum += r.last - r.first
 	}
 	mean := 0.0
@@ -331,19 +358,43 @@ func NewMsgStats() *MsgStats {
 }
 
 // OnEvent implements Probe.
-func (s *MsgStats) OnEvent(ev Event) {
-	switch ev.Type {
+func (s *MsgStats) OnEvent(ev Event) { s.add(ev.Type, ev.Round, 1) }
+
+// Fold implements Folder: one counter update per batch, or for sends one
+// map update per run of equal rounds (a broadcast is one run).
+//
+//syncsim:hotpath
+func (s *MsgStats) Fold(b *Batch) {
+	if b.Type != TypeMessageSent {
+		s.add(b.Type, 0, uint64(b.Len()))
+		return
+	}
+	for i := 0; i < len(b.Round); {
+		j := i + 1
+		for j < len(b.Round) && b.Round[j] == b.Round[i] {
+			j++
+		}
+		s.add(TypeMessageSent, b.Round[i], uint64(j-i))
+		i = j
+	}
+}
+
+// add counts n events of type t; round matters to sends only.
+//
+//syncsim:hotpath
+func (s *MsgStats) add(t Type, round int32, n uint64) {
+	switch t {
 	case TypeMessageSent:
-		s.sent++
-		s.perRound[ev.Round]++
+		s.sent += n
+		s.perRound[round] += n
 	case TypeMessageDelivered:
-		s.delivered++
+		s.delivered += n
 	case TypeMessageDropPolicy:
-		s.dropPolicy++
+		s.dropPolicy += n
 	case TypeMessageDropOffline:
-		s.dropOffline++
+		s.dropOffline += n
 	case TypeMessageDropLink:
-		s.dropLink++
+		s.dropLink += n
 	}
 }
 
@@ -355,11 +406,7 @@ func (s *MsgStats) Delivered() uint64 { return s.delivered }
 
 // PerRound returns the send count per protocol round, sorted by round.
 func (s *MsgStats) PerRound() []Stat {
-	rounds := make([]int32, 0, len(s.perRound))
-	for r := range s.perRound {
-		rounds = append(rounds, r)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
+	rounds := sortedKeys(s.perRound)
 	out := make([]Stat, len(rounds))
 	for i, r := range rounds {
 		out[i] = Stat{Key: "round_" + strconv.Itoa(int(r)), Value: float64(s.perRound[r])}
@@ -417,6 +464,14 @@ func (s *ReintegrationWindows) OnEvent(ev Event) {
 		if _, seen := s.firstPulse[ev.From]; !seen {
 			s.firstPulse[ev.From] = ev.T
 		}
+	}
+}
+
+// Fold implements Folder: a node's last boot and its first pulse are each
+// a function of one type's sequence.
+func (s *ReintegrationWindows) Fold(b *Batch) {
+	for i, t := range b.T {
+		s.OnEvent(Event{Type: b.Type, From: b.From[i], T: t})
 	}
 }
 
@@ -499,6 +554,13 @@ func (s *Series) OnEvent(ev Event) {
 	s.Samples = append(s.Samples, Sample{T: ev.T, Skew: ev.Value})
 }
 
+// Fold implements Folder.
+func (s *Series) Fold(b *Batch) {
+	for i, t := range b.T {
+		s.OnEvent(Event{Type: b.Type, T: t, Value: b.Value[i]})
+	}
+}
+
 // Name implements Collector.
 func (s *Series) Name() string { return "series" }
 
@@ -515,6 +577,16 @@ func (s *Series) Aggregate() []Stat {
 		{"samples", float64(len(s.Samples))},
 		{"last_skew_s", last},
 	}
+}
+
+// sortedKeys returns m's keys ascending: how aggregates walk a map.
+func sortedKeys[V any](m map[int32]V) []int32 {
+	keys := make([]int32, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // --- cross-run serialization ---

@@ -181,6 +181,36 @@ type Collector interface {
 	Aggregate() []Stat
 }
 
+// Batch is a run of events of one Type as equal-length columns, in that
+// type's stream order. The slices belong to the producer (a decoded lake
+// block) and are valid only during the Fold call.
+type Batch struct {
+	Type          Type
+	T, Value, Aux []float64
+	From, To      []int32
+	Kind          []uint16
+	Round         []int32
+}
+
+// Len returns the number of events in the batch.
+func (b *Batch) Len() int { return len(b.T) }
+
+// Folder is a Collector that can also take its subscription a column
+// batch at a time, sparing a lake replay the cross-type merge and the
+// per-event materialization. Batches of one type arrive in that type's
+// stream order; batches of DIFFERENT types in no particular relative
+// order — implement Fold only if the aggregate is a function of the
+// per-type sequences, leaving exactly the state OnEvent over the same
+// events does (the built-ins run both through one body).
+//
+// The hazard of an optional interface: a type that embeds a built-in
+// collector and overrides OnEvent inherits Fold by promotion and must
+// override it too, or replay bypasses the override.
+type Folder interface {
+	Collector
+	Fold(*Batch)
+}
+
 // Stat is one named aggregate value.
 type Stat struct {
 	Key   string  `json:"key"`
@@ -218,6 +248,18 @@ func (b *Bus) Attach(p Probe, types ...Type) {
 // AttachCollector subscribes c to exactly the types it declares.
 func (b *Bus) AttachCollector(c Collector) { b.Attach(c, c.Types()...) }
 
+// AttachAll subscribes probes the way the replay entry points do: a
+// Collector to the types it declares, any other probe to every type.
+func (b *Bus) AttachAll(probes ...Probe) {
+	for _, p := range probes {
+		if c, ok := p.(Collector); ok {
+			b.AttachCollector(c)
+			continue
+		}
+		b.Attach(p)
+	}
+}
+
 // Active reports whether any probe subscribes to t. Emission sites guard
 // with it so that building the Event is also skipped when nobody listens.
 func (b *Bus) Active(t Type) bool { return len(b.byType[t]) > 0 }
@@ -232,5 +274,13 @@ func (b *Bus) AnyActive() bool { return b.total > 0 }
 func (b *Bus) Emit(ev Event) {
 	for _, p := range b.byType[ev.Type] {
 		p.OnEvent(ev)
+	}
+}
+
+// Fold delivers batch to every probe subscribed to its type, in attach
+// order. Every one must be a Folder: callers check before choosing Fold.
+func (b *Bus) Fold(batch *Batch) {
+	for _, p := range b.byType[batch.Type] {
+		p.(Folder).Fold(batch)
 	}
 }

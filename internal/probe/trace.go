@@ -228,13 +228,7 @@ func readJSONL(br *bufio.Reader, fn func(Event) error) error {
 // formats round-trip float64 values bit-for-bit.
 func Replay(r io.Reader, probes ...Probe) (int, error) {
 	var bus Bus
-	for _, p := range probes {
-		if c, ok := p.(Collector); ok {
-			bus.AttachCollector(c)
-			continue
-		}
-		bus.Attach(p)
-	}
+	bus.AttachAll(probes...)
 	n := 0
 	err := ReadTrace(r, func(ev Event) error {
 		n++

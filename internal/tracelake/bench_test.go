@@ -91,8 +91,8 @@ func BenchmarkLakeScan(b *testing.B) {
 		b.ReportMetric(float64(last.BlocksScanned)/float64(last.BlocksTotal), "scanned-frac")
 	})
 
-	// merge: the ordered event-at-a-time path Replay rides on — not
-	// floor-gated, tracked for trajectory.
+	// merge: the ordered path — Scan, and Replay into any probe that is
+	// not a probe.Folder — not floor-gated, tracked for trajectory.
 	b.Run("merge", func(b *testing.B) {
 		l, n, _ := benchSetup(b)
 		defer l.Close()

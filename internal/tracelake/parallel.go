@@ -51,6 +51,8 @@ type decodePool struct {
 	jobs chan decodeJob
 	done chan struct{}
 	wg   sync.WaitGroup
+	// readers are borrowed from the lake by the streams; close returns them.
+	readers []*blockReader
 }
 
 func newDecodePool(l *Lake, workers, queue int) *decodePool {
@@ -82,10 +84,12 @@ func (p *decodePool) worker() {
 // close aborts feeders and workers and waits for them to exit. Callers
 // defer it before consuming, so an early return (decode error, callback
 // error) cannot leak goroutines: a worker mid-block finishes, delivers
-// (deliver never blocks), and exits.
+// (deliver never blocks), and exits. Only then, with nothing decoding
+// into them or reading their rows, do the readers go back to the lake.
 func (p *decodePool) close() {
 	close(p.done)
 	p.wg.Wait()
+	p.lake.putReader(p.readers...)
 }
 
 // stream starts delivering the blocks of metas in list order, decoding
@@ -99,7 +103,9 @@ func (p *decodePool) stream(metas []int, depth int) *blockStream {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < depth; i++ {
-		s.free <- &blockReader{}
+		br := p.lake.getReader()
+		p.readers = append(p.readers, br)
+		s.free <- br
 	}
 	p.wg.Add(1)
 	go p.feed(s)

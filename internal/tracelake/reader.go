@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"optsync/internal/probe"
@@ -17,9 +18,9 @@ import (
 // to the blocks. It reads via io.ReaderAt, so the backing store can be a
 // file, an mmap, or an in-memory buffer; blocks are fetched with one
 // positioned read each and only when a query's pruning admits them.
-// A Lake is safe for concurrent readers in the sense that it is
-// immutable after Open; Scan calls each need their own cursor state and
-// may run concurrently.
+// A Lake is safe for concurrent readers: it is immutable after Open but
+// for a mutex-guarded free list of decode buffers; Scan calls each need
+// their own cursor state and may run concurrently.
 type Lake struct {
 	r      io.ReaderAt
 	size   int64
@@ -35,6 +36,29 @@ type Lake struct {
 	verified []atomic.Bool
 	// mapped records that mem is a memory mapping owned by this lake.
 	mapped bool
+	// free recycles finished scans' decode buffers into the next. A plain
+	// list, not a sync.Pool: at most the readers that were in use at once.
+	freeMu sync.Mutex
+	free   []*blockReader
+}
+
+// getReader takes a block reader off the free list, or makes one.
+func (l *Lake) getReader() *blockReader {
+	l.freeMu.Lock()
+	defer l.freeMu.Unlock()
+	if n := len(l.free); n > 0 {
+		br := l.free[n-1]
+		l.free = l.free[:n-1]
+		return br
+	}
+	return &blockReader{}
+}
+
+// putReader returns readers whose buffers and Rows nothing uses any more.
+func (l *Lake) putReader(brs ...*blockReader) {
+	l.freeMu.Lock()
+	l.free = append(l.free, brs...)
+	l.freeMu.Unlock()
 }
 
 // Open opens a lake file. Where the platform supports it (unix), the
@@ -226,12 +250,20 @@ type Rows struct {
 func (r *Rows) Len() int { return len(r.Seq) }
 
 // Event materializes row i as a probe event.
+//
+//syncsim:hotpath
 func (r *Rows) Event(i int) probe.Event {
 	return probe.Event{
 		Type: r.Type, Kind: r.Kind[i],
 		From: r.From[i], To: r.To[i], Round: r.Round[i],
 		T: r.T[i], Value: r.Value[i], Aux: r.Aux[i],
 	}
+}
+
+// batch views rows [i, j) as a probe batch: sub-slices, no copy.
+func (r *Rows) batch(i, j int) probe.Batch {
+	return probe.Batch{Type: r.Type, T: r.T[i:j], From: r.From[i:j], To: r.To[i:j],
+		Kind: r.Kind[i:j], Round: r.Round[i:j], Value: r.Value[i:j], Aux: r.Aux[i:j]}
 }
 
 // blockReader decodes blocks into reusable buffers: one per cursor, so a

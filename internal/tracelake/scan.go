@@ -1,6 +1,8 @@
 package tracelake
 
 import (
+	"math"
+
 	"optsync/internal/probe"
 )
 
@@ -167,46 +169,44 @@ func (l *Lake) ScanRows(q Query, fn func(*Rows) error) (ScanStats, error) {
 	}
 	mask := q.typeMask()
 	st := ScanStats{BlocksTotal: len(l.blocks)}
-	if workers > 1 {
-		var metas []int
-		for i := range l.blocks {
-			if !q.admitsBlock(&mask, &l.blocks[i]) {
-				st.BlocksPruned++
-				continue
-			}
-			metas = append(metas, i)
-		}
-		if len(metas) == 0 {
-			return st, nil
-		}
-		depth := min(workers+2, len(metas))
-		pool := newDecodePool(l, workers, depth)
-		defer pool.close()
-		err := pool.consume(metas, depth, func(rows *Rows) error {
-			st.BlocksScanned++
-			st.RowsDecoded += uint64(rows.Len())
-			return fn(rows)
-		})
-		return st, err
-	}
-	var br blockReader
+	var metas []int
 	for i := range l.blocks {
-		m := &l.blocks[i]
-		if !q.admitsBlock(&mask, m) {
+		if !q.admitsBlock(&mask, &l.blocks[i]) {
 			st.BlocksPruned++
 			continue
 		}
-		rows, err := br.read(l, i)
-		if err != nil {
-			return st, err
-		}
+		metas = append(metas, i)
+	}
+	err = l.visitBlocks(workers, metas, func(rows *Rows) error {
 		st.BlocksScanned++
 		st.RowsDecoded += uint64(rows.Len())
-		if err := fn(rows); err != nil {
-			return st, err
+		return fn(rows)
+	})
+	return st, err
+}
+
+// visitBlocks decodes the blocks of metas — on a worker pool when
+// workers > 1 — and hands each to visit, in metas order, on the calling
+// goroutine. The Rows are valid until visit returns.
+func (l *Lake) visitBlocks(workers int, metas []int, visit func(*Rows) error) error {
+	if workers > 1 && len(metas) > 0 {
+		depth := min(workers+2, len(metas))
+		pool := newDecodePool(l, workers, depth)
+		defer pool.close()
+		return pool.consume(metas, depth, visit)
+	}
+	br := l.getReader()
+	defer l.putReader(br)
+	for _, mi := range metas {
+		rows, err := br.read(l, mi)
+		if err != nil {
+			return err
+		}
+		if err := visit(rows); err != nil {
+			return err
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // cursor walks the admitted blocks of one event type in seq order,
@@ -216,9 +216,9 @@ func (l *Lake) ScanRows(q Query, fn func(*Rows) error) (ScanStats, error) {
 type cursor struct {
 	lake  *Lake
 	q     *Query
-	metas []int // admitted block indices of this type, seq-sorted
-	next  int   // next position in metas
-	br    blockReader
+	metas []int        // admitted block indices of this type, seq-sorted
+	next  int          // next position in metas
+	br    *blockReader // serial decode, borrowed from the lake
 	s     *blockStream // non-nil: parallel prefetch replaces br
 	held  *blockReader // the stream reader whose rows are in use
 	rows  *Rows
@@ -228,6 +228,8 @@ type cursor struct {
 
 // advance moves to the next admitted row, loading blocks as needed.
 // Returns false when the cursor is exhausted.
+//
+//syncsim:hotpath
 func (c *cursor) advance() (bool, error) {
 	for {
 		if c.rows != nil {
@@ -264,6 +266,26 @@ func (c *cursor) advance() (bool, error) {
 
 // headSeq is the stream position of the cursor's current row.
 func (c *cursor) headSeq() uint64 { return c.rows.Seq[c.idx] }
+
+// emitRun hands fn the cursor's current row and then the rows after it in
+// the same block, for as long as the next one is admitted and precedes
+// limit in the stream. The cursor stays on the last row handed over.
+//
+//syncsim:hotpath
+func (c *cursor) emitRun(limit uint64, fn func(probe.Event) error) error {
+	r := c.rows
+	for {
+		c.st.EventsMatched++
+		if err := fn(r.Event(c.idx)); err != nil {
+			return err
+		}
+		next := c.idx + 1
+		if next >= len(r.Seq) || r.Seq[next] >= limit || !c.q.admitsRow(r, next) {
+			return nil
+		}
+		c.idx = next
+	}
+}
 
 // Scan streams every event q admits through fn, in recorded stream
 // order — the per-type blocks are merged back by the seq column, so a
@@ -316,6 +338,8 @@ func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
 	}
 
 	cursors := make([]*cursor, 0, probe.NumTypes)
+	var serial []*blockReader
+	defer func() { l.putReader(serial...) }()
 	for _, metas := range perType {
 		if len(metas) == 0 {
 			continue
@@ -323,6 +347,9 @@ func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
 		c := &cursor{lake: l, q: &q, metas: metas, st: &st, idx: -1}
 		if pool != nil {
 			c.s = pool.stream(metas, depth)
+		} else {
+			c.br = l.getReader()
+			serial = append(serial, c.br)
 		}
 		ok, err := c.advance()
 		if err != nil {
@@ -333,19 +360,22 @@ func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
 		}
 	}
 
-	// K-way merge by seq. K is at most the number of event types, so a
-	// linear min over the active cursors beats heap bookkeeping.
+	// K-way merge by seq, a same-type run at a time: the cursor with the
+	// lowest head emits up to the runner-up's head. K is at most the number
+	// of event types, so a linear min beats heap bookkeeping.
 	for len(cursors) > 0 {
 		mi := 0
-		minSeq := cursors[0].headSeq()
+		minSeq, limit := cursors[0].headSeq(), uint64(math.MaxUint64)
 		for i := 1; i < len(cursors); i++ {
-			if s := cursors[i].headSeq(); s < minSeq {
-				mi, minSeq = i, s
+			switch s := cursors[i].headSeq(); {
+			case s < minSeq:
+				mi, minSeq, limit = i, s, minSeq
+			case s < limit:
+				limit = s
 			}
 		}
 		c := cursors[mi]
-		st.EventsMatched++
-		if err := fn(c.rows.Event(c.idx)); err != nil {
+		if err := c.emitRun(limit, fn); err != nil {
 			return st, err
 		}
 		ok, err := c.advance()
@@ -418,7 +448,9 @@ func (l *Lake) Stats(q Query) (ScanStats, error) {
 	if len(partial) == 0 {
 		return st, nil
 	}
-	count := func(rows *Rows) error {
+	// Assigned, not returned beside st: the callback mutates st, and Go
+	// leaves a variable read unordered against a call in one statement.
+	err = l.visitBlocks(workers, partial, func(rows *Rows) error {
 		st.BlocksScanned++
 		st.RowsDecoded += uint64(rows.Len())
 		for i := 0; i < rows.Len(); i++ {
@@ -427,46 +459,79 @@ func (l *Lake) Stats(q Query) (ScanStats, error) {
 			}
 		}
 		return nil
-	}
-	if workers > 1 {
-		depth := min(workers+2, len(partial))
-		pool := newDecodePool(l, workers, depth)
-		defer pool.close()
-		return st, pool.consume(partial, depth, count)
-	}
-	var br blockReader
-	for _, mi := range partial {
-		rows, err := br.read(l, mi)
-		if err != nil {
-			return st, err
-		}
-		if err := count(rows); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	})
+	return st, err
 }
 
-// Replay streams the events q admits through the given probes, in
-// recorded order (collectors subscribe to the types they declare, like
-// probe.Replay). A match-all Replay through fresh collectors reproduces
-// the live run's aggregates exactly: the lake round-trips float64 bits
-// and restores the stream order collectors are sensitive to. Returns the
-// number of events replayed.
+// Replay streams the events q admits through the given probes
+// (collectors subscribe to the types they declare, like probe.Replay).
+// A match-all Replay through fresh collectors reproduces the live run's
+// aggregates exactly: the lake round-trips float64 bits and restores the
+// stream order collectors are sensitive to. Returns the number of events
+// replayed.
+//
+// When every probe is a probe.Folder (the built-in collectors are) no
+// event is materialized or merged: admitted blocks fold as column batches,
+// each type's in its stream order. One probe that is not and it is Scan.
 func (l *Lake) Replay(q Query, probes ...probe.Probe) (int, error) {
 	var bus probe.Bus
+	bus.AttachAll(probes...)
 	for _, p := range probes {
-		if c, ok := p.(probe.Collector); ok {
-			bus.AttachCollector(c)
-			continue
+		if _, ok := p.(probe.Folder); !ok {
+			n := 0
+			_, err := l.Scan(q, func(ev probe.Event) error {
+				n++
+				//syncsim:allowlist probeguard selective replay emits every matched event to explicitly attached probes; no unobserved fast path here
+				bus.Emit(ev)
+				return nil
+			})
+			return n, err
 		}
-		bus.Attach(p)
 	}
+	return l.replayFold(q, &bus)
+}
+
+// replayFold is Replay below the merge: a block the footer proves fully
+// matching folds whole, any other as its maximal runs of admitted rows.
+// Unsubscribed types only count — from the footer if they can.
+func (l *Lake) replayFold(q Query, bus *probe.Bus) (int, error) {
+	workers, err := resolveWorkers(q.Workers)
+	if err != nil {
+		return 0, err
+	}
+	mask := q.typeMask()
 	n := 0
-	_, err := l.Scan(q, func(ev probe.Event) error {
-		n++
-		//syncsim:allowlist probeguard selective replay emits every matched event to explicitly attached probes; no unobserved fast path here
-		bus.Emit(ev)
+	var metas []int
+	for i := range l.blocks {
+		switch m := &l.blocks[i]; {
+		case !q.admitsBlock(&mask, m): // pruned
+		case !bus.Active(m.typ) && q.coversBlock(m):
+			n += int(m.count)
+		default:
+			metas = append(metas, i)
+		}
+	}
+	next := 0
+	var b probe.Batch
+	err = l.visitBlocks(workers, metas, func(rows *Rows) error {
+		covered := q.coversBlock(&l.blocks[metas[next]])
+		next++
+		for i := 0; i < rows.Len(); i++ {
+			j := rows.Len()
+			if !covered {
+				if !q.admitsRow(rows, i) {
+					continue
+				}
+				for j = i + 1; j < rows.Len() && q.admitsRow(rows, j); j++ {
+				}
+			}
+			n += j - i
+			if bus.Active(rows.Type) {
+				b = rows.batch(i, j)
+				bus.Fold(&b)
+			}
+			i = j
+		}
 		return nil
 	})
 	return n, err
