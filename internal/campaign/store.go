@@ -18,7 +18,10 @@ import (
 // storeVersion is bumped whenever the cell file format (or the meaning
 // of a spec key) changes incompatibly; Open refuses stores written by a
 // different version rather than silently serving stale answers.
-const storeVersion = 1
+// Version 2 (PR 18): the simulator's random streams moved from math/rand's
+// lagged-Fibonacci source to sim.Stream, so a spec key maps to different
+// concrete samples than the ones a v1 store recorded.
+const storeVersion = 2
 
 // Directory and file modes every store path is created with. Cell files
 // historically inherited os.CreateTemp's 0600 while directories got
@@ -119,8 +122,12 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("campaign: corrupt store meta %s: %w", metaPath, err)
 		}
 		if meta.Version != storeVersion {
-			return nil, fmt.Errorf("campaign: store %s has version %d, this binary speaks %d",
+			err := fmt.Errorf("campaign: store %s has version %d, this binary speaks %d",
 				dir, meta.Version, storeVersion)
+			if meta.Version < storeVersion {
+				err = fmt.Errorf("%w: its results were computed by a different random generator; settle into a fresh store", err)
+			}
+			return nil, err
 		}
 	}
 	s := &Store{dir: dir, warn: log.Printf}

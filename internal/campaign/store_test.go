@@ -119,6 +119,25 @@ func TestStoreRefusesForeignVersion(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOlderStore: a store settled before the generator swap
+// (version 1) holds results this binary cannot reproduce; Open must say
+// so and name the remedy instead of serving them.
+func TestOpenRefusesOlderStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte("{\"version\":1}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if err == nil {
+		t.Fatal("v1 store opened")
+	}
+	for _, want := range []string{"version 1", "different random generator", "fresh store"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // TestStoreCorruptCellIsMissWithWarning is the regression test for the
 // truncated-cell robustness fix: a torn or corrupt cell file must not
 // take the whole campaign down — it is logged, treated as missing, and

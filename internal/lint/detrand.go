@@ -9,15 +9,22 @@ import (
 
 // DetRand enforces the determinism contract inside the deterministic
 // core (DeterministicPaths): results must be a pure function of the
-// spec, bit-exact across serial, sharded, and replayed execution. Four
-// ways code silently breaks that are caught here:
+// spec, bit-exact across serial, sharded, and replayed execution. Five
+// ways code silently breaks that — or prices it out of large n — are
+// caught here:
 //
 //   - wall-clock reads (time.Now and friends) make results depend on
 //     when a run happens;
 //   - the global math/rand source is shared process state: draw order
 //     depends on what else ran, and shards cannot reproduce it
-//     (per-entity streams seeded from the spec are the repo idiom, see
-//     sim.Engine.RandFor and the PR 7 per-sender-RNG migration);
+//     (per-entity streams are the repo idiom: rand.New over a
+//     sim.NewStream(seed, id, purpose), see sim.Engine.RandFor and the
+//     network's per-sender delay streams);
+//   - a generator built anywhere but sim.NewStream: math/rand.NewSource
+//     is 607 words of state and a ~1 900-step seeding loop per stream
+//     (the large-n memory wall PR 18 removed) and folds its seed mod
+//     2^31-1, and a math/rand/v2 generator seeded by hand skips the seed
+//     derivation that keeps (id, purpose) streams distinct;
 //   - goroutines outside the sim.Shards coordinator introduce scheduler
 //     interleaving into what must be a single logical thread;
 //   - Go map iteration order is randomized per run, so a map-range body
@@ -27,7 +34,7 @@ import (
 //     the loop is recognized as the first half of that idiom).
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbid wall-clock, global rand, stray goroutines, and ordered map iteration in deterministic packages",
+	Doc:  "forbid wall-clock, global rand, hand-built generators, stray goroutines, and ordered map iteration in deterministic packages",
 	Run:  runDetRand,
 }
 
@@ -51,6 +58,14 @@ var globalRandFuncs = map[string]bool{
 	"N": true, "IntN": true, "Int32": true, "Int32N": true,
 	"Int64N": true, "Uint": true, "UintN": true, "Uint32N": true,
 	"Uint64N": true,
+}
+
+// generatorNames are the math/rand and math/rand/v2 constructors and
+// generator types that build a random source; in the deterministic core
+// only sim.NewStream's generator (allow-listed there) may.
+var generatorNames = map[string]bool{
+	"NewSource": true, "NewPCG": true, "NewChaCha8": true,
+	"PCG": true, "ChaCha8": true,
 }
 
 func runDetRand(p *Pass) []Finding {
@@ -79,11 +94,25 @@ func runDetRand(p *Pass) []Finding {
 	return out
 }
 
-// checkDetSelector flags wall-clock and global-rand references at their
-// use sites.
+// checkDetSelector flags wall-clock, global-rand and generator
+// references at their use sites.
 func checkDetSelector(p *Pass, sel *ast.SelectorExpr) []Finding {
-	fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || recvTypeName(fn) != "" {
+	obj := p.Pkg.Info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return nil // not a package-level name (a method, a field)
+	}
+	if path := obj.Pkg().Path(); (path == "math/rand" || path == "math/rand/v2") && generatorNames[obj.Name()] {
+		why := "generator built by hand (rand." + obj.Name() + "): seed derivation is part of the generator"
+		if obj.Name() == "NewSource" {
+			why = "607-word source (rand.NewSource): 4.9 KB and a ~1 900-step seeding loop per stream"
+		}
+		return []Finding{{
+			Pos:     sel.Pos(),
+			Message: why + "; use sim's stream constructor (rand.New(sim.NewStream(seed, id, purpose)))",
+		}}
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok {
 		return nil
 	}
 	switch funcPkgPath(fn) {
@@ -98,7 +127,7 @@ func checkDetSelector(p *Pass, sel *ast.SelectorExpr) []Finding {
 		if globalRandFuncs[fn.Name()] {
 			return []Finding{{
 				Pos:     sel.Pos(),
-				Message: fmt.Sprintf("global math/rand source (rand.%s) in deterministic package; draw from a spec-seeded *rand.Rand stream (sim.Engine.RandFor, network per-sender streams)", fn.Name()),
+				Message: fmt.Sprintf("global math/rand source (rand.%s) in deterministic package; draw from a spec-seeded *rand.Rand stream (sim.Engine.RandFor, or rand.New over sim.NewStream)", fn.Name()),
 			}}
 		}
 	}

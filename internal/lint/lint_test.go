@@ -126,10 +126,19 @@ func TestDetRandFixture(t *testing.T) {
 func TestDetRandScopedToDeterministicCore(t *testing.T) {
 	// The same fixture under a neutral path: every detrand want must go
 	// silent (the fixture's probe emissions are guarded, so the other
-	// analyzers are silent too).
+	// analyzers are silent too). The fixture's one allowlist directive
+	// then has nothing left to suppress, and the unused rule says so.
 	diags := runFixture(t, "detrand", "optsync/lintfixture")
+	unused := 0
 	for _, d := range diags {
+		if d.Analyzer == "directive" && strings.Contains(d.Message, "suppresses no finding") {
+			unused++
+			continue
+		}
 		t.Errorf("diagnostic outside the deterministic core: %s", d)
+	}
+	if unused != 1 {
+		t.Errorf("%d unused-directive reports outside the deterministic core, want 1 (allowlistedSource)", unused)
 	}
 }
 

@@ -6,6 +6,7 @@ package fixture
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"time"
 
@@ -27,6 +28,23 @@ func globalRand() int {
 
 func localRandOK(rng *rand.Rand) int {
 	return rng.Intn(10) // method on an injected stream, not the global source
+}
+
+func lfibSource(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed)) // want detrand "607-word source (rand.NewSource)"
+}
+
+func handSeededPCG(seed uint64) *randv2.PCG { // want detrand "generator built by hand (rand.PCG)"
+	return randv2.NewPCG(seed, 1) // want detrand "generator built by hand (rand.NewPCG)"
+}
+
+func simStreamOK(seed int64, id int) *rand.Rand {
+	return rand.New(sim.NewStream(seed, id, sim.NodeStream)) // the repo idiom
+}
+
+func allowlistedSource(seed int64) rand.Source {
+	//syncsim:allowlist detrand fixture: a reference generator kept on purpose
+	return rand.NewSource(seed)
 }
 
 func spawn(fn func()) {

@@ -267,22 +267,19 @@ func (nt *Net) Stats() Stats {
 	return s
 }
 
-// delaySalt derives the per-sender delay streams from the engine seed
-// (see sim.StreamSeed); any fixed value distinct from other salts works.
-const delaySalt = 0x6e65742d646c79 // "net-dly"
-
-// senderRand returns the delay stream of one sender: a deterministic
-// random source derived from (engine seed, sender id) alone. Draw order
-// within a stream is the sender's own transmit order, which is identical
-// in serial and sharded runs — unlike the engine's shared stream, whose
-// draw order depends on global interleaving that shards cannot reproduce.
+// senderRand returns the delay stream of one sender: rand.New over
+// sim.NewStream(engine seed, sender id, sim.DelayStream), 64 bytes a
+// sender. Draw order within a stream is the sender's own transmit order,
+// which is identical in serial and sharded runs — a stream shared between
+// senders would be drawn in the global interleaving, which shards cannot
+// reproduce.
 func (nt *Net) senderRand(from NodeID) *rand.Rand {
 	if nt.delayRng == nil {
 		nt.delayRng = make([]*rand.Rand, nt.n)
 	}
 	r := nt.delayRng[from]
 	if r == nil {
-		r = rand.New(rand.NewSource(sim.StreamSeed(nt.engine.Seed(), from, delaySalt)))
+		r = rand.New(sim.NewStream(nt.engine.Seed(), from, sim.DelayStream))
 		nt.delayRng[from] = r
 	}
 	return r

@@ -385,8 +385,7 @@ func NewCluster(cfg Config) *Cluster {
 		var hw *clock.Hardware
 		// Per-node stream derived from (seed, id) alone: node randomness
 		// is invariant under construction/boot reordering and under
-		// sharding (the engine's shared stream is reserved for the
-		// network adversary and setup code).
+		// sharding.
 		rng := eng.RandFor(i)
 		if cfg.Clocks != nil {
 			hw = cfg.Clocks(i, rng)

@@ -87,13 +87,3 @@ func keyBefore(t Time) Key {
 func keyAfter(t Time) Key {
 	return Key{At: t, Cause: math.Inf(1), Lane: math.MaxInt32, Seq: math.MaxUint32}
 }
-
-// StreamSeed derives the seed of an auxiliary deterministic random stream
-// from the engine seed, an entity id, and a purpose salt. Streams derived
-// this way depend on (seed, id, salt) alone — never on how many draws any
-// other component made — which is what lets a sharded run consume exactly
-// the random sequences the serial run does. RandFor uses salt 0; the
-// network's per-sender delay streams use their own salt.
-func StreamSeed(seed int64, id int, salt int64) int64 {
-	return seed ^ int64(0x9E3779B97F4A7C15*uint64(id+1)) ^ salt
-}

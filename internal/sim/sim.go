@@ -108,7 +108,6 @@ type Engine struct {
 	closures eventQueue
 	// ladder is the message tier: value-inline, near-O(1) scheduling.
 	ladder      ladder
-	rng         *rand.Rand
 	perID       map[int]*rand.Rand
 	processed   uint64
 	dispatchers []Dispatcher
@@ -123,14 +122,10 @@ type Engine struct {
 	Trap func(format string, args ...any)
 }
 
-// New returns an engine whose random source is seeded with seed.
+// New returns an engine whose random streams (see RandFor) derive from
+// seed. Deliberately *not* crypto-random: reproducibility is the point.
 func New(seed int64) *Engine {
-	return &Engine{
-		seed: seed,
-		// Deliberately *not* crypto-random: reproducibility is the point.
-		rng:     rand.New(rand.NewSource(seed)),
-		curLane: LaneGlobal,
-	}
+	return &Engine{seed: seed, curLane: LaneGlobal}
 }
 
 // Now returns the current virtual time.
@@ -141,22 +136,15 @@ func (e *Engine) Now() Time { return e.now }
 // Bus.Active so an empty bus costs nothing.
 func (e *Engine) Probes() *probe.Bus { return &e.probes }
 
-// Rand returns the engine's deterministic random source. All randomness in
-// a simulation must come from this source (or streams derived from the
-// engine seed — see RandFor and StreamSeed) to preserve reproducibility.
-// Draws from this shared stream depend on global draw order, so runtime
-// simulation code must prefer the derived streams; the shared stream is
-// for setup-time and test randomness.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
 // Seed returns the seed the engine was constructed with.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// RandFor returns a deterministic random stream derived from the engine
-// seed and id alone. Unlike Rand, the stream a caller receives does not
-// depend on how many draws other components made before it asked, so
-// per-node randomness is invariant under registration/boot reordering.
-// Repeated calls with the same id return the same (stateful) stream.
+// RandFor returns node id's deterministic random stream: rand.New over
+// NewStream(seed, id, NodeStream), so what a caller draws depends on the
+// engine seed and id alone, never on how many draws other components made
+// before it asked — per-node randomness is invariant under registration
+// and boot reordering, and under sharding. Repeated calls with the same
+// id return the same (stateful) stream.
 func (e *Engine) RandFor(id int) *rand.Rand {
 	if r, ok := e.perID[id]; ok {
 		return r
@@ -164,7 +152,7 @@ func (e *Engine) RandFor(id int) *rand.Rand {
 	if e.perID == nil {
 		e.perID = make(map[int]*rand.Rand)
 	}
-	r := rand.New(rand.NewSource(StreamSeed(e.seed, id, 0)))
+	r := rand.New(NewStream(e.seed, id, NodeStream))
 	e.perID[id] = r
 	return r
 }

@@ -140,12 +140,12 @@ func TestRandForIsCallOrderInvariant(t *testing.T) {
 	if a1 != a2 || b1 != b2 {
 		t.Fatalf("RandFor depends on acquisition order: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
 	}
-	// Unlike Rand(), interleaving draws on the shared stream must not
-	// disturb per-id streams.
+	// Draws on another id's stream must not disturb this one.
 	e3 := New(42)
-	e3.Rand().Float64()
+	draw(e3, 1)
+	draw(e3, 1)
 	if got := draw(e3, 0); got != a1 {
-		t.Fatalf("shared-stream draws disturbed RandFor(0): %v vs %v", got, a1)
+		t.Fatalf("draws on stream 1 disturbed RandFor(0): %v vs %v", got, a1)
 	}
 }
 

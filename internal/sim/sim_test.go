@@ -165,7 +165,7 @@ func TestEngineDeterminism(t *testing.T) {
 				return
 			}
 			n++
-			d := e.Rand().Float64()
+			d := e.RandFor(0).Float64()
 			e.MustAfter(d, func() {
 				got = append(got, e.Now())
 				schedule()
