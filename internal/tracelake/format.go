@@ -26,8 +26,8 @@
 //
 // A reader opens the trailer, checksums and parses the footer, and then
 // has random access to every block without scanning the file. A writer
-// only ever appends, so a live simulation can stream into a lake with
-// one buffered file handle.
+// only ever appends, one Write per block, so a live simulation can stream
+// into a lake with one file handle.
 //
 // Each block holds up to blockRows events of ONE event type, as eight
 // columns (seq, t, from, to, kind, round, value, aux) encoded
@@ -76,15 +76,27 @@
 // codecs; the codec byte gates the reader exactly like the others, so
 // the container version is unchanged and round-trips stay bit-exact.
 //
-// The writer sizes both encodings and emits the smaller (packed on
-// ties, for its faster decode), so the choice is a per-column,
-// per-block decision the reader discovers from the codec byte.
+// The writer emits packed unless the varint form is more than twice as
+// dense (packed decodes several times faster; it also wins ties), so the
+// choice is a per-column, per-block decision the reader discovers from
+// the codec byte.
+//
+// # Writing
+//
+// Writer.OnEvent, on the simulation's goroutine, only stores an event
+// into its type's column buffer; full buffers are encoded and written,
+// first in first out, by the one goroutine this package starts on the
+// write side. The same events therefore give the same file at any
+// GOMAXPROCS (which is why detrand's goroutine rule is waived for that
+// go statement), one Write per block. See Writer for the hand-off, the
+// error contract and what Flush guarantees.
 package tracelake
 
 import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 
 	"optsync/internal/probe"
 )
@@ -122,11 +134,11 @@ const (
 	blockHeaderSize = 4 + 1 + 4
 )
 
-// Column codecs. The writer encodes each column's zigzag delta stream
-// both ways on paper (a size computation, not a second pass) and emits
-// the smaller, preferring packed on ties for its faster decode. Float
-// columns additionally compete against codecDict (see below), which
-// wins on low-cardinality payloads — repeated aux values in particular.
+// Column codecs. The writer emits codecPacked unless codecDelta is more
+// than twice as dense, sizing the varint stream only where that could be
+// (see colEncoder.encode). Float columns additionally compete against
+// codecDict (see below), which wins on low-cardinality payloads —
+// repeated aux values in particular.
 const (
 	codecConst  = 0x01 // all rows carry one value: the 8-byte image
 	codecDelta  = 0x02 // prefix-varint zigzag deltas
@@ -185,174 +197,202 @@ func pvAt(src []byte, off int) (uint64, int) {
 }
 
 // --- column encoders (writer side) ---
+//
+// Every column type maps, order preserved, onto a uint64 image — u64 as
+// is, f64 its IEEE-754 bit pattern, u16 widened, i32 sign-extended and
+// shifted by i32Bias onto [0, 2^32) — and one encoder works on images:
+// min == max is the const test, the bit length of max-min is the packed
+// width, deltas and residuals are differences of images. Float order is
+// therefore the unsigned order of bit patterns (negatives above
+// positives, -0 != +0, a NaN is just an image). The format stores a
+// column's base or first value as uint64(uint32(v)) for i32; unbias
+// undoes the shift there.
 
-// appendConstCol appends a const-codec image.
-func appendConstCol(dst []byte, image uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], image)
-	return append(dst, b[:]...)
+const i32Bias = 1 << 31
+
+func unbias(image, bias uint64) uint64 {
+	if bias != 0 {
+		return uint64(uint32(image - bias))
+	}
+	return image
+}
+
+// colEncoder is the scratch of one column encode at a time.
+type colEncoder struct {
+	img  []uint64 // the image of the column being encoded
+	dict []uint64
+	idx  []uint64
+}
+
+// image returns the n-row image scratch; no column outgrows a block.
+func (e *colEncoder) image(n int) []uint64 {
+	if e.img == nil {
+		e.img = make([]uint64, blockRows)
+	}
+	return e.img[:n]
+}
+
+// The four typed entry points take the image and its bounds in one pass,
+// append the column's frame, and return the bounds (as images) for the
+// block's footer entry.
+
+func (e *colEncoder) u64(dst []byte, vals []uint64) (_ []byte, lo, hi uint64) {
+	lo, hi = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return e.encode(dst, vals, lo, hi, 0, false), lo, hi
+}
+
+func (e *colEncoder) f64(dst []byte, vals []float64) (_ []byte, lo, hi uint64) {
+	img := e.image(len(vals))
+	lo, hi = ^uint64(0), 0
+	for i, v := range vals {
+		b := math.Float64bits(v)
+		img[i] = b
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	return e.encode(dst, img, lo, hi, 0, true), lo, hi
+}
+
+func (e *colEncoder) i32(dst []byte, vals []int32) (_ []byte, lo, hi uint64) {
+	img := e.image(len(vals))
+	lo, hi = ^uint64(0), 0
+	for i, v := range vals {
+		b := uint64(int64(v) + i32Bias)
+		img[i] = b
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	return e.encode(dst, img, lo, hi, i32Bias, false), lo, hi
+}
+
+func (e *colEncoder) u16(dst []byte, vals []uint16) (_ []byte, lo, hi uint64) {
+	img := e.image(len(vals))
+	lo, hi = ^uint64(0), 0
+	for i, v := range vals {
+		b := uint64(v)
+		img[i] = b
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	return e.encode(dst, img, lo, hi, 0, false), lo, hi
+}
+
+// encode frames one column (codec + length + bytes) from its image and
+// the image's bounds. codecConst when every row carries one value (kind,
+// value, and aux usually do; skew samples' from/to are all -1);
+// otherwise frame-of-reference packing (base image + fixed-width
+// residuals — the fast-decode path) unless first value + prefix-varint
+// zigzag deltas are more than twice as dense (a heavily outlier-skewed
+// column), or, for float columns with few distinct values (aux payloads
+// above all), a dictionary strictly smaller than both.
+func (e *colEncoder) encode(dst []byte, img []uint64, lo, hi, bias uint64, float bool) []byte {
+	if lo == hi {
+		dst = appendColHeader(dst, codecConst, 8)
+		return binary.LittleEndian.AppendUint64(dst, unbias(lo, bias))
+	}
+	n := len(img)
+	// Past 57 bits a value could straddle more than one 64-bit load: store
+	// raw 8-byte words.
+	width := bits.Len64(hi - lo)
+	if width > 57 {
+		width = 64
+	}
+	psize := 8 + packedSize(n, width)
+
+	// The varint size is a pass of its own, taken only where it can change
+	// the choice. A varint is at least one byte, so packed at up to 16 bits
+	// wins its psize <= 2*vsize rule unmeasured; a dictionary has to beat
+	// packed before varint matters to it. High-cardinality columns abandon
+	// the dictionary within their first dictMaxEntries+1 distinct rows.
+	measure := psize > 2*(8+n-1)
+	dsize := 0
+	if float {
+		var ok bool
+		if e.dict, ok = dictBuild(e.dict, img); ok {
+			if d := dictSize(n, len(e.dict)); d < psize {
+				dsize, measure = d, true
+			}
+		}
+	}
+	vsize := 8
+	if measure {
+		prev := img[0]
+		for _, v := range img[1:] {
+			vsize += pvLen(zigzag(int64(v - prev)))
+			prev = v
+		}
+	}
+
+	switch {
+	case dsize != 0 && dsize < vsize:
+		e.idx = dictIndexes(e.idx, e.dict, img)
+		dst = appendColHeader(dst, codecDict, dsize)
+		dst = append(dst, byte(len(e.dict)))
+		for _, entry := range e.dict {
+			dst = binary.LittleEndian.AppendUint64(dst, entry)
+		}
+		return packImages(dst, e.idx, 0, dictWidth(len(e.dict)))
+	case !measure || psize <= 2*vsize:
+		dst = appendColHeader(dst, codecPacked, psize)
+		dst = binary.LittleEndian.AppendUint64(dst, unbias(lo, bias))
+		return packImages(dst, img, lo, width)
+	}
+	// Keeping the first value out of the delta stream matters: a block's
+	// opening seq or timestamp is a huge "delta from zero".
+	dst = appendColHeader(dst, codecDelta, vsize)
+	dst = binary.LittleEndian.AppendUint64(dst, unbias(img[0], bias))
+	dst = slices.Grow(dst, vsize-8)
+	prev := img[0]
+	for _, v := range img[1:] {
+		dst = appendPV(dst, zigzag(int64(v-prev)))
+		prev = v
+	}
+	return dst
+}
+
+func appendColHeader(dst []byte, codec byte, n int) []byte {
+	dst = append(dst, codec)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // pvLen is the encoded size of v as a prefix varint.
-func pvLen(v uint64) int {
-	n := 1
-	for x := v >> 4; x != 0; x >>= 8 {
-		n++
-	}
-	return n
-}
-
-// packedWidth is the bit width codecPacked would use for the residual
-// stream: enough for the widest residual, saturating to a raw 8-byte
-// layout past 57 bits (where a value could straddle more than one
-// 64-bit load).
-func packedWidth(resid []uint64) int {
-	w := 0
-	for _, r := range resid {
-		w = max(w, 64-bits.LeadingZeros64(r))
-	}
-	if w > 57 {
-		return 64
-	}
-	return w
-}
+func pvLen(v uint64) int { return 1 + (bits.Len64(v>>4)+7)/8 }
 
 // packedSize is the width byte plus n residuals at width w.
 func packedSize(n, w int) int { return 1 + (n*w+7)/8 }
 
-// appendPacked appends the width byte, then the residuals bit-packed
-// little-endian (width 64 stores raw 8-byte words).
-func appendPacked(dst []byte, resid []uint64, width int) []byte {
+// packImages appends the width byte, then every image's distance from
+// base bit-packed little-endian (width 64 stores raw 8-byte words). The
+// destination is grown once and filled a 64-bit word at a time.
+func packImages(dst []byte, img []uint64, base uint64, width int) []byte {
 	dst = append(dst, byte(width))
+	at, size := len(dst), packedSize(len(img), width)-1
+	dst = slices.Grow(dst, size)[:at+size]
+	out := dst[at:]
 	if width == 64 {
-		for _, r := range resid {
-			dst = binary.LittleEndian.AppendUint64(dst, r)
+		for i, v := range img {
+			binary.LittleEndian.PutUint64(out[8*i:], v-base)
 		}
 		return dst
 	}
-	acc, accBits := uint64(0), 0
-	for _, r := range resid {
-		acc |= r << uint(accBits) // accBits <= 7 here, width <= 57: no overflow
-		accBits += width
-		for accBits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			accBits -= 8
+	acc, nbits, pos := uint64(0), 0, 0
+	for _, v := range img {
+		r := v - base
+		acc |= r << (uint(nbits) & 63)
+		nbits += width
+		if nbits >= 64 {
+			binary.LittleEndian.PutUint64(out[pos:], acc)
+			pos += 8
+			nbits -= 64
+			acc = r >> (uint(width-nbits) & 63) // the bits of r the word had no room for
 		}
 	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc))
+	for ; nbits > 0; nbits -= 8 {
+		out[pos] = byte(acc)
+		acc >>= 8
+		pos++
 	}
 	return dst
-}
-
-// appendVarints appends the codecDelta payload for the deltas.
-func appendVarints(dst []byte, deltas []uint64) []byte {
-	for _, d := range deltas {
-		dst = appendPV(dst, d)
-	}
-	return dst
-}
-
-// The deltas* helpers turn a column into its first value (as a raw
-// 8-byte image) plus the zigzag delta stream of the REST — the shared
-// input of both non-const codecs. Keeping the first value out of the
-// stream matters: a block's opening seq or timestamp is a huge "delta
-// from zero" that would otherwise widen every packed value in the
-// block.
-
-func deltasU64(scratch []uint64, vals []uint64) (uint64, []uint64) {
-	scratch = scratch[:0]
-	prev := vals[0]
-	for _, v := range vals[1:] {
-		scratch = append(scratch, zigzag(int64(v-prev)))
-		prev = v
-	}
-	return vals[0], scratch
-}
-
-func deltasF64(scratch []uint64, vals []float64) (uint64, []uint64) {
-	scratch = scratch[:0]
-	prev := math.Float64bits(vals[0])
-	for _, v := range vals[1:] {
-		b := math.Float64bits(v)
-		scratch = append(scratch, zigzag(int64(b-prev)))
-		prev = b
-	}
-	return math.Float64bits(vals[0]), scratch
-}
-
-func deltasI32(scratch []uint64, vals []int32) (uint64, []uint64) {
-	scratch = scratch[:0]
-	prev := int64(vals[0])
-	for _, v := range vals[1:] {
-		scratch = append(scratch, zigzag(int64(v)-prev))
-		prev = int64(v)
-	}
-	return uint64(uint32(vals[0])), scratch
-}
-
-func deltasU16(scratch []uint64, vals []uint16) (uint64, []uint64) {
-	scratch = scratch[:0]
-	prev := int64(vals[0])
-	for _, v := range vals[1:] {
-		scratch = append(scratch, zigzag(int64(v)-prev))
-		prev = int64(v)
-	}
-	return uint64(vals[0]), scratch
-}
-
-// The residuals* helpers turn a column into codecPacked's input: the
-// minimum value's 8-byte image plus every row's distance from it.
-// Residuals are unsigned by construction, so no zigzag step is needed,
-// and — unlike deltas — reconstruction has no serial dependency.
-
-func residualsU64(scratch []uint64, vals []uint64) (uint64, []uint64) {
-	scratch = scratch[:0]
-	base := vals[0]
-	for _, v := range vals {
-		base = min(base, v)
-	}
-	for _, v := range vals {
-		scratch = append(scratch, v-base)
-	}
-	return base, scratch
-}
-
-func residualsF64(scratch []uint64, vals []float64) (uint64, []uint64) {
-	scratch = scratch[:0]
-	base := math.Float64bits(vals[0])
-	for _, v := range vals {
-		base = min(base, math.Float64bits(v))
-	}
-	for _, v := range vals {
-		scratch = append(scratch, math.Float64bits(v)-base)
-	}
-	return base, scratch
-}
-
-func residualsI32(scratch []uint64, vals []int32) (uint64, []uint64) {
-	scratch = scratch[:0]
-	base := vals[0]
-	for _, v := range vals {
-		base = min(base, v)
-	}
-	for _, v := range vals {
-		scratch = append(scratch, uint64(int64(v)-int64(base)))
-	}
-	return uint64(uint32(base)), scratch
-}
-
-func residualsU16(scratch []uint64, vals []uint16) (uint64, []uint64) {
-	scratch = scratch[:0]
-	base := vals[0]
-	for _, v := range vals {
-		base = min(base, v)
-	}
-	for _, v := range vals {
-		scratch = append(scratch, uint64(v-base))
-	}
-	return uint64(base), scratch
 }
 
 // --- column decoders (reader side) ---
@@ -629,67 +669,37 @@ func decodeU16Packed(dst []uint16, src []byte, clen int) bool {
 // dictWidth is the packed index width for a dictionary of nd entries.
 func dictWidth(nd int) int { return max(1, bits.Len(uint(nd-1))) }
 
-// dictSizeF64 is the encoded frame size for n rows over nd entries.
-func dictSizeF64(n, nd int) int { return 1 + 8*nd + packedSize(n, dictWidth(nd)) }
+// dictSize is the encoded frame size for n rows over nd entries.
+func dictSize(n, nd int) int { return 1 + 8*nd + packedSize(n, dictWidth(nd)) }
 
-// dictBuildF64 collects the sorted distinct bit images of vals into
+// dictBuild collects the sorted distinct images of a column into
 // scratch, abandoning as soon as the count exceeds dictMaxEntries (for
 // high-cardinality columns that happens within the first rows, so the
 // probe costs almost nothing). The returned slice reuses scratch's
 // backing array; ok reports whether the column fit.
-func dictBuildF64(scratch []uint64, vals []float64) (dict []uint64, ok bool) {
+func dictBuild(scratch []uint64, img []uint64) (dict []uint64, ok bool) {
 	d := scratch[:0]
-	for _, v := range vals {
-		img := math.Float64bits(v)
-		lo, hi := 0, len(d)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if d[mid] < img {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(d) && d[lo] == img {
+	for _, v := range img {
+		lo, found := slices.BinarySearch(d, v)
+		if found {
 			continue
 		}
 		if len(d) >= dictMaxEntries {
 			return d, false
 		}
-		d = append(d, 0)
-		copy(d[lo+1:], d[lo:])
-		d[lo] = img
+		d = slices.Insert(d, lo, v)
 	}
 	return d, true
 }
 
-// dictIndexesF64 maps every row to its position in the sorted dict.
-func dictIndexesF64(scratch []uint64, dict []uint64, vals []float64) []uint64 {
+// dictIndexes maps every row to its position in the sorted dict.
+func dictIndexes(scratch []uint64, dict []uint64, img []uint64) []uint64 {
 	idx := scratch[:0]
-	for _, v := range vals {
-		img := math.Float64bits(v)
-		lo, hi := 0, len(dict)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if dict[mid] < img {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+	for _, v := range img {
+		lo, _ := slices.BinarySearch(dict, v)
 		idx = append(idx, uint64(lo))
 	}
 	return idx
-}
-
-// appendDict appends the dictionary frame: entry count, sorted images,
-// then the indices through the shared bit-packer.
-func appendDict(dst []byte, dict []uint64, idx []uint64) []byte {
-	dst = append(dst, byte(len(dict)))
-	for _, img := range dict {
-		dst = binary.LittleEndian.AppendUint64(dst, img)
-	}
-	return appendPacked(dst, idx, dictWidth(len(dict)))
 }
 
 // decodeF64Dict decodes a dictionary column. Validation pins the whole

@@ -1,12 +1,13 @@
 package tracelake
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"optsync/internal/probe"
 )
@@ -15,9 +16,25 @@ import (
 // polynomial with hardware support on both amd64 and arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+const (
+	// firstRows is a column buffer's first size: most event types of most
+	// runs (boots, partition markers, a short run's pulses) never outgrow
+	// it. A buffer that does goes straight to blockRows.
+	firstRows = 256
+
+	// maxInFlight bounds the full buffers handed to the encoder and not yet
+	// recycled; the producer waits at that many. Two serialize producer and
+	// encoder whenever message_sent and message_delivered fill together;
+	// four do not.
+	maxInFlight = 4
+)
+
 // colBuf accumulates the pending rows of one event type as plain
-// struct-of-arrays columns until a block flush.
+// struct-of-arrays columns until a block flush. Every column has the
+// same length — the buffer's capacity in rows — and n rows are filled.
 type colBuf struct {
+	typ   probe.Type
+	n     int
 	seq   []uint64
 	t     []float64
 	from  []int32
@@ -28,343 +45,363 @@ type colBuf struct {
 	aux   []float64
 }
 
-func (c *colBuf) reset() {
-	c.seq = c.seq[:0]
-	c.t = c.t[:0]
-	c.from = c.from[:0]
-	c.to = c.to[:0]
-	c.kind = c.kind[:0]
-	c.round = c.round[:0]
-	c.value = c.value[:0]
-	c.aux = c.aux[:0]
+func newColBuf(typ probe.Type, rows int) colBuf {
+	return colBuf{
+		typ:   typ,
+		seq:   make([]uint64, rows),
+		t:     make([]float64, rows),
+		from:  make([]int32, rows),
+		to:    make([]int32, rows),
+		kind:  make([]uint16, rows),
+		round: make([]int32, rows),
+		value: make([]float64, rows),
+		aux:   make([]float64, rows),
+	}
 }
 
 // Writer streams probe events into a lake container. It implements
 // probe.Probe, so recording a live run is just attaching it to the bus
 // (optsync.WithLakeTrace does); ConvertFrom-style callers feed it
-// event-by-event the same way. Rows buffer per type and flush as column
-// blocks every blockRows events; Flush writes the pending blocks, the
-// footer index, and the trailer — a lake is complete only after a nil
-// Flush, and accepts no events afterwards.
+// event-by-event the same way. Rows buffer per type; Flush writes the
+// pending partial blocks, the footer index, and the trailer — a lake is
+// complete only after a nil Flush, and accepts no events afterwards.
 //
-// I/O errors are sticky: the first one stops all further writes and is
-// reported by Flush and Err, mirroring probe.Writer.
+// OnEvent only stores the event's eight fields. A buffer that reaches
+// blockRows is handed, in fill order, to an encoder goroutine that
+// encodes, checksums and writes it while OnEvent continues into a
+// recycled buffer. Blocks are encoded and written strictly first in,
+// first out by at most one goroutine at a time, so offsets, footer order
+// and every byte are those of a writer that encoded inline: the file does
+// not depend on scheduling or GOMAXPROCS. No goroutine exists before the
+// first full block or after the last queued block's write — a Writer
+// dropped without Flush pins nothing — and Flush joins the encoder
+// before it writes anything itself.
+//
+// Each block is one Write of ~55 KB (the first carries the magic; footer
+// and trailer are one more); wrap a file in a bufio.Writer to coalesce
+// them. The destination is written by one goroutine at a time, and by
+// none once Flush has returned.
+//
+// I/O errors are sticky: the first one stops all further writes and
+// reaches the caller at the next block hand-off or at Flush, whichever
+// comes first; Flush and Err report it, mirroring probe.Writer.
 type Writer struct {
-	bw       *bufio.Writer
-	off      uint64
-	blocks   []blockMeta
+	// Producer side: the goroutine calling OnEvent and Flush.
 	pend     [probe.NumTypes]colBuf
 	seq      uint64
 	err      error
 	done     bool
 	finalErr error
-	scratch  []byte
-	deltas   []uint64
-	resid    []uint64
-	dict     []uint64
-	didx     []uint64
+
+	// The hand-off. queue holds full buffers in fill order, spare the
+	// recycled ones; inFlight counts buffers between hand-off and
+	// recycling, busy says an encoder goroutine exists, and encErr is that
+	// side's first write error on its way to the producer.
+	mu       sync.Mutex
+	cond     sync.Cond
+	queue    []colBuf
+	spare    []colBuf
+	inFlight int
+	busy     bool
+	encErr   error
+	drainFn  func() // w.drain, bound once: a go statement on it allocates nothing
+
+	// Encoder side: owned by the encoder goroutine while busy, by Flush
+	// after the join; mu orders every change of hands.
+	enc blockEncoder
 }
 
-// NewWriter returns a lake writer emitting to w. Writes are buffered and
-// strictly sequential (a live run streams through one file handle).
+// NewWriter returns a lake writer emitting to w, strictly sequentially,
+// one Write per block.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	lw := &Writer{enc: blockEncoder{out: w}}
+	lw.cond.L = &lw.mu
+	lw.drainFn = lw.drain
+	return lw
 }
 
 // Events returns the number of events recorded so far.
 func (w *Writer) Events() uint64 { return w.seq }
 
-// Err returns the first error, if any.
+// Err returns the first error the producer has seen, if any: an encoder
+// I/O error shows here from the next hand-off or Flush on.
 func (w *Writer) Err() error { return w.err }
 
 // OnEvent implements probe.Probe. Events arriving after Flush are an
 // error (the footer is already on disk), not a silent drop.
+//
+//syncsim:hotpath
 func (w *Writer) OnEvent(ev probe.Event) {
-	if w.err != nil {
-		return
-	}
-	if w.done {
-		w.err = fmt.Errorf("tracelake: OnEvent after Flush: the container is finalized")
-		return
-	}
-	if w.seq == 0 {
-		if _, err := w.bw.Write(Magic[:]); err != nil {
-			w.err = err
-			return
-		}
-		w.off = uint64(len(Magic))
-	}
 	ti := int(ev.Type)
-	if ti <= 0 || ti >= len(w.pend) {
-		w.err = fmt.Errorf("tracelake: event %d has invalid type %d", w.seq, ev.Type)
+	if w.err != nil || w.done || ti <= 0 || ti >= len(w.pend) {
+		w.reject(ev)
 		return
 	}
 	c := &w.pend[ti]
-	c.seq = append(c.seq, w.seq)
-	c.t = append(c.t, ev.T)
-	c.from = append(c.from, ev.From)
-	c.to = append(c.to, ev.To)
-	c.kind = append(c.kind, ev.Kind)
-	c.round = append(c.round, ev.Round)
-	c.value = append(c.value, ev.Value)
-	c.aux = append(c.aux, ev.Aux)
+	if c.n == len(c.seq) {
+		w.grow(c, ev.Type)
+	}
+	i := c.n
+	c.seq[i] = w.seq
+	c.t[i] = ev.T
+	c.from[i] = ev.From
+	c.to[i] = ev.To
+	c.kind[i] = ev.Kind
+	c.round[i] = ev.Round
+	c.value[i] = ev.Value
+	c.aux[i] = ev.Aux
+	c.n = i + 1
 	w.seq++
-	if len(c.seq) >= blockRows {
-		w.flushBlock(probe.Type(ti), c)
+	if c.n == blockRows {
+		w.handOff(c)
 	}
 }
 
-// flushBlock encodes c as one column block, appends it, and records its
-// footer entry.
-func (w *Writer) flushBlock(typ probe.Type, c *colBuf) {
-	if w.err != nil || len(c.seq) == 0 {
+// reject is OnEvent's cold side: after an error events are dropped, and
+// an event that cannot be recorded becomes the error.
+//
+//go:noinline
+func (w *Writer) reject(ev probe.Event) {
+	switch {
+	case w.err != nil:
+	case w.done:
+		w.err = fmt.Errorf("tracelake: OnEvent after Flush: the container is finalized")
+	default:
+		w.err = fmt.Errorf("tracelake: event %d has invalid type %d", w.seq, ev.Type)
+	}
+}
+
+// grow gives a type its first buffer, or moves the rows of one that
+// filled firstRows into a full-size buffer. Buffers have exactly these
+// two sizes: append's growth steps would allocate several times the
+// final block on the way there.
+func (w *Writer) grow(c *colBuf, typ probe.Type) {
+	if len(c.seq) == 0 {
+		*c = newColBuf(typ, firstRows)
 		return
 	}
-	meta := blockMeta{
-		typ:    typ,
-		count:  uint32(len(c.seq)),
-		offset: w.off,
-		seqMin: c.seq[0],
-		tMin:   math.Inf(1), tMax: math.Inf(-1),
-		nodeMin: math.MaxInt32, nodeMax: math.MinInt32,
-		roundMin: math.MaxInt32, roundMax: math.MinInt32,
+	w.mu.Lock()
+	big, ok := w.takeSpare()
+	w.mu.Unlock()
+	if !ok {
+		big = newColBuf(typ, blockRows)
 	}
-	for i := range c.seq {
-		meta.tMin = math.Min(meta.tMin, c.t[i])
-		meta.tMax = math.Max(meta.tMax, c.t[i])
-		meta.nodeMin = min(meta.nodeMin, min(c.from[i], c.to[i]))
-		meta.nodeMax = max(meta.nodeMax, max(c.from[i], c.to[i]))
-		meta.roundMin = min(meta.roundMin, c.round[i])
-		meta.roundMax = max(meta.roundMax, c.round[i])
-	}
-
-	// Payload: type, count, then the eight columns.
-	buf := w.scratch[:0]
-	buf = append(buf, byte(typ))
-	buf = binary.LittleEndian.AppendUint32(buf, meta.count)
-	buf = w.appendU64Col(buf, c.seq)
-	buf = w.appendF64Col(buf, c.t)
-	buf = w.appendI32Col(buf, c.from)
-	buf = w.appendI32Col(buf, c.to)
-	buf = w.appendU16Col(buf, c.kind)
-	buf = w.appendI32Col(buf, c.round)
-	buf = w.appendF64Col(buf, c.value)
-	buf = w.appendF64Col(buf, c.aux)
-	w.scratch = buf
-
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(buf, castagnoli))
-	if _, err := w.bw.Write(crcb[:]); err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.bw.Write(buf); err != nil {
-		w.err = err
-		return
-	}
-	meta.length = uint64(4 + len(buf))
-	w.off += meta.length
-	w.blocks = append(w.blocks, meta)
-	c.reset()
+	big.typ, big.n = typ, c.n
+	copy(big.seq, c.seq)
+	copy(big.t, c.t)
+	copy(big.from, c.from)
+	copy(big.to, c.to)
+	copy(big.kind, c.kind)
+	copy(big.round, c.round)
+	copy(big.value, c.value)
+	copy(big.aux, c.aux)
+	*c = big
 }
 
-// Column appenders: pick codecConst when every row carries one value
-// (kind, value, and aux usually do; skew samples' from/to are all -1);
-// otherwise compute the column's zigzag delta stream once and emit
-// whichever of codecPacked and codecDelta is smaller (packed on ties —
-// its constant-stride decode is the faster one). Each column is framed
-// as codec + length + bytes.
-
-func appendColHeader(dst []byte, codec byte, n int) []byte {
-	dst = append(dst, codec)
-	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+// takeSpare pops a recycled full-size buffer; mu is held.
+func (w *Writer) takeSpare() (colBuf, bool) {
+	n := len(w.spare)
+	if n == 0 {
+		return colBuf{}, false
+	}
+	b := w.spare[n-1]
+	w.spare = w.spare[:n-1]
+	return b, true
 }
 
-// appendNonConstCol frames and appends the column under the smaller of
-// the two non-const codecs: frame-of-reference packing (base image +
-// fixed-width residuals — the fast-decode path) or first value +
-// prefix-varint zigzag deltas (denser under outliers).
-func appendNonConstCol(dst []byte, first uint64, deltas []uint64, base uint64, resid []uint64) []byte {
-	width := packedWidth(resid)
-	psize := 8 + packedSize(len(resid), width)
-	vsize := 8
-	for _, d := range deltas {
-		vsize += pvLen(d)
+// handOff queues the full buffer *c for the encoder, starting one if
+// none is running, and leaves an empty buffer in its place. It waits
+// while maxInFlight buffers are out — the only place the producer blocks
+// — and picks up the encoder's error, if it has one by now.
+func (w *Writer) handOff(c *colBuf) {
+	typ := c.typ
+	w.mu.Lock()
+	for w.inFlight == maxInFlight {
+		w.cond.Wait()
 	}
-	// Packed decodes several times faster than varint, so it wins unless
-	// varint is at least 2x denser (a heavily outlier-skewed column).
-	if psize <= 2*vsize {
-		dst = appendColHeader(dst, codecPacked, psize)
-		dst = appendConstCol(dst, base)
-		return appendPacked(dst, resid, width)
+	w.err = w.encErr
+	w.queue = append(w.queue, *c)
+	w.inFlight++
+	next, ok := w.takeSpare()
+	if !w.busy {
+		w.busy = true
+		//syncsim:allowlist detrand writer-side block encoder: at most one exists at a time and it drains a FIFO queue of full buffers, so block offsets, footer order and every byte are those of inline encoding at any GOMAXPROCS; it reads filled column buffers only and touches no simulation state
+		go w.drainFn()
 	}
-	dst = appendColHeader(dst, codecDelta, vsize)
-	dst = appendConstCol(dst, first)
-	return appendVarints(dst, deltas)
+	w.mu.Unlock()
+	if !ok {
+		// Ramp-up only: at most one buffer per live type plus maxInFlight
+		// are ever allocated, the rest of the run recycles them.
+		next = newColBuf(typ, blockRows)
+	}
+	next.typ, next.n = typ, 0
+	*c = next
 }
 
-func (w *Writer) appendU64Col(dst []byte, vals []uint64) []byte {
-	if allEqU64(vals) {
-		dst = appendColHeader(dst, codecConst, 8)
-		return appendConstCol(dst, vals[0])
-	}
-	first, deltas := deltasU64(w.deltas, vals)
-	w.deltas = deltas
-	base, resid := residualsU64(w.resid, vals)
-	w.resid = resid
-	return appendNonConstCol(dst, first, deltas, base, resid)
-}
-
-func (w *Writer) appendF64Col(dst []byte, vals []float64) []byte {
-	if allEqF64(vals) {
-		dst = appendColHeader(dst, codecConst, 8)
-		return appendConstCol(dst, math.Float64bits(vals[0]))
-	}
-	first, deltas := deltasF64(w.deltas, vals)
-	w.deltas = deltas
-	base, resid := residualsF64(w.resid, vals)
-	w.resid = resid
-	// Float columns with few distinct values (aux payloads above all)
-	// beat both delta codecs with a dictionary: measure the density and
-	// emit codecDict only when the measured frame is strictly smaller
-	// than both alternatives. High-cardinality columns abandon the
-	// probe within their first dictMaxEntries+1 distinct rows.
-	dict, ok := dictBuildF64(w.dict, vals)
-	w.dict = dict
-	if ok && len(dict) >= 2 {
-		dsize := dictSizeF64(len(vals), len(dict))
-		psize := 8 + packedSize(len(resid), packedWidth(resid))
-		vsize := 8
-		for _, d := range deltas {
-			vsize += pvLen(d)
+// drain is the encoder goroutine: it encodes and writes queued buffers
+// in order and exits when the queue is empty, so it never outlives the
+// last hand-off's write. After a write error it keeps recycling buffers
+// without encoding them — the bounded producer would otherwise wait
+// forever — and writes nothing more.
+func (w *Writer) drain() {
+	w.mu.Lock()
+	for len(w.queue) > 0 {
+		c := w.queue[0]
+		w.queue = append(w.queue[:0], w.queue[1:]...)
+		failed := w.encErr != nil
+		w.mu.Unlock()
+		var err error
+		if !failed {
+			err = w.enc.block(&c)
 		}
-		if dsize < psize && dsize < vsize {
-			idx := dictIndexesF64(w.didx, dict, vals)
-			w.didx = idx
-			dst = appendColHeader(dst, codecDict, dsize)
-			return appendDict(dst, dict, idx)
+		w.mu.Lock()
+		if err != nil {
+			w.encErr = err
 		}
+		w.spare = append(w.spare, c)
+		w.inFlight--
+		w.cond.Broadcast()
 	}
-	return appendNonConstCol(dst, first, deltas, base, resid)
+	w.busy = false
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
-func (w *Writer) appendI32Col(dst []byte, vals []int32) []byte {
-	if allEqI32(vals) {
-		dst = appendColHeader(dst, codecConst, 8)
-		return appendConstCol(dst, uint64(uint32(vals[0])))
+// join waits until no encoder goroutine is left and takes over its error:
+// from here on the encoder side belongs to the caller.
+func (w *Writer) join() {
+	w.mu.Lock()
+	for w.busy {
+		w.cond.Wait()
 	}
-	first, deltas := deltasI32(w.deltas, vals)
-	w.deltas = deltas
-	base, resid := residualsI32(w.resid, vals)
-	w.resid = resid
-	return appendNonConstCol(dst, first, deltas, base, resid)
+	if w.err == nil {
+		w.err = w.encErr
+	}
+	w.mu.Unlock()
 }
 
-func (w *Writer) appendU16Col(dst []byte, vals []uint16) []byte {
-	if allEqU16(vals) {
-		dst = appendColHeader(dst, codecConst, 8)
-		return appendConstCol(dst, uint64(vals[0]))
-	}
-	first, deltas := deltasU16(w.deltas, vals)
-	w.deltas = deltas
-	base, resid := residualsU16(w.resid, vals)
-	w.resid = resid
-	return appendNonConstCol(dst, first, deltas, base, resid)
-}
-
-func allEqU64(v []uint64) bool {
-	for _, x := range v[1:] {
-		if x != v[0] {
-			return false
-		}
-	}
-	return true
-}
-
-func allEqF64(v []float64) bool {
-	b0 := math.Float64bits(v[0])
-	for _, x := range v[1:] {
-		if math.Float64bits(x) != b0 {
-			return false
-		}
-	}
-	return true
-}
-
-func allEqI32(v []int32) bool {
-	for _, x := range v[1:] {
-		if x != v[0] {
-			return false
-		}
-	}
-	return true
-}
-
-func allEqU16(v []uint16) bool {
-	for _, x := range v[1:] {
-		if x != v[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// Flush writes the pending partial blocks, the footer index, and the
-// trailer, then drains the buffer. It finalizes the container: further
-// events are errors (reported by Err). Flush is idempotent — a second
-// call reports the first call's outcome.
+// Flush waits for the queued blocks to be written, then writes the
+// pending partial blocks, the footer index, and the trailer. It
+// finalizes the container: further events are errors (reported by Err).
+// Flush is idempotent — a second call reports the first call's outcome.
 func (w *Writer) Flush() error {
 	if w.done {
 		return w.finalErr
 	}
-	if w.err != nil {
-		w.done, w.finalErr = true, w.err
-		return w.err
-	}
 	w.done = true
-	if w.seq == 0 {
-		// An empty trace still becomes a well-formed (empty) lake, so the
-		// -trace flag never leaves a 0-byte file that Open rejects.
-		if _, err := w.bw.Write(Magic[:]); err != nil {
-			w.err = err
-			return w.err
-		}
-		w.off = uint64(len(Magic))
-	}
+	w.join()
 	// Blocks flush in stream order per type; the footer keeps that order,
 	// so a type's blocks are seq-sorted by construction.
 	for ti := range w.pend {
-		w.flushBlock(probe.Type(ti), &w.pend[ti])
+		if c := &w.pend[ti]; c.n > 0 && w.err == nil {
+			w.err = w.enc.block(c)
+		}
 	}
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		// An empty trace still becomes a well-formed (empty) lake, so the
+		// -trace flag never leaves a 0-byte file that Open rejects.
+		w.err = w.enc.finish(w.seq)
 	}
-
-	footer := w.scratch[:0]
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(w.blocks)))
-	footer = binary.LittleEndian.AppendUint64(footer, w.seq)
-	for i := range w.blocks {
-		footer = w.blocks[i].append(footer)
-	}
-	w.scratch = footer
-
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(footer, castagnoli))
-	if _, err := w.bw.Write(crcb[:]); err != nil {
-		w.err = err
-		return w.err
-	}
-	if _, err := w.bw.Write(footer); err != nil {
-		w.err = err
-		return w.err
-	}
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(4+len(footer)))
-	copy(trailer[8:], endMagic[:])
-	if _, err := w.bw.Write(trailer[:]); err != nil {
-		w.err = err
-		return w.err
-	}
-	w.err = w.bw.Flush()
+	w.finalErr = w.err
 	return w.err
+}
+
+// blockEncoder turns full column buffers into the container's bytes: it
+// owns the destination, the running offset and the footer index.
+type blockEncoder struct {
+	out    io.Writer
+	off    uint64
+	blocks []blockMeta
+	buf    []byte
+	cols   colEncoder
+}
+
+// begin starts a checksummed frame of about size bytes in the scratch
+// buffer — preceded by the container magic if nothing has been written
+// yet — and returns it with the offset of the four bytes seal fills in.
+func (e *blockEncoder) begin(size int) ([]byte, int) {
+	buf := slices.Grow(e.buf[:0], len(Magic)+4+size)
+	if e.off == 0 {
+		buf = append(buf, Magic[:]...)
+	}
+	return append(buf, 0, 0, 0, 0), len(buf)
+}
+
+// seal stores the CRC of everything behind the reserved bytes at crcAt.
+func seal(buf []byte, crcAt int) {
+	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.Checksum(buf[crcAt+4:], castagnoli))
+}
+
+// write emits one frame with a single Write and advances the offset.
+func (e *blockEncoder) write(buf []byte) error {
+	e.buf = buf
+	_, err := e.out.Write(buf)
+	e.off += uint64(len(buf))
+	return err
+}
+
+// block encodes the c.n rows of c as one column block, writes it, and
+// records its footer entry.
+func (e *blockEncoder) block(c *colBuf) error {
+	n := c.n
+	// Payload: type, count, then the eight columns. 16 bytes a row covers
+	// the usual block; the column encoders grow the buffer past it.
+	buf, crcAt := e.begin(16 * n)
+	buf = append(buf, byte(c.typ))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf, _, _ = e.cols.u64(buf, c.seq[:n])
+	buf, tLo, tHi := e.cols.f64(buf, c.t[:n])
+	buf, fromLo, fromHi := e.cols.i32(buf, c.from[:n])
+	buf, toLo, toHi := e.cols.i32(buf, c.to[:n])
+	buf, _, _ = e.cols.u16(buf, c.kind[:n])
+	buf, roundLo, roundHi := e.cols.i32(buf, c.round[:n])
+	buf, _, _ = e.cols.f64(buf, c.value[:n])
+	buf, _, _ = e.cols.f64(buf, c.aux[:n])
+	seal(buf, crcAt)
+
+	// The footer entry's bounds fall out of the columns' image bounds: the
+	// i32 image order is the int32 order.
+	meta := blockMeta{
+		typ:      c.typ,
+		count:    uint32(n),
+		offset:   e.off + uint64(crcAt),
+		length:   uint64(len(buf) - crcAt),
+		seqMin:   c.seq[0],
+		nodeMin:  int32(min(fromLo, toLo) - i32Bias),
+		nodeMax:  int32(max(fromHi, toHi) - i32Bias),
+		roundMin: int32(roundLo - i32Bias),
+		roundMax: int32(roundHi - i32Bias),
+	}
+	meta.tMin, meta.tMax = timeBounds(c.t[:n], tLo, tHi)
+	e.blocks = append(e.blocks, meta)
+	return e.write(buf)
+}
+
+// timeBounds is a block's minimum and maximum time as math.Min and
+// math.Max fold them (an infinity beats a NaN, -0 < +0). From +0 to +Inf
+// the order of bit images is the float order, so the column's image
+// bounds are the answer for every trace a simulation writes; anything
+// else is scanned.
+func timeBounds(t []float64, lo, hi uint64) (tMin, tMax float64) {
+	if hi <= math.Float64bits(math.Inf(1)) {
+		return math.Float64frombits(lo), math.Float64frombits(hi)
+	}
+	tMin, tMax = math.Inf(1), math.Inf(-1)
+	for _, v := range t {
+		tMin, tMax = math.Min(tMin, v), math.Max(tMax, v)
+	}
+	return tMin, tMax
+}
+
+// finish writes the footer index of every block and the trailer.
+func (e *blockEncoder) finish(events uint64) error {
+	buf, crcAt := e.begin(16 + metaEncSize*len(e.blocks) + trailerSize)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.blocks)))
+	buf = binary.LittleEndian.AppendUint64(buf, events)
+	for i := range e.blocks {
+		buf = e.blocks[i].append(buf)
+	}
+	seal(buf, crcAt)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(buf)-crcAt))
+	return e.write(append(buf, endMagic[:]...))
 }

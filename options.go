@@ -153,8 +153,10 @@ func WithCollector(col Collector) Option {
 }
 
 // WithTrace records the full event stream to t (see NewTraceWriter).
-// The writer is flushed before Run/RunBatch returns and its first I/O
-// error is returned. In a batch the trace interleaves events of
+// The writer is flushed before Run/RunBatch returns — on an error return
+// (a cancelled context, a failed sink) too, so the trace holds every
+// event up to the abort — and its first I/O error is returned unless the
+// run already failed with another. In a batch the trace interleaves events of
 // concurrent runs; trace single runs (or WithWorkers(1)) when replay
 // must reproduce per-run aggregates.
 func WithTrace(t *TraceWriter) Option {
@@ -167,9 +169,13 @@ func WithTrace(t *TraceWriter) Option {
 // WithLakeTrace records the full event stream to w as a columnar trace
 // lake (see NewLakeWriter) — the queryable container, written live with
 // no intermediate row trace. The writer is flushed (finalizing the
-// container) before Run/RunBatch returns and its first I/O error is
-// returned. Batch caveats match WithTrace: concurrent runs interleave in
-// one stream.
+// container) before Run/RunBatch returns, error returns included: a
+// cancelled run leaves a lake that opens and holds the events up to the
+// abort. Its first I/O error is returned unless the run already failed
+// with another. The writer encodes and writes full blocks on a goroutine
+// of its own, which the flush joins; the file's bytes do not depend on
+// that (see NewLakeWriter). Batch caveats match WithTrace: concurrent
+// runs interleave in one stream.
 func WithLakeTrace(w *LakeWriter) Option {
 	return func(c *config) {
 		c.traces = append(c.traces, w)

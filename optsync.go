@@ -230,6 +230,9 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (Result, error) {
 	}
 	res, err := harness.RunObserved(ctx, spec, attach)
 	if err != nil {
+		// The probes saw events up to the abort: finalize what they wrote
+		// (a lake is unreadable without its footer). The run's error wins.
+		_ = cfg.flushSinks()
 		return Result{}, err
 	}
 	if err := cfg.emit(res); err != nil {

@@ -151,7 +151,11 @@ type (
 // NewLakeWriter returns a lake writer emitting to w. Install it with
 // WithLakeTrace to record a run, or feed it events directly to convert
 // an existing trace (`syncsim trace -out x.lake` does). The container is
-// complete only after a nil Flush.
+// complete only after a nil Flush. Full blocks are encoded and written
+// to w in order by a goroutine of the writer's own — one Write of about
+// 55 KB per block, so wrap a file in a bufio.Writer if that matters — and
+// w's first error comes back from Flush; the bytes written are the same
+// at any GOMAXPROCS.
 func NewLakeWriter(w io.Writer) *LakeWriter { return tracelake.NewWriter(w) }
 
 // OpenLake opens a lake file for querying. The footer index is read and
