@@ -67,6 +67,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -224,6 +225,7 @@ func run(args []string) error {
 		jsonOut = fs.Bool("json", false, "emit JSON instead of aligned tables")
 		workers = fs.Int("workers", 0, "worker pool size for experiment batches (0 = all cores)")
 		custom  = fs.Bool("run", false, "run a single custom simulation instead of an experiment")
+		rtStats = fs.Bool("runtime-stats", false, "print the simulator's own counters for the run (payload arena slots, event-queue chunks) to stderr (custom runs)")
 		trace   = fs.String("trace", "", "record the run's event trace to this file (custom runs; .lake = queryable columnar lake, .bin/.trace = compact binary, else JSONL; replay with `syncsim trace -in FILE`, query lakes with `syncsim query`)")
 
 		sf = addSpecFlags(fs)
@@ -248,10 +250,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return runCustom(spec, *jsonOut, *csvOut, *trace)
+		res, err := runCustom(spec, *jsonOut, *csvOut, *trace)
+		if err == nil && *rtStats {
+			printRuntimeStats(os.Stderr, res.Runtime)
+		}
+		return err
 	}
-	if *trace != "" {
-		return fmt.Errorf("-trace applies to custom runs (-run)")
+	if *trace != "" || *rtStats {
+		return fmt.Errorf("-trace and -runtime-stats apply to custom runs (-run)")
 	}
 	if *sf.topology != "" || len(sf.partitions) > 0 {
 		return fmt.Errorf("-topology and -partition apply to custom runs (-run) and campaigns")
@@ -289,12 +295,22 @@ func run(args []string) error {
 	return nil
 }
 
-func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) error {
+// printRuntimeStats renders Result.Runtime, the one part of a result no
+// sink writes.
+func printRuntimeStats(w io.Writer, rs optsync.RuntimeStats) {
+	a, l := rs.Arena, rs.Ladder
+	fmt.Fprintf(w, "runtime: arena slots %d (high-water %d), references %d, mailbox copies %d\n",
+		a.Slots, a.SlotsHigh, a.Refs, a.Mailbox)
+	fmt.Fprintf(w, "runtime: ladder chunks %d (free-list high-water %d), grow-copies %d, spills %d (un-seals %d), re-anchors %d, shifted %d\n",
+		l.Chunks, l.FreeHigh, l.GrowCopies, l.Spills, l.Unseals, l.Reanchors, l.Shifted)
+}
+
+func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) (optsync.Result, error) {
 	var opts []optsync.Option
 	if tracePath != "" {
 		sink, f, err := traceSinkFor(tracePath)
 		if err != nil {
-			return err
+			return optsync.Result{}, err
 		}
 		defer f.Close()
 		opts = append(opts, traceOption(sink))
@@ -306,13 +322,12 @@ func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) error 
 		if csvOut {
 			sink = optsync.NewCSVSink(os.Stdout)
 		}
-		_, err := optsync.Run(context.Background(), spec, append(opts, optsync.WithSink(sink))...)
-		return err
+		return optsync.Run(context.Background(), spec, append(opts, optsync.WithSink(sink))...)
 	}
 
 	res, err := optsync.Run(context.Background(), spec, opts...)
 	if err != nil {
-		return err
+		return res, err
 	}
 	p := spec.Params
 	title := fmt.Sprintf("custom run: %s n=%d f=%d faulty=%d attack=%s",
@@ -338,5 +353,5 @@ func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) error 
 	t.AddRow("complete rounds", fmt.Sprint(res.CompleteRounds), "-", "ok")
 	t.AddRow("msgs/round", optsync.F(res.MsgsPerRound), fmt.Sprint(p.MessagesPerRound()), "ok")
 	fmt.Println(t.Render())
-	return nil
+	return res, nil
 }

@@ -242,6 +242,12 @@ type Result struct {
 	// Series and Pulses, if Spec.KeepSeries.
 	Series []metrics.Sample
 	Pulses []node.PulseRecord
+
+	// Runtime counts what the simulator did to produce the result (arena
+	// slots, queue chunks). It describes the execution, which may differ
+	// between shard counts, so it is no part of the result proper: sinks,
+	// store cells and the fabric wire leave it out.
+	Runtime node.RuntimeStats `json:"-"`
 }
 
 // runChunks splits a run's horizon into this many context-check slices so
@@ -379,6 +385,7 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 		res.Series = series.Samples
 		res.Pulses = cluster.Pulses
 	}
+	res.Runtime = cluster.RuntimeStats()
 	return res, nil
 }
 

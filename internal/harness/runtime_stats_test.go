@@ -1,0 +1,88 @@
+package harness
+
+import "testing"
+
+// TestRuntimeCountersShowTheSharing reads the memory design off
+// Result.Runtime instead of a profile. On the signed specs every accepted
+// transmission is one reference and the slots are one per broadcast: 25
+// references a slot on the mesh, 9 on ring:8 (eight neighbours and the
+// sender itself — a slot cannot be shared further than the degree). On the
+// unsigned spec scalar envelopes ride their events and the arena is never
+// touched. Whatever the shard count, the references are the accepted
+// transmissions of the serial run; only mailbox copies add slots.
+func TestRuntimeCountersShowTheSharing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large clusters")
+	}
+	for _, tc := range []struct {
+		name     string
+		spec     Spec
+		minShare float64
+	}{
+		{"ring2048-auth", ring2048AuthSpec, 8.5},
+		{"mesh25-auth", mesh25AuthSpec, 10},
+	} {
+		serial := tc.spec
+		serial.Shards = 1
+		res := mustRun(t, serial)
+		a := res.Runtime.Arena
+		t.Logf("%s: %d slots (high-water %d), %d references, %.1f a slot", tc.name, a.Slots, a.SlotsHigh, a.Refs, float64(a.Refs)/float64(a.Slots))
+		if a.Refs != res.TotalMsgs-res.Dropped {
+			t.Errorf("%s: %d references, %d transmissions accepted", tc.name, a.Refs, res.TotalMsgs-res.Dropped)
+		}
+		if float64(a.Refs) < tc.minShare*float64(a.Slots) {
+			t.Errorf("%s: %d references over %d slots, want at least %.1f a slot", tc.name, a.Refs, a.Slots, tc.minShare)
+		}
+		if a.Mailbox != 0 {
+			t.Errorf("%s: serial run parked %d mailbox copies", tc.name, a.Mailbox)
+		}
+		for _, k := range []int{2, 3, 8} {
+			sharded := tc.spec
+			sharded.Shards = k
+			b := mustRun(t, sharded).Runtime.Arena
+			if b.Refs != a.Refs {
+				t.Errorf("%s shards=%d: %d references, serial run %d", tc.name, k, b.Refs, a.Refs)
+			}
+			if b.Mailbox == 0 || b.Slots > a.Slots+b.Mailbox {
+				t.Errorf("%s shards=%d: %d slots for %d mailbox copies, serial run took %d", tc.name, k, b.Slots, b.Mailbox, a.Slots)
+			}
+		}
+	}
+	if a := mustRun(t, mesh256PrimSpec).Runtime.Arena; a.Slots != 0 || a.Refs != 0 || a.SlotsHigh != 0 {
+		t.Errorf("mesh256-prim touched the payload arena: %+v", a)
+	}
+}
+
+// TestLadderStopsGrowingAfterTheFirstRound: the queue's chunks belong to one
+// pool, so rounds after the first are served from what the first one left.
+// The only growth that copies is a bucket's own first array doubling toward
+// one chunk, at most five times per bucket index in a run; it must not
+// come back every round.
+func TestLadderStopsGrowingAfterTheFirstRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large clusters")
+	}
+	const laterCopies = 128 // measured: 39, 77 and 10 over rounds 2-6
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"ring2048-auth", ring2048AuthSpec}, {"mesh256-prim", mesh256PrimSpec}, {"mesh25-auth", mesh25AuthSpec},
+	} {
+		first, full := tc.spec, tc.spec
+		first.Shards, full.Shards = 1, 1
+		first.Horizon, full.Horizon = 1.5, 6
+		l1, l6 := mustRun(t, first).Runtime.Ladder, mustRun(t, full).Runtime.Ladder
+		t.Logf("%s: after round 1 %+v", tc.name, l1)
+		t.Logf("%s: after round 6 %+v", tc.name, l6)
+		if later := l6.GrowCopies - l1.GrowCopies; later > laterCopies {
+			t.Errorf("%s: %d grow-copies after the first round (%d in it), want at most %d", tc.name, later, l1.GrowCopies, laterCopies)
+		}
+		if l6.Chunks > 2*l1.Chunks {
+			t.Errorf("%s: chunk pool grew from %d to %d after the first round", tc.name, l1.Chunks, l6.Chunks)
+		}
+		if tc.name != "mesh25-auth" && l6.Chunks == 0 {
+			t.Errorf("%s: a large run never drew a chunk", tc.name)
+		}
+	}
+}

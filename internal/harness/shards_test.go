@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"optsync/internal/core/bounds"
+	"optsync/internal/node"
 	"optsync/internal/probe"
 )
 
@@ -77,6 +78,14 @@ func shardPropertySpecs() []Spec {
 	return specs
 }
 
+// shardInvariant is the part of a Result that must not depend on the shard
+// count: everything but the Spec, which names the count, and Runtime, which
+// counts what each shard's arena and queue did.
+func shardInvariant(res Result) Result {
+	res.Spec, res.Runtime = Spec{}, node.RuntimeStats{}
+	return res
+}
+
 // TestShardedMatchesSerial is the bit-exactness contract of the parallel
 // engine: for every spec in the property grid, shard counts 2 and 8 must
 // reproduce the serial engine's Result (including the full skew series
@@ -90,12 +99,12 @@ func TestShardedMatchesSerial(t *testing.T) {
 			serial := spec
 			serial.Shards = 1
 			wantRes, wantTrace := runTraced(t, serial)
-			wantRes.Spec = Spec{}
+			wantRes = shardInvariant(wantRes)
 			for _, k := range []int{2, 8} {
 				sharded := spec
 				sharded.Shards = k
 				gotRes, gotTrace := runTraced(t, sharded)
-				gotRes.Spec = Spec{}
+				gotRes = shardInvariant(gotRes)
 				if !reflect.DeepEqual(wantRes, gotRes) {
 					t.Errorf("shards=%d result diverged from serial:\n serial  %+v\n sharded %+v", k, wantRes, gotRes)
 				}
@@ -188,7 +197,7 @@ func TestLateJoinerTrafficDroppedOffline(t *testing.T) {
 			res.TotalMsgs, res.Delivered, res.Dropped, res.DroppedOffline)
 	}
 	sharded, _, _ := run(2)
-	res.Spec, sharded.Spec = Spec{}, Spec{}
+	res, sharded = shardInvariant(res), shardInvariant(sharded)
 	if !reflect.DeepEqual(res, sharded) {
 		t.Errorf("2 shards diverged from serial:\n serial  %+v\n sharded %+v", res, sharded)
 	}

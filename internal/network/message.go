@@ -29,8 +29,9 @@ const KindRaw Kind = 0
 //     therefore allocate nothing.
 //   - Payload carries structured content (signature sets, application
 //     data). For messages fanned out by Broadcast the payload is shared
-//     by all recipients, so it is boxed once per broadcast, not per
-//     delivery.
+//     by all recipients: it is boxed once per broadcast, and the whole
+//     envelope waits in one arena slot for all of a shard's copies.
+//     Recipients must treat it as read-only.
 type Message struct {
 	Kind    Kind
 	Src     NodeID

@@ -15,13 +15,16 @@
 // There is one message path. Send and Broadcast run the same per-link
 // sequence (linked → transmit → place), Broadcast being exactly Send to
 // each recipient in ascending id order: the model delays every copy
-// independently, so every copy is its own event. place has three
-// outcomes — a scalar-only envelope rides the sim event inline, a
-// payload envelope parks in a recycled single-recipient arena slot, and a
-// recipient owned by another shard goes to that shard's mailbox — and
-// Dispatch has one delivery body that undoes whichever it was. Serial and
-// sharded runs execute the same code; shard ownership is consulted in
-// place alone. In steady state the path performs no allocation.
+// independently, so every copy is its own event — of one shared envelope.
+// place has three outcomes — a scalar-only envelope rides the sim event
+// inline, a payload envelope parks in a recycled arena slot that the
+// broadcast's first local copy takes and every further one references (the
+// arena holds what is in flight per broadcast, not per recipient), and a
+// recipient owned by another shard goes to that shard's mailbox by value,
+// to get a slot there — and Dispatch has one delivery body that undoes
+// whichever it was. Serial and sharded runs execute the same code; shard
+// ownership is consulted in place alone. In steady state the path performs
+// no allocation.
 //
 // Observation goes through the engine's probe bus: every send, delivery,
 // and drop emits a typed probe.Event behind a Bus.Active guard, so an
@@ -75,12 +78,6 @@ type Stats struct {
 	BySender []uint64
 }
 
-// arenaTrimCap is the arena size (in slots) above which a fully idle
-// arena is released when the burst that just drained used less than a
-// quarter of it: long runs and campaign batches do not retain one
-// worst-case round's envelope memory forever.
-const arenaTrimCap = 4096
-
 // msgInline marks a sim.Message whose scalar fields carry the whole
 // envelope: Kind/Round/Value inline, no arena slot. Scalar-only
 // envelopes — nil Payload, zero Src, Round within int32 — take this
@@ -114,13 +111,13 @@ type Net struct {
 	delayRng []*rand.Rand
 
 	target int // sim dispatch target id
-	// arena holds the payload envelopes of scheduled deliveries, one
-	// recipient per slot, indexed by sim.Message.Index and recycled through
-	// freeSlots so the steady-state send path performs no allocation.
-	arena     []Message
+	// arena holds the payload envelopes of scheduled deliveries, one slot
+	// per broadcast in flight (a few per node: it is never trimmed), indexed
+	// by sim.Message.Index and recycled through freeSlots so the
+	// steady-state send path performs no allocation.
+	arena     []slot
 	freeSlots []uint32
-	inUse     int      // arena slots currently holding scheduled envelopes
-	peakInUse int      // max inUse since the arena was last fully idle
+	rt        RuntimeStats
 	nbrBuf    []NodeID // reused AppendNeighbors buffer
 
 	// Sharded-execution context, zero in a serial run. Each shard of a
@@ -132,6 +129,27 @@ type Net struct {
 	shard  int32
 	owner  []int32
 	outbox [][]outMsg
+}
+
+// slot is one parked payload envelope and the count of scheduled deliveries
+// that have yet to read it. 32 bits: one broadcast reaches up to n nodes.
+type slot struct {
+	msg  Message
+	refs uint32
+}
+
+// noSlot is the slot cursor before a copy has parked the envelope. The
+// cursor lives on its Send's or Broadcast's stack, not in Net: a probe may
+// re-enter either from OnEvent.
+const noSlot = ^uint32(0)
+
+// RuntimeStats counts what the payload arena and the mailboxes did. It
+// describes the simulator, not the simulation: no result depends on it.
+type RuntimeStats struct {
+	SlotsHigh uint64 // most arena slots in use at once
+	Slots     uint64 // slots taken: one per payload sent with a local recipient, one per mailbox payload
+	Refs      uint64 // deliveries scheduled against a slot
+	Mailbox   uint64 // transmissions parked for another shard
 }
 
 // outMsg is one cross-shard transmission parked in a mailbox until the
@@ -212,7 +230,8 @@ func exchange(nets []*Net) {
 			dn := nets[dst]
 			for i := range box {
 				om := &box[i]
-				dn.engine.ScheduleMsg(om.key, dn.target, dn.pack(NodeID(om.from), NodeID(om.to), om.msg))
+				cur := noSlot // a mailbox copy gets a slot of its own
+				dn.engine.ScheduleMsg(om.key, dn.target, dn.pack(NodeID(om.from), NodeID(om.to), om.msg, &cur))
 				*om = outMsg{} // release the payload reference
 			}
 			src.outbox[dst] = box[:0]
@@ -259,6 +278,9 @@ func (nt *Net) Register(id NodeID, h Handler) {
 // Probes returns the observation bus messages are reported on (the
 // engine's). Traffic probes subscribe to probe.MessageTypes().
 func (nt *Net) Probes() *probe.Bus { return nt.probes }
+
+// RuntimeStats returns the arena and mailbox counters so far.
+func (nt *Net) RuntimeStats() RuntimeStats { return nt.rt }
 
 // Stats returns a copy of the traffic counters.
 func (nt *Net) Stats() Stats {
@@ -315,10 +337,10 @@ func (nt *Net) linked(from, to NodeID, now sim.Time, msg Message) bool {
 
 // transmit puts one message on a usable link: traffic accounting, delay
 // resolution, probe emission, and — unless the policy dropped it —
-// placement for delivery.
+// placement for delivery under its Send's or Broadcast's slot cursor.
 //
 //syncsim:hotpath
-func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) {
+func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message, cur *uint32) {
 	nt.stats.Sent++
 	nt.stats.BySender[from]++
 	d := nt.linkDelay(from, to, now)
@@ -333,7 +355,7 @@ func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) {
 	if nt.probes.Active(probe.TypeMessageSent) {
 		nt.probes.Emit(nt.msgEvent(probe.TypeMessageSent, from, to, now, deliverAt, msg))
 	}
-	nt.place(from, to, deliverAt, msg)
+	nt.place(from, to, deliverAt, msg, cur)
 }
 
 // place schedules one accepted transmission for delivery at instant at:
@@ -341,12 +363,12 @@ func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message) {
 // mailbox otherwise. This is the only place shard ownership matters.
 //
 //syncsim:hotpath
-func (nt *Net) place(from, to NodeID, at sim.Time, msg Message) {
+func (nt *Net) place(from, to NodeID, at sim.Time, msg Message, cur *uint32) {
 	if nt.owner != nil && nt.owner[to] != nt.shard {
 		nt.sendRemote(nt.owner[to], from, to, at, msg)
 		return
 	}
-	nt.engine.MustAtMsg(at, nt.target, nt.pack(from, to, msg))
+	nt.engine.MustAtMsg(at, nt.target, nt.pack(from, to, msg, cur))
 }
 
 // sendRemote parks one accepted transmission in shard dst's mailbox. The
@@ -356,23 +378,31 @@ func (nt *Net) place(from, to NodeID, at sim.Time, msg Message) {
 //
 //syncsim:hotpath
 func (nt *Net) sendRemote(dst int32, from, to NodeID, at sim.Time, msg Message) {
+	nt.rt.Mailbox++
 	nt.outbox[dst] = append(nt.outbox[dst], outMsg{
 		key: nt.engine.TakeKey(at), from: int32(from), to: int32(to), msg: msg,
 	})
 }
 
 // pack builds the sim event of one delivery on this engine: the scalars
-// inline when the envelope fits them, an arena slot otherwise.
+// inline when the envelope fits them, otherwise a reference to the arena
+// slot at *cur, which the first copy to get here takes.
 //
 //syncsim:hotpath
-func (nt *Net) pack(from, to NodeID, msg Message) sim.Message {
+func (nt *Net) pack(from, to NodeID, msg Message, cur *uint32) sim.Message {
 	if inlinable(msg) {
 		return sim.Message{
 			From: int32(from), To: int32(to), Kind: uint16(msg.Kind),
 			Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
 		}
 	}
-	return sim.Message{From: int32(from), To: int32(to), Index: nt.alloc(msg)}
+	if *cur == noSlot {
+		*cur = nt.alloc(msg)
+	} else {
+		nt.arena[*cur].refs++
+	}
+	nt.rt.Refs++
+	return sim.Message{From: int32(from), To: int32(to), Index: *cur}
 }
 
 // msgEvent builds the probe event for one per-message moment.
@@ -389,45 +419,40 @@ func (nt *Net) msgEvent(t probe.Type, from, to NodeID, at sim.Time, deliverAt fl
 	}
 }
 
-// alloc takes an arena slot for one payload envelope, reusing a recycled
-// slot when one is free.
+// alloc takes an arena slot for one payload envelope and its first
+// reference, reusing a recycled slot when one is free.
+//
+//syncsim:hotpath
 func (nt *Net) alloc(msg Message) uint32 {
-	nt.inUse++
-	if nt.inUse > nt.peakInUse {
-		nt.peakInUse = nt.inUse
-	}
+	nt.rt.Slots++
+	idx := uint32(len(nt.arena))
 	if k := len(nt.freeSlots); k > 0 {
-		idx := nt.freeSlots[k-1]
+		idx = nt.freeSlots[k-1]
 		nt.freeSlots = nt.freeSlots[:k-1]
-		nt.arena[idx] = msg
-		return idx
+		nt.arena[idx] = slot{msg, 1}
+	} else {
+		nt.arena = append(nt.arena, slot{msg, 1})
 	}
-	nt.arena = append(nt.arena, msg)
-	return uint32(len(nt.arena) - 1)
+	nt.rt.SlotsHigh = max(nt.rt.SlotsHigh, uint64(len(nt.arena)-len(nt.freeSlots)))
+	return idx
 }
 
-// release takes the envelope out of an arena slot and recycles the slot,
-// and — when the arena goes fully idle far below its high-water mark —
-// drops the arena entirely so one oversized burst does not pin memory for
-// the rest of the run.
+// release copies the envelope out of an arena slot and drops one
+// reference, recycling the slot with the last.
+//
+//syncsim:hotpath
 func (nt *Net) release(idx uint32) Message {
-	msg := nt.arena[idx]
-	nt.arena[idx] = Message{}
-	nt.inUse--
-	if nt.inUse == 0 {
-		peak := nt.peakInUse
-		nt.peakInUse = 0
-		if len(nt.arena) > arenaTrimCap && peak*4 < len(nt.arena) {
-			nt.arena, nt.freeSlots = nil, nil
-			return msg
-		}
+	s := &nt.arena[idx]
+	msg := s.msg
+	if s.refs--; s.refs == 0 {
+		s.msg = Message{}
+		nt.freeSlots = append(nt.freeSlots, idx)
 	}
-	nt.freeSlots = append(nt.freeSlots, idx)
 	return msg
 }
 
 // Dispatch implements sim.Dispatcher: deliver one message to m.To. The
-// envelope is taken out of its arena slot before the handler runs —
+// envelope is copied out of its arena slot before the handler runs —
 // handlers may send, and a reentrant send can grow or reuse the arena.
 // The engine's execution lane is rebound to the recipient first:
 // everything the handler schedules — relays, timers — then carries the
@@ -470,7 +495,8 @@ func (nt *Net) Send(from, to NodeID, msg Message) {
 	nt.checkID(to)
 	now := nt.engine.Now()
 	if nt.linked(from, to, now, msg) {
-		nt.transmit(from, to, now, msg)
+		cur := noSlot
+		nt.transmit(from, to, now, msg, &cur)
 	}
 }
 
@@ -486,6 +512,7 @@ func (nt *Net) Send(from, to NodeID, msg Message) {
 func (nt *Net) Broadcast(from NodeID, msg Message) {
 	nt.checkID(from)
 	now := nt.engine.Now()
+	cur := noSlot
 	nbrs, count := nt.neighborList(from)
 	for i := 0; i < count; i++ {
 		to := i
@@ -494,7 +521,7 @@ func (nt *Net) Broadcast(from NodeID, msg Message) {
 		} else if !nt.linked(from, to, now, msg) {
 			continue
 		}
-		nt.transmit(from, to, now, msg)
+		nt.transmit(from, to, now, msg, &cur)
 	}
 	if nbrs != nil {
 		nt.stats.DroppedLink += uint64(nt.n - len(nbrs))

@@ -9,9 +9,10 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"optsync/internal/clock"
 	"optsync/internal/network"
@@ -474,6 +475,41 @@ func (c *Cluster) NetStats() network.Stats {
 	return c.Net.Stats()
 }
 
+// RuntimeStats counts what the simulator did, as opposed to what it
+// simulated: payload arena and mailbox traffic, event-queue memory and
+// re-organisations. No result depends on it, and it may differ between
+// shard counts.
+type RuntimeStats struct {
+	Arena  network.RuntimeStats
+	Ladder sim.LadderStats
+}
+
+// RuntimeStats sums the per-engine and per-network counters — high-waters
+// too, as every shard owns its own arena and chunk pool. They are plain
+// integers each owned by one shard: read them between Run calls.
+func (c *Cluster) RuntimeStats() RuntimeStats {
+	rs := RuntimeStats{Ladder: c.Engine.LadderStats()}
+	if c.coord == nil {
+		rs.Arena = c.Net.RuntimeStats()
+		return rs
+	}
+	for i, nt := range c.nets {
+		a, l := nt.RuntimeStats(), c.coord.Shard(i).LadderStats()
+		rs.Arena.SlotsHigh += a.SlotsHigh
+		rs.Arena.Slots += a.Slots
+		rs.Arena.Refs += a.Refs
+		rs.Arena.Mailbox += a.Mailbox
+		rs.Ladder.Chunks += l.Chunks
+		rs.Ladder.FreeHigh += l.FreeHigh
+		rs.Ladder.GrowCopies += l.GrowCopies
+		rs.Ladder.Spills += l.Spills
+		rs.Ladder.Unseals += l.Unseals
+		rs.Ladder.Reanchors += l.Reanchors
+		rs.Ladder.Shifted += l.Shifted
+	}
+	return rs
+}
+
 // Shards reports the number of parallel worker shards (1 = serial).
 func (c *Cluster) Shards() int {
 	if c.coord != nil {
@@ -486,25 +522,18 @@ func (c *Cluster) Shards() int {
 // event order. Run horizons are increasing and every buffered pulse of a
 // Run call was executed within it, so per-call merges append in order.
 func (c *Cluster) mergePulses() {
-	total := 0
-	for _, b := range c.shardPulses {
-		total += len(b)
-	}
-	if total == 0 {
-		return
-	}
 	buf := c.pulseMerge[:0]
 	for i, b := range c.shardPulses {
 		buf = append(buf, b...)
 		c.shardPulses[i] = b[:0]
 	}
-	sort.Slice(buf, func(a, b int) bool {
-		ta, tb := &buf[a], &buf[b]
-		if ta.key != tb.key {
-			return ta.key.Less(tb.key)
+	slices.SortFunc(buf, func(a, b taggedPulse) int {
+		if o := a.key.Compare(b.key); o != 0 {
+			return o
 		}
-		return ta.seq < tb.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
+	c.Pulses = slices.Grow(c.Pulses, len(buf))
 	for i := range buf {
 		c.Pulses = append(c.Pulses, buf[i].rec)
 	}

@@ -49,26 +49,32 @@ func TestKeyCompareMatchesLess(t *testing.T) {
 	}
 }
 
-// TestSealSortsEitherSideOfCutOver: seal orders a bucket by Key whichever of
-// its two sorts the size selects, ties and sentinel-like extremes included.
+// TestSealSortsEitherSideOfCutOver: a bucket of n events drains in Key order
+// whichever of seal's two sorts the size selects, ties and sentinel-like
+// extremes included. The keys' instants all fall into one rung-0 bucket and
+// one rung-1 bucket, so each n is one seal of n events.
 func TestSealSortsEitherSideOfCutOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 3*ladderInsertionMax; n++ {
+	for n := 1; n <= 3*ladderInsertionMax; n++ {
 		var l ladder
-		b := make([]msgEvent, n)
-		for i := range b {
-			b[i] = msgEvent{key: tieHeavyKey(rng), msg: Message{Index: uint32(i)}}
+		want := make([]Key, n)
+		for i := range want {
+			k := tieHeavyKey(rng)
+			k.At = 5*ladderDefaultWidth + k.At*1e-9
+			want[i] = k
+			l.push(0, msgEvent{key: k, msg: Message{Index: uint32(i)}})
 		}
-		want := append([]msgEvent(nil), b...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].key.Less(want[j].key) })
-		l.r0.buckets[0] = b
-		l.seal(&l.r0, 0)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
 		for i := range want {
 			// Equal keys cannot occur in a run ((Lane, Seq) is unique), so
 			// either sort may permute them: compare keys only.
-			if l.bottom[i].key != want[i].key {
-				t.Fatalf("n=%d: position %d holds %+v, want %+v", n, i, l.bottom[i].key, want[i].key)
+			k, ok := l.peek()
+			if got := l.pop(); !ok || got.key != k || k != want[i] {
+				t.Fatalf("n=%d: position %d holds %+v (peek %+v, %v), want %+v", n, i, got.key, k, ok, want[i])
 			}
+		}
+		if _, ok := l.peek(); ok {
+			t.Fatalf("n=%d: ladder not empty after %d pops", n, n)
 		}
 	}
 }

@@ -11,22 +11,36 @@ import "slices"
 // + pop), and the heap itself is a large pointer-dense allocation the
 // garbage collector must trace. The ladder replaces both costs for
 // message events: scheduling is an append into a time-indexed bucket of
-// plain values (no pointers anywhere), and draining sorts one small
-// bucket at a time, so the steady-state cost per message is O(1)
-// amortized appends plus an O(log b) share of sorting a bucket of b ~
-// tens of events. Closure events keep the heap: they are rare (timers),
-// escape to callers, and must support Cancel.
+// plain values, and draining sorts one small bucket at a time, so the
+// steady-state cost per message is O(1) amortized appends plus an
+// O(log b) share of sorting a bucket of b ~ tens of events. Closure
+// events keep the heap: they are rare (timers), escape to callers, and
+// must support Cancel.
 //
 // Structure. Rung 0 covers the near future [base, base+256*width) with
-// 256 equal buckets; events beyond it go to an unsorted far list. Events
-// are drained bucket by bucket: the next non-empty bucket is sealed —
-// sorted by event Key into `bottom` — and consumed in order. A sealed
-// bucket that is too large is first re-bucketed ("spilled") into rung 1,
-// a 256-bucket ring spanning just that bucket's width, whose buckets are
-// then sealed individually; a rung-1 bucket is sorted directly however
-// large it is (two levels only). When rung 0 is exhausted the ladder
-// re-anchors on the far list, re-tuning the bucket width to the far
-// events' span so sparse far-future schedules stay O(1) amortized too.
+// 256 equal buckets; events beyond it go to the far bucket. Events are
+// drained bucket by bucket: the next non-empty bucket is sealed — sorted
+// by event Key into `bottom` — and consumed in order. A bucket that is
+// too large is first re-bucketed ("spilled") into rung 1, a 256-bucket
+// ring spanning just that bucket's width, whose buckets are then sealed
+// individually; a rung-1 bucket is sorted directly however large it is
+// (two levels only). When rung 0 is exhausted the ladder re-anchors on
+// the far bucket, re-tuning the bucket width to the far events' span so
+// sparse far-future schedules stay O(1) amortized too.
+//
+// Capacity belongs to the ladder, not to a bucket index. A bucket is
+// unordered until sealed, so it need not be contiguous: it is a list of
+// ladderChunk-event chunks drawn from and returned to one per-ladder free
+// list, which sweep trims at quiescent points. Queue memory is the
+// in-flight peak rounded up to chunks, and a re-anchor that re-tunes the
+// width strands nothing. Three exceptions: a bucket's first array doubles
+// up to one chunk and stays with its bucket while smaller than one, so a
+// run of small buckets (a campaign cell) never builds a pool; a bucket of
+// at most ladderSpillMin events is one array, which seal sorts in place;
+// and a bucket sealed at several chunks (rung 1 under a burst at one
+// instant, rung 0 under the ladderMinWidth fallback) is gathered into the
+// ladder's one contiguous buffer, `own`, which also takes over a bottom
+// that late arrivals outgrow.
 //
 // Ordering. The engine's global order is the locally-computable event Key
 // (see key.go), shared with closure events. Within the ladder this order
@@ -35,7 +49,8 @@ import "slices"
 // current instant) are inserted into the sorted bottom by binary search.
 // Step merges the ladder's head with the closure heap's head, so the
 // interleaving of message and closure events matches a single priority
-// queue exactly — pinned by TestLadderMatchesReferenceQueue.
+// queue exactly — pinned by TestLadderMatchesReferenceQueue and
+// FuzzLadderMatchesReferenceQueue.
 //
 // Sealing ahead of the clock. The run loop looks at the ladder's head
 // before every event, and peek seals the next non-empty bucket as soon as
@@ -43,8 +58,8 @@ import "slices"
 // timers are due before it; what those timers send into the sealed span
 // are late arrivals, at a round start thousands of them into a bottom of
 // thousands. Hence the un-seal rule: a push that finds a rung-0 bottom with
-// ladderSpillMin or more unconsumed events hands them back to their bucket
-// and spills it, making this and every later arrival a rung-1 append.
+// ladderSpillMin or more unconsumed events scatters them across rung 1,
+// making this and every later arrival a rung-1 append.
 
 const (
 	// ladderBuckets is the bucket count per rung (a power of two keeps
@@ -53,6 +68,13 @@ const (
 	// ladderSpillMin is the sealed-bucket size above which a rung-0
 	// bucket is re-bucketed into rung 1 instead of sorted directly.
 	ladderSpillMin = 128
+	// ladderChunk is the event capacity of one pooled chunk (8 KB): "more
+	// than one chunk" and "spills" are the same test.
+	ladderChunk = ladderSpillMin
+	// ladderFirstCap is the capacity a bucket's first array starts at, so
+	// the drift of rung-1 occupancies (a few events a bucket) stops
+	// crossing growth thresholds after the first rounds.
+	ladderFirstCap = 8
 	// ladderInsertionMax is the bucket size up to which seal sorts by
 	// straight insertion instead of the generic comparison sort.
 	ladderInsertionMax = 64
@@ -63,16 +85,15 @@ const (
 	// ladderMinWidth floors the re-tuned width so locate() never
 	// divides by a denormal.
 	ladderMinWidth = 1e-12
-	// ladderTrimCap is the bucket capacity (in events) above which a
-	// drained bucket's backing array is released to the GC when the
-	// drain used less than a quarter of it — long runs do not retain
-	// worst-case burst memory forever (see TestLadderReleasesBurstMemory).
+	// ladderTrimCap is the capacity (in events) the free list and the
+	// gather buffer may always keep; sweep releases what exceeds it and
+	// four times the recent peak (see TestLadderReleasesBurstMemory).
 	ladderTrimCap = 8192
 )
 
 // msgEvent is one scheduled message event: a plain value, 64 bytes, no
 // pointers. The ladder stores these inline, so a full window of pending
-// messages is a handful of contiguous arrays the GC skips entirely.
+// messages is a set of 8 KB arrays the GC skips entirely.
 type msgEvent struct {
 	key    Key
 	msg    Message
@@ -82,16 +103,35 @@ type msgEvent struct {
 // msgBefore is the engine's global event order restricted to messages.
 func msgBefore(a, b msgEvent) bool { return a.key.Less(b.key) }
 
+// chunk is one pooled array of ladderChunk events. ev has length 0: a
+// bucket's head chunk is filled through its tail, the ones behind are full.
+type chunk struct {
+	next *chunk
+	ev   []msgEvent
+}
+
+// bucket is an unordered bag of events. tail is the array being appended
+// to: the bucket's own first array while cap(tail) < ladderChunk (head is
+// nil), otherwise the array of chunk head, behind which the full chunks
+// are linked. A non-empty bucket has a non-empty tail.
+type bucket struct {
+	tail []msgEvent
+	head *chunk
+}
+
+// multi reports whether b holds several arrays: over ladderSpillMin events.
+func (b *bucket) multi() bool { return b.head != nil && b.head.next != nil }
+
 // rung is one level of time-indexed buckets.
 type rung struct {
 	base    Time // start instant of bucket 0
 	width   Time // seconds per bucket
 	cur     int  // index of the bucket being drained; -1 before the first
-	buckets [ladderBuckets][]msgEvent
+	buckets [ladderBuckets]bucket
 }
 
 // locate maps an instant to a bucket index, clamped to the rung. Callers
-// guarantee at < base+ladderBuckets*width for rung 0 (far list otherwise);
+// guarantee at < base+ladderBuckets*width for rung 0 (far bucket otherwise);
 // instants before base (events behind the drain point) clamp to 0.
 func (r *rung) locate(at Time) int {
 	i := int((at - r.base) / r.width)
@@ -104,45 +144,53 @@ func (r *rung) locate(at Time) int {
 	return i
 }
 
+// LadderStats counts what an engine's message queue did: plain integers,
+// bumped per chunk or rarer (Shifted apart), read once a run is over.
+type LadderStats struct {
+	Chunks     uint64 // chunks allocated
+	FreeHigh   uint64 // high-water of the chunk free list
+	GrowCopies uint64 // first arrays copied to grow
+	Spills     uint64 // rung-0 buckets re-bucketed into rung 1
+	Unseals    uint64 // of which: sealed ahead of the clock, then handed back
+	Reanchors  uint64 // windows rebuilt over the far bucket
+	Shifted    uint64 // events insortBottom moved to make room
+}
+
 // ladder is the two-level message-event queue.
 type ladder struct {
 	count    int // total queued message events, all tiers
 	anchored bool
-	r0       rung
-	r1       rung
 	r1active bool
+	r0       rung
+	r1       *rung // built by the first spill: a run of small buckets never pays for it
 
-	// bottom is the sealed bucket currently being drained, sorted by
-	// (at, seq); pos is the next unconsumed index. Late arrivals that
-	// land at or behind the drain point are insertion-sorted into
-	// bottom[pos:].
+	// bottom is the sealed bucket currently being drained, sorted by Key;
+	// pos is the next unconsumed index. Late arrivals that land at or
+	// behind the drain point are insertion-sorted into bottom[pos:]. It is
+	// the one array of bucket src, sorted in place, or (src nil) the
+	// ladder's own buffer; with rung 1 inactive it came from bucket r0.cur.
 	bottom []msgEvent
 	pos    int
-	// srcRung/srcIdx remember which bucket lent bottom its backing
-	// array, so the (possibly grown) array is returned on release.
-	srcRung *rung
-	srcIdx  int
+	src    *bucket
+	own    []msgEvent
 
-	// far holds events beyond rung 0's window, unsorted; scratch is the
-	// swap space used to redistribute it at re-anchor time.
-	far     []msgEvent
-	scratch []msgEvent
+	// far holds events beyond rung 0's window; farLo and farHi bound their
+	// instants, so a re-anchor reads them once.
+	far          bucket
+	farLo, farHi Time
 
-	// maxLen is the largest bucket (or far list) drained since the last
-	// trim sweep, and prevMax the largest of the sweep period before it:
-	// the sweep releases only capacity no recent burst came near, so
-	// steady workloads never churn allocations. The floor spans two
-	// periods because a round-structured workload quiesces twice per
-	// round — once after the round's deliveries drain and once when the
-	// next round's trigger events re-anchor the window — and the trigger
-	// burst is tiny: a one-period floor would let that sweep release the
-	// delivery buckets the round is just about to refill, reallocating
-	// the entire steady-state working set every round.
-	maxLen  int
-	prevMax int
+	// free is the chunk free list; nfree chunks are on it and live are held
+	// by buckets. peak is the largest live since the last sweep and
+	// prevPeak that of the period before: sweep releases only capacity no
+	// recent burst came near. Two periods, because a round-structured
+	// workload quiesces twice per round — after its deliveries drain and
+	// when the next round's few trigger events re-anchor the window — and
+	// a one-period floor would release the chunks about to be refilled.
+	free           *chunk
+	nfree, live    int
+	peak, prevPeak int
 
-	// shifted counts the events insortBottom moved to make room.
-	shifted int
+	stats LadderStats
 }
 
 // push enqueues ev. ev.at must be finite and >= now, the engine's
@@ -154,29 +202,126 @@ func (l *ladder) push(now Time, ev msgEvent) {
 		l.anchor(now)
 	}
 	l.count++
-	if ev.key.At >= l.r0.base+ladderBuckets*l.r0.width {
-		l.far = append(l.far, ev)
+	if at := ev.key.At; at >= l.r0.base+ladderBuckets*l.r0.width {
+		if len(l.far.tail) == 0 {
+			l.farLo, l.farHi = at, at
+		}
+		l.farLo, l.farHi = min(l.farLo, at), max(l.farHi, at)
+		l.add(&l.far, ev)
 		return
 	}
 	i := l.r0.locate(ev.key.At)
 	if i > l.r0.cur {
-		l.r0.buckets[i] = append(l.r0.buckets[i], ev)
+		l.add(&l.r0.buckets[i], ev)
 		return
 	}
 	// At or behind the drain point: the event belongs to the region
 	// already sealed. Un-seal a large rung-0 bottom first; then route the
 	// event into rung 1 if that still has unsealed buckets ahead of it,
 	// else into the sorted bottom.
-	if l.srcRung == &l.r0 && len(l.bottom)-l.pos >= ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth {
+	if !l.r1active && len(l.bottom)-l.pos >= ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth {
 		l.unseal()
 	}
 	if l.r1active {
 		if j := l.r1.locate(ev.key.At); j > l.r1.cur {
-			l.r1.buckets[j] = append(l.r1.buckets[j], ev)
+			l.add(&l.r1.buckets[j], ev)
 			return
 		}
 	}
 	l.insortBottom(ev)
+}
+
+// add appends ev to b.
+//
+//syncsim:hotpath
+func (l *ladder) add(b *bucket, ev msgEvent) {
+	if len(b.tail) == cap(b.tail) {
+		l.grow(b)
+	}
+	b.tail = append(b.tail, ev)
+}
+
+// grow makes room in b's tail: a full chunk gets a fresh one chained in
+// front of it; an empty bucket takes a chunk when the pool has one to
+// spare; otherwise the bucket's own array doubles, into a chunk once it
+// would reach the size of one — the only growth that copies.
+func (l *ladder) grow(b *bucket) {
+	c := cap(b.tail)
+	if c == ladderChunk {
+		nc := l.takeChunk()
+		nc.next, b.head, b.tail = b.head, nc, nc.ev
+		return
+	}
+	var next []msgEvent
+	if 2*c >= ladderChunk || c == 0 && l.free != nil {
+		b.head = l.takeChunk()
+		next = b.head.ev
+	} else {
+		next = make([]msgEvent, 0, max(2*c, ladderFirstCap))
+	}
+	if c > 0 {
+		l.stats.GrowCopies++
+	}
+	b.tail = append(next, b.tail...)
+}
+
+// takeChunk draws a chunk from the free list, or allocates one.
+func (l *ladder) takeChunk() *chunk {
+	c := l.free
+	if c == nil {
+		l.stats.Chunks++
+		c = &chunk{ev: make([]msgEvent, 0, ladderChunk)}
+	} else {
+		l.free, c.next = c.next, nil
+		l.nfree--
+	}
+	l.live++
+	l.peak = max(l.peak, l.live)
+	return c
+}
+
+// putChunk returns a chunk whose events have been read to the free list.
+//
+//syncsim:hotpath
+func (l *ladder) putChunk(c *chunk) {
+	c.next, l.free = l.free, c
+	l.live--
+	l.nfree++
+	l.stats.FreeHigh = max(l.stats.FreeHigh, uint64(l.nfree))
+}
+
+// drain empties b: its events are scattered across rung r (or, r nil, are
+// spent), each chunk returns to the pool as soon as it has been read — a
+// spill fills rung 1 from what it frees — and a first array stays put.
+//
+//syncsim:hotpath
+func (l *ladder) drain(b *bucket, r *rung) {
+	l.scatter(b.tail, r)
+	if b.head == nil {
+		b.tail = b.tail[:0]
+		return
+	}
+	for c := b.head; c != nil; {
+		next := c.next
+		l.putChunk(c)
+		if next != nil {
+			l.scatter(next.ev[:ladderChunk], r)
+		}
+		c = next
+	}
+	b.head, b.tail = nil, nil
+}
+
+// scatter appends evs to the buckets of r their instants select.
+//
+//syncsim:hotpath
+func (l *ladder) scatter(evs []msgEvent, r *rung) {
+	if r == nil {
+		return
+	}
+	for i := range evs {
+		l.add(&r.buckets[r.locate(evs[i].key.At)], evs[i])
+	}
 }
 
 // anchor starts a fresh window at the current instant — not at the
@@ -193,22 +338,35 @@ func (l *ladder) anchor(at Time) {
 	l.anchored = true
 }
 
-// unseal hands the unconsumed part of a rung-0 bottom back to its bucket
-// and spills it across rung 1, leaving no bottom: the consumed prefix is
-// behind every key still to come, so only the drain's granularity changes.
+// openRung1 lays rung 1 over rung-0 bucket r0.cur.
+//
+//go:noinline
+func (l *ladder) openRung1() {
+	if l.r1 == nil {
+		l.r1 = new(rung)
+	}
+	l.r1.base = l.r0.base + Time(l.r0.cur)*l.r0.width
+	l.r1.width = l.r0.width / ladderBuckets
+	l.r1.cur = -1
+	l.r1active = true
+	l.stats.Spills++
+}
+
+// unseal scatters the unconsumed part of a rung-0 bottom across rung 1,
+// leaving no bottom: the consumed prefix is behind every key still to
+// come, so only the drain's granularity changes.
 //
 //syncsim:hotpath
 func (l *ladder) unseal() {
-	if len(l.bottom) > l.maxLen {
-		l.maxLen = len(l.bottom) // what releaseBottom would have recorded
-	}
-	n := copy(l.bottom, l.bottom[l.pos:])
-	l.r0.buckets[l.srcIdx] = l.bottom[:n]
-	l.bottom, l.pos, l.srcRung = nil, 0, nil
-	l.spill(l.srcIdx)
+	l.openRung1()
+	l.stats.Unseals++
+	l.scatter(l.bottom[l.pos:], l.r1)
+	l.releaseBottom()
 }
 
-// insortBottom inserts ev into the sorted, partially drained bottom.
+// insortBottom inserts ev into the sorted, partially drained bottom. A
+// bucket's array that has no room left is first exchanged for the ladder's
+// own buffer, which may grow.
 func (l *ladder) insortBottom(ev msgEvent) {
 	lo, hi := l.pos, len(l.bottom)
 	for lo < hi {
@@ -219,7 +377,13 @@ func (l *ladder) insortBottom(ev msgEvent) {
 			lo = mid + 1
 		}
 	}
-	l.shifted += len(l.bottom) - lo
+	l.stats.Shifted += uint64(len(l.bottom) - lo)
+	if l.src != nil && len(l.bottom) == cap(l.bottom) {
+		rest := append(l.own[:0], l.bottom[l.pos:]...)
+		lo -= l.pos
+		l.releaseBottom()
+		l.bottom = rest
+	}
 	l.bottom = append(l.bottom, msgEvent{})
 	copy(l.bottom[lo+1:], l.bottom[lo:])
 	l.bottom[lo] = ev
@@ -245,10 +409,10 @@ func (l *ladder) pop() msgEvent {
 	l.pos++
 	l.count--
 	if l.count == 0 {
-		// Pristine reset: release the drained bottom back to its bucket
-		// and let the next push re-anchor at its own instant. Bucket
-		// capacity is retained (steady bursts stay allocation-free)
-		// except what the trim sweep finds grossly oversized.
+		// Pristine reset: release the drained bottom and let the next push
+		// re-anchor at its own instant. Capacity is retained (steady
+		// bursts stay allocation-free) except what the trim sweep finds
+		// grossly oversized.
 		l.releaseBottom()
 		l.r1active = false
 		l.anchored = false
@@ -264,43 +428,51 @@ func (l *ladder) advance() {
 	for {
 		if l.r1active {
 			for j := l.r1.cur + 1; j < ladderBuckets; j++ {
-				if len(l.r1.buckets[j]) > 0 {
+				if b := &l.r1.buckets[j]; len(b.tail) > 0 {
 					l.r1.cur = j
-					l.seal(&l.r1, j)
+					l.seal(b)
 					return
 				}
 			}
 			l.r1active = false
 		}
 		i := l.r0.cur + 1
-		for i < ladderBuckets && len(l.r0.buckets[i]) == 0 {
+		for i < ladderBuckets && len(l.r0.buckets[i].tail) == 0 {
 			i++
 		}
-		switch {
-		case i == ladderBuckets:
+		if i == ladderBuckets {
 			l.reanchor()
-		case len(l.r0.buckets[i]) > ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth:
-			l.r0.cur = i
-			l.spill(i) // rung 1 is active again: seal its first bucket
-		default:
-			l.r0.cur = i
-			l.seal(&l.r0, i)
+			continue
+		}
+		l.r0.cur = i
+		b := &l.r0.buckets[i]
+		if !b.multi() || l.r0.width/ladderBuckets < ladderMinWidth {
+			l.seal(b)
 			return
 		}
+		// Spill: rung 1 is active again, the loop seals its first bucket.
+		l.openRung1()
+		l.drain(b, l.r1)
 	}
 }
 
-// seal sorts bucket i of r in place and makes it the drain bottom.
-func (l *ladder) seal(r *rung, i int) {
-	b := r.buckets[i]
-	if len(b) <= ladderInsertionMax {
-		sortSmall(b)
-	} else {
-		slices.SortFunc(b, func(a, b msgEvent) int { return a.key.Compare(b.key) })
+// seal sorts bucket b and makes it the drain bottom: in place when it is
+// one array, gathered into the ladder's own buffer when it is several.
+func (l *ladder) seal(b *bucket) {
+	l.bottom, l.src = b.tail, b
+	if b.multi() {
+		l.bottom, l.src = append(l.own[:0], b.tail...), nil
+		for c := b.head.next; c != nil; c = c.next {
+			l.bottom = append(l.bottom, c.ev[:ladderChunk]...)
+		}
+		l.drain(b, nil)
 	}
-	l.bottom = b
+	if len(l.bottom) <= ladderInsertionMax {
+		sortSmall(l.bottom)
+	} else {
+		slices.SortFunc(l.bottom, func(a, b msgEvent) int { return a.key.Compare(b.key) })
+	}
 	l.pos = 0
-	l.srcRung, l.srcIdx = r, i
 }
 
 // sortSmall sorts b by straight insertion: no comparison closure, and the
@@ -318,131 +490,47 @@ func sortSmall(b []msgEvent) {
 	}
 }
 
-// releaseBottom returns bottom's backing array to the bucket it came
-// from.
+// releaseBottom gives bottom's array back: to the bucket it was sealed
+// from, or to the ladder's own buffer.
 func (l *ladder) releaseBottom() {
-	if l.srcRung != nil {
-		if len(l.bottom) > l.maxLen {
-			l.maxLen = len(l.bottom)
-		}
-		l.srcRung.buckets[l.srcIdx] = l.bottom[:0]
-		l.srcRung = nil
+	if l.src != nil {
+		l.drain(l.src, nil)
+		l.src = nil
+	} else if l.bottom != nil {
+		l.own = l.bottom[:0]
 	}
-	l.bottom = nil
-	l.pos = 0
+	l.bottom, l.pos = nil, 0
 }
 
-// sweep releases backing arrays that are both large and far beyond
-// anything the workload has needed since the last sweep, so one
-// oversized burst does not pin its worst-case memory for the rest of a
-// long run (or a campaign batch reusing the engine's allocator churn).
-// It runs at quiescent points only — queue empty or window re-anchor —
-// and uses a 4x hysteresis against the recent high-water mark, so a
+// sweep releases the free list and the gather buffer when they are both
+// large and far beyond anything the workload has needed since the sweep
+// before last, so one oversized burst does not pin its worst-case memory
+// for the rest of a long run. It runs at quiescent points only — queue
+// empty or window re-anchor, no bottom — never touches a chunk a bucket
+// holds, and uses a 4x hysteresis against the recent in-flight peak, so a
 // steady workload never releases (and never re-allocates) anything.
 func (l *ladder) sweep() {
-	recent := l.maxLen
-	if l.prevMax > recent {
-		recent = l.prevMax
+	floor := max(4*max(l.peak, l.prevPeak), ladderTrimCap/ladderChunk)
+	if l.live+l.nfree > floor {
+		l.free, l.nfree = nil, 0
 	}
-	floor := recent * 4
-	if floor < ladderTrimCap {
-		floor = ladderTrimCap
+	if cap(l.own) > floor*ladderChunk {
+		l.own = nil
 	}
-	// Never release a non-empty slice: the re-anchor call site runs the
-	// sweep right after redistributing the far list into rung-0 buckets,
-	// so an oversized bucket may hold live events — dropping it would
-	// silently lose them and desync count.
-	for i := range l.r0.buckets {
-		if len(l.r0.buckets[i]) == 0 && cap(l.r0.buckets[i]) > floor {
-			l.r0.buckets[i] = nil
-		}
-		if len(l.r1.buckets[i]) == 0 && cap(l.r1.buckets[i]) > floor {
-			l.r1.buckets[i] = nil
-		}
-	}
-	if len(l.far) == 0 && cap(l.far) > floor {
-		l.far = nil
-	}
-	if cap(l.scratch) > floor {
-		l.scratch = nil
-	}
-	l.prevMax = l.maxLen
-	l.maxLen = 0
+	l.prevPeak, l.peak = l.peak, l.live
 }
 
-// spill re-buckets the oversized rung-0 bucket i across rung 1, which
-// spans exactly that bucket's width. Rung-1 buckets own their backing
-// arrays and retain capacity across spills (trimmed by the quiescent
-// sweep like rung 0), so both the scatter and later arrivals routed to
-// an unsealed rung-1 bucket are plain appends. Late arrivals are not
-// rare under bounded draining: a window bound regularly stops the drain
-// mid-spill, and the next window's cross-shard deliveries then land
-// inside the still-active rung-1 span — carving buckets out of one
-// shared contiguous buffer (an earlier design) made every such arrival
-// copy out its whole bucket.
-func (l *ladder) spill(i int) {
-	b := l.r0.buckets[i]
-	l.r1.base = l.r0.base + Time(i)*l.r0.width
-	l.r1.width = l.r0.width / ladderBuckets
-	l.r1.cur = -1
-	l.r1active = true
-	if len(b) > l.maxLen {
-		l.maxLen = len(b)
-	}
-	// Count first, then reserve 2x (floor 16) before scattering: per-spill
-	// bucket occupancy is a handful of events and drifts round to round,
-	// so growing caps by bare appends would keep crossing tiny thresholds
-	// forever — with headroom, capacities converge after a few spills and
-	// both the scatter and late arrivals stop allocating.
-	var cnt [ladderBuckets]int32
-	for _, ev := range b {
-		cnt[l.r1.locate(ev.key.At)]++
-	}
-	for j, c := range cnt {
-		if int(c) > cap(l.r1.buckets[j]) {
-			want := 2 * int(c)
-			if want < 16 {
-				want = 16
-			}
-			l.r1.buckets[j] = make([]msgEvent, 0, want)
-		}
-	}
-	for _, ev := range b {
-		j := l.r1.locate(ev.key.At)
-		l.r1.buckets[j] = append(l.r1.buckets[j], ev)
-	}
-	l.r0.buckets[i] = b[:0]
-}
-
-// reanchor rebuilds rung 0 over the far list after the window drained,
+// reanchor rebuilds rung 0 over the far bucket after the window drained,
 // re-tuning the bucket width to the far events' span. Callers guarantee
-// count > 0, which here means far is non-empty.
+// count > 0, which here means far is non-empty. Every far event fits the
+// new window by construction (locate clamps farHi into the last bucket).
 func (l *ladder) reanchor() {
-	lo, hi := l.far[0].key.At, l.far[0].key.At
-	for _, ev := range l.far[1:] {
-		if ev.key.At < lo {
-			lo = ev.key.At
-		}
-		if ev.key.At > hi {
-			hi = ev.key.At
-		}
-	}
-	if w := (hi - lo) / Time(ladderBuckets-1); w >= ladderMinWidth {
+	if w := (l.farHi - l.farLo) / Time(ladderBuckets-1); w >= ladderMinWidth {
 		l.r0.width = w
 	}
-	l.r0.base = lo
+	l.r0.base = l.farLo
 	l.r0.cur = -1
-	// Redistribute. Every far event fits the new window by construction
-	// (locate clamps the hi endpoint into the last bucket).
-	for _, ev := range l.far {
-		i := l.r0.locate(ev.key.At)
-		l.r0.buckets[i] = append(l.r0.buckets[i], ev)
-	}
-	if len(l.far) > l.maxLen {
-		l.maxLen = len(l.far)
-	}
-	next := l.scratch[:0]
-	l.scratch = l.far[:0]
-	l.far = next
+	l.stats.Reanchors++
+	l.drain(&l.far, &l.r0)
 	l.sweep()
 }

@@ -233,10 +233,10 @@ func sealedAheadProgram(t *testing.T, seed int64, timers, burst int) {
 		})
 	}
 	e.Run(0) // looks ahead: seals the five events' bucket 2 ms before its time
-	if e.ladder.srcRung != &e.ladder.r0 || e.ladder.r0.cur != 2 {
-		t.Fatalf("seed %d: fixture did not seal rung-0 bucket 2 ahead of the clock (cur %d)", seed, e.ladder.r0.cur)
-	}
 	e.RunAll(0)
+	if e.LadderStats().Unseals == 0 {
+		t.Fatalf("seed %d: fixture never un-sealed a bucket sealed ahead of the clock", seed)
+	}
 	requireReferenceOrder(t, seed, engineOrder, ref)
 }
 
@@ -363,8 +363,8 @@ func TestLadderSealedAheadIsLinear(t *testing.T) {
 	if len(got) < n {
 		t.Fatalf("drained %d of %d events", len(got), n)
 	}
-	if l.shifted > n {
-		t.Fatalf("%d late arrivals shifted %d events in the sorted bottom, want at most %d", n, l.shifted, n)
+	if l.stats.Shifted > n {
+		t.Fatalf("%d late arrivals shifted %d events in the sorted bottom, want at most %d", n, l.stats.Shifted, n)
 	}
 }
 
@@ -449,11 +449,19 @@ func TestReanchorSweepKeepsLiveEvents(t *testing.T) {
 	}
 }
 
-// ladderRetained sums the event capacity held by every ladder tier.
+// ladderRetained sums the event capacity the ladder holds: every chunk it
+// owns, its own buffer, and the first arrays buckets keep for themselves.
 func ladderRetained(l *ladder) int {
-	total := cap(l.far) + cap(l.scratch) + cap(l.bottom)
-	for i := range l.r0.buckets {
-		total += cap(l.r0.buckets[i]) + cap(l.r1.buckets[i])
+	total := (l.nfree+l.live)*ladderChunk + cap(l.own) + cap(l.bottom)
+	if l.far.head == nil {
+		total += cap(l.far.tail)
+	}
+	for _, r := range []*rung{&l.r0, l.r1} {
+		for i := 0; r != nil && i < ladderBuckets; i++ {
+			if b := &r.buckets[i]; b.head == nil {
+				total += cap(b.tail)
+			}
+		}
 	}
 	return total
 }

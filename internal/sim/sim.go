@@ -174,6 +174,9 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return len(e.closures) + e.ladder.count }
 
+// LadderStats returns the message queue's counters so far.
+func (e *Engine) LadderStats() LadderStats { return e.ladder.stats }
+
 // nextSeq takes the next per-lane sequence number.
 func (e *Engine) nextSeq(lane int32) uint32 {
 	i := int(lane) + 1

@@ -59,6 +59,9 @@ type (
 	Spec = harness.Spec
 	// Result aggregates everything measured in one run.
 	Result = harness.Result
+	// RuntimeStats is Result.Runtime: what the simulator did to produce a
+	// result (arena slots, queue chunks), never written by a Sink.
+	RuntimeStats = node.RuntimeStats
 	// Algorithm names a registered protocol.
 	Algorithm = harness.Algorithm
 	// Attack names a registered faulty-node behaviour.

@@ -1,0 +1,87 @@
+package optsync
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+
+	"optsync/internal/fabric"
+)
+
+// runtimeWords matches any name Result.Runtime could surface under.
+var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|mailbox`)
+
+// TestRuntimeStatsStayOutOfEveryRecord: Result.Runtime describes the
+// execution, not the result — it may differ between shard counts — so it
+// must reach neither sink, nor a store cell (loose or compacted), nor a
+// fabric report body, and a stored result must come back without it.
+func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
+	spec := Spec{Algo: AlgoAuth, Params: testParams(t, 5, Auth), Attack: AttackSilent, Horizon: 4, Seed: 3}
+	var jsonOut, csvOut bytes.Buffer
+	res, err := Run(context.Background(), spec, WithSink(NewJSONSink(&jsonOut)), WithSink(NewCSVSink(&csvOut)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runtime.Arena.Slots == 0 || res.Runtime.Arena.Refs <= res.Runtime.Arena.Slots {
+		t.Fatalf("Result.Runtime not filled in: %+v", res.Runtime)
+	}
+	key, err := SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string][]byte{"json sink": jsonOut.Bytes(), "csv sink": csvOut.Bytes()}
+
+	wire, err := json.Marshal(fabric.ReportRequest{Worker: "w", Cells: []fabric.CellReport{{Key: key, Result: res}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records["fabric report"] = wire
+
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(stage string) {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			records[stage+" "+d.Name()] = b
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	collect("loose")
+	if _, err := store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	collect("compacted")
+	back, ok, err := store.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("stored cell not found: %v", err)
+	}
+	if back.Runtime != (RuntimeStats{}) {
+		t.Errorf("a stored result came back with runtime counters %+v", back.Runtime)
+	}
+
+	for name, b := range records {
+		if len(b) == 0 {
+			t.Errorf("%s: empty record", name)
+		}
+		if m := runtimeWords.Find(b); m != nil {
+			t.Errorf("%s mentions %q:\n%s", name, m, b)
+		}
+	}
+}
