@@ -1,266 +1,23 @@
-// Package optsync's root benchmark suite: one benchmark per experiment
-// table/figure (T1-T7, F1-F6 in EXPERIMENTS.md), each driving the same
-// public API as the CLI, plus batch-throughput benchmarks and
-// microbenchmarks of the substrates (event engine, signatures, broadcast
-// primitive).
-//
-// Run everything:
-//
-//	go test -bench=. -benchmem .
+// The allocation guards of the message hot path. Timing lives in bench/
+// (bash bench/run.sh and its layer drivers); what is here needs no clock:
+// a pulse round, serial or sharded, probed or not, allocates nothing once
+// warm.
 package optsync
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
-	"optsync/internal/clock"
-	"optsync/internal/core/bounds"
 	"optsync/internal/network"
 	"optsync/internal/node"
-	"optsync/internal/sig"
 	"optsync/internal/sim"
 )
 
-func benchParams(n int, v bounds.Variant) bounds.Params {
-	return bounds.Params{
-		N: n, F: v.MaxFaults(n), Variant: v,
-		Rho:  clock.Rho(1e-4),
-		DMin: 0.002, DMax: 0.01,
-		Period:      1.0,
-		InitialSkew: 0.005,
-	}.WithDefaults()
-}
-
-// mustRun executes one spec through the public runner.
-func mustRun(b *testing.B, spec Spec) Result {
-	b.Helper()
-	res, err := Run(context.Background(), spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// scenarioTables regenerates one experiment of the reproduction suite.
-func scenarioTables(b *testing.B, id string) []*Table {
-	b.Helper()
-	s, ok := FindScenario(id)
-	if !ok {
-		b.Fatalf("scenario %s missing", id)
-	}
-	tables, err := s.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tables
-}
-
-// runSpec executes one harness run per iteration and reports the key
-// reproduction metrics alongside the timing.
-func runSpec(b *testing.B, spec Spec) {
-	b.Helper()
-	var last Result
-	for i := 0; i < b.N; i++ {
-		spec.Seed = int64(i + 1)
-		last = mustRun(b, spec)
-	}
-	b.ReportMetric(last.MaxSkew*1e3, "skew_ms")
-	b.ReportMetric(last.SkewBound*1e3, "bound_ms")
-	b.ReportMetric(float64(last.CompleteRounds), "rounds")
-}
-
-// BenchmarkT1AuthAgreement regenerates a T1 cell: authenticated algorithm
-// at optimal resilience with silent faults.
-func BenchmarkT1AuthAgreement(b *testing.B) {
-	p := benchParams(7, bounds.Auth)
-	runSpec(b, Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent, Horizon: 20,
-	})
-}
-
-// BenchmarkT2PrimitiveAgreement regenerates a T2 cell.
-func BenchmarkT2PrimitiveAgreement(b *testing.B) {
-	p := benchParams(7, bounds.Primitive)
-	runSpec(b, Spec{
-		Algo: AlgoPrim, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent, Horizon: 20,
-	})
-}
-
-// BenchmarkT3Accuracy regenerates the headline accuracy comparison (one
-// long CNV-under-attack run; the full table is `syncsim -exp T3`).
-func BenchmarkT3Accuracy(b *testing.B) {
-	p := benchParams(7, bounds.Primitive)
-	var last Result
-	for i := 0; i < b.N; i++ {
-		last = mustRun(b, Spec{
-			Algo: AlgoCNV, Params: p,
-			FaultyCount: p.F, Attack: AttackBias, Bias: 3 * p.Dmax(),
-			Horizon: 120, Seed: int64(i + 1),
-		})
-	}
-	b.ReportMetric(last.EnvHi, "rate")
-	b.ReportMetric(last.EnvBoundHi, "rate_bound")
-}
-
-// BenchmarkT4AuthResilience regenerates the beyond-resilience rush attack.
-func BenchmarkT4AuthResilience(b *testing.B) {
-	p := benchParams(5, bounds.Auth)
-	var last Result
-	for i := 0; i < b.N; i++ {
-		last = mustRun(b, Spec{
-			Algo: AlgoAuth, Params: p,
-			FaultyCount: p.F + 1, Attack: AttackRush,
-			RushInterval: p.Period / 5, Horizon: 30, Seed: int64(i + 1),
-		})
-	}
-	b.ReportMetric(last.EnvHi, "rate")
-	b.ReportMetric(last.MinPeriod*1e3, "min_period_ms")
-}
-
-// BenchmarkT5PrimResilience regenerates the primitive-variant boundary.
-func BenchmarkT5PrimResilience(b *testing.B) {
-	p := benchParams(7, bounds.Primitive)
-	var last Result
-	for i := 0; i < b.N; i++ {
-		last = mustRun(b, Spec{
-			Algo: AlgoPrim, Params: p,
-			FaultyCount: p.F + 1, Attack: AttackRush,
-			RushInterval: p.Period / 5, Horizon: 30, Seed: int64(i + 1),
-		})
-	}
-	b.ReportMetric(last.EnvHi, "rate")
-}
-
-// BenchmarkT6Primitive runs the general broadcast primitive experiment.
-func BenchmarkT6Primitive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables := scenarioTables(b, "T6")
-		if len(tables) == 0 {
-			b.Fatal("no tables")
-		}
-	}
-}
-
-// BenchmarkT7Messages measures message complexity at n=13.
-func BenchmarkT7Messages(b *testing.B) {
-	p := benchParams(13, bounds.Auth)
-	var last Result
-	for i := 0; i < b.N; i++ {
-		last = mustRun(b, Spec{
-			Algo: AlgoAuth, Params: p,
-			FaultyCount: p.F, Attack: AttackSilent,
-			Horizon: 20, Seed: int64(i + 1),
-		})
-	}
-	b.ReportMetric(last.MsgsPerRound, "msgs_per_round")
-}
-
-// BenchmarkF1Trace regenerates the sawtooth trace.
-func BenchmarkF1Trace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		scenarioTables(b, "F1")
-	}
-}
-
-// BenchmarkF2SkewVsF runs the f-sweep cell at maximum faults.
-func BenchmarkF2SkewVsF(b *testing.B) {
-	p := benchParams(13, bounds.Auth)
-	runSpec(b, Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent, Horizon: 20,
-	})
-}
-
-// BenchmarkF3SkewVsDelay runs the selective-signing Theta(d) cell.
-func BenchmarkF3SkewVsDelay(b *testing.B) {
-	p := benchParams(7, bounds.Auth)
-	p.DMax = 0.05
-	p.DMin = 0.048
-	p = bounds.Params{
-		N: p.N, F: p.F, Variant: p.Variant, Rho: p.Rho,
-		DMin: p.DMin, DMax: p.DMax, Period: p.Period, InitialSkew: 0.002,
-	}.WithDefaults()
-	runSpec(b, Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSelective, Horizon: 20,
-	})
-}
-
-// BenchmarkF4Reintegration runs the late-joiner experiment.
-func BenchmarkF4Reintegration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		scenarioTables(b, "F4")
-	}
-}
-
-// BenchmarkF5Envelope runs the long accuracy-envelope fit.
-func BenchmarkF5Envelope(b *testing.B) {
-	p := benchParams(7, bounds.Auth)
-	var last Result
-	for i := 0; i < b.N; i++ {
-		last = mustRun(b, Spec{
-			Algo: AlgoAuth, Params: p,
-			FaultyCount: p.F, Attack: AttackSilent,
-			Horizon: 200, Seed: int64(i + 1),
-		})
-	}
-	b.ReportMetric(last.EnvHi, "rate_hi")
-	b.ReportMetric(last.EnvLo, "rate_lo")
-}
-
-// BenchmarkF6SkewVsPeriod runs the P-sweep cell at P=10s.
-func BenchmarkF6SkewVsPeriod(b *testing.B) {
-	p := benchParams(7, bounds.Auth)
-	p.Period = 10
-	p.Rho = clock.Rho(1e-3)
-	runSpec(b, Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent, Horizon: 200,
-	})
-}
-
-// --- Substrate microbenchmarks ---
-
-// BenchmarkEngineEvents measures raw discrete-event throughput.
-func BenchmarkEngineEvents(b *testing.B) {
-	e := sim.New(1)
-	n := 0
-	var loop func()
-	loop = func() {
-		n++
-		if n < b.N {
-			e.MustAfter(0.001, loop)
-		}
-	}
-	b.ResetTimer()
-	e.MustAfter(0.001, loop)
-	e.RunAll(0)
-}
-
-// BenchmarkNetworkBroadcast measures message fan-out cost (n=25).
-func BenchmarkNetworkBroadcast(b *testing.B) {
-	e := sim.New(1)
-	nt := network.New(e, 25, network.Fixed{D: 0.001}, nil)
-	for i := 0; i < 25; i++ {
-		nt.Register(i, func(node.ID, network.Message) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nt.Broadcast(i%25, network.Message{Round: i})
-		e.RunAll(0)
-	}
-}
-
-// benchPulseKind tags the benchmark's round announcements.
+// benchPulseKind tags the fixtures' round announcements.
 var benchPulseKind = network.NewKind("bench/pulse")
 
-// noopProbe is the cheapest possible subscriber: the probed benchmark
-// variant measures pure fan-out overhead, and the allocation assertion
-// proves the emission path itself does not allocate.
+// noopProbe is the cheapest possible subscriber: with it attached, the
+// allocation assertion proves the emission path itself does not allocate.
 type noopProbe struct{ events uint64 }
 
 func (p *noopProbe) OnEvent(Event) { p.events++ }
@@ -299,64 +56,48 @@ func benchPulseNet(n int, probed bool) (*sim.Engine, *network.Net, *noopProbe) {
 	return e, nt, p
 }
 
-// benchmarkPulseRound measures one full "pulse round" of the message
-// substrate: every node broadcasts one round announcement and the engine
-// drains all deliveries. This is the O(n^2) hot path of every simulated
-// resynchronization round, so allocs/op here bound the large-n cost of
-// the whole simulator. Before PR 2's typed-envelope/pooled-event refactor
-// this cost ~2 allocs per message (a closure and a heap event each); the
-// probed variant attaches a no-op probe to every message event type and
-// must stay at 0 allocs/op too (BENCH_PR4.json records probe-off vs
-// probe-on, CI enforces both).
-func benchmarkPulseRound(b *testing.B, n int, probed bool) {
-	e, nt, _ := benchPulseNet(n, probed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for from := 0; from < n; from++ {
-			nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: i + 1})
-		}
-		e.RunAll(0)
+// zeroAllocRounds is how many measured rounds an allocation guard runs at
+// size n: n = 512 is a quarter of a million messages a round, and three
+// rounds of it say as much as twenty at n = 32.
+func zeroAllocRounds(n int) int {
+	if n >= 512 {
+		return 3
 	}
-	b.ReportMetric(float64(n*n), "msgs/op")
+	return 20
 }
 
-// BenchmarkPulseRound sizes: the n=2048 tier (4.2M messages per op) is
-// the large-n regime the ladder scheduler targets; it holds the whole
-// round's events in the value-inline buckets (~250 MB peak, no GC
-// pressure — the buckets contain no pointers) and must stay 0 allocs/op
-// like every other size.
-func BenchmarkPulseRound(b *testing.B) {
-	for _, n := range []int{8, 32, 128, 512, 2048} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchmarkPulseRound(b, n, false) })
-		b.Run(fmt.Sprintf("n=%d/probed", n), func(b *testing.B) { benchmarkPulseRound(b, n, true) })
-	}
-}
-
-// TestPulseRoundZeroAllocsWithNoopProbe is the tier-1 (non-bench) guard
-// on the probed hot path: a full n=32 pulse round with a no-op probe
-// subscribed to every message event type must not allocate.
-func TestPulseRoundZeroAllocsWithNoopProbe(t *testing.T) {
-	const n = 32
-	e, nt, p := benchPulseNet(n, true)
-	round := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		round++
-		for from := 0; from < n; from++ {
-			nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: round})
+// TestPulseRoundZeroAllocs is the guard on the O(n^2) hot path of every
+// simulated resynchronization round: every node broadcasts one round
+// announcement and the engine drains all deliveries, bare and with a
+// no-op probe subscribed to every message event type, and neither may
+// allocate once warm. (n = 2048 stays out of tier-1 time; large n is
+// covered end to end by TestRunAllocBudgets and TestL3ScaleCompletes.)
+func TestPulseRoundZeroAllocs(t *testing.T) {
+	for _, n := range []int{8, 32, 128, 512} {
+		for _, probed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%d/probed=%v", n, probed), func(t *testing.T) {
+				e, nt, p := benchPulseNet(n, probed)
+				round := 0
+				allocs := testing.AllocsPerRun(zeroAllocRounds(n), func() {
+					round++
+					for from := 0; from < n; from++ {
+						nt.Broadcast(from, network.Message{Kind: benchPulseKind, Round: round})
+					}
+					e.RunAll(0)
+				})
+				if allocs != 0 {
+					t.Fatalf("pulse round allocates %v per round", allocs)
+				}
+				if probed && p.events == 0 {
+					t.Fatal("probe saw no events")
+				}
+			})
 		}
-		e.RunAll(0)
-	})
-	if allocs != 0 {
-		t.Fatalf("probed pulse round allocates %v per round", allocs)
-	}
-	if p.events == 0 {
-		t.Fatal("probe saw no events")
 	}
 }
 
 // benchShardKick turns a kick event into a round announcement from the
-// sender it names. The benchmark injects one kick per node per round with
+// sender it names. The fixture injects one kick per node per round with
 // an explicit key on the sender's lane (Cause = At = the round instant,
 // which no engine-assigned key can collide with, since real deliveries
 // always have At > Cause); rebinding the exec lane before Broadcast makes
@@ -431,131 +172,25 @@ func (f *shardedPulseFixture) kickRound(fan int) {
 	f.coord.Drain()
 }
 
-// BenchmarkPulseRoundSharded is BenchmarkPulseRound on the sharded
-// engine: one op is a full n-wide pulse round (n^2 messages) through k
-// worker shards, window barriers and cross-shard mailboxes included.
-// shards=1 runs the identical machinery with no remote traffic, so the
-// shards=8/shards=1 ratio isolates the parallel speedup; on a single
-// hardware thread the ratio instead prices the coordination overhead.
-// Steady state must stay 0 allocs/op at every shard count, like the
-// serial engine (BENCH_PR7.json records the matrix, CI gates it).
-func BenchmarkPulseRoundSharded(b *testing.B) {
-	for _, n := range []int{512, 2048} {
+// TestShardedPulseRoundZeroAllocs is the guard on the sharded hot path:
+// a full pulse round — kicks, fan-out, cross-shard exchange, window
+// barriers — must not allocate once warm at any shard count. shards=1
+// runs the identical machinery with no remote traffic. n = 512 is the
+// regime the guarantee is about: every ladder bucket fills whole pooled
+// chunks. In between (n = 128 at 4 shards, n = 192 at 8) a bucket holds
+// a dozen events in an array of its own, occupancy drifts from round to
+// round, and a round grows one to six such arrays — see ROADMAP item 5.
+func TestShardedPulseRoundZeroAllocs(t *testing.T) {
+	for _, n := range []int{32, 512} {
 		for _, k := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/shards=%d", n, k), func(b *testing.B) {
+			t.Run(fmt.Sprintf("n=%d/shards=%d", n, k), func(t *testing.T) {
 				f := benchPulseNetSharded(n, k)
-				b.Cleanup(f.coord.Close)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f.kickRound(1)
+				defer f.coord.Close()
+				allocs := testing.AllocsPerRun(zeroAllocRounds(n), func() { f.kickRound(1) })
+				if allocs != 0 {
+					t.Fatalf("sharded pulse round allocates %v per round", allocs)
 				}
-				b.ReportMetric(float64(n*n), "msgs/op")
 			})
 		}
 	}
 }
-
-// TestShardedPulseRoundZeroAllocs is the tier-1 guard on the sharded hot
-// path: a full pulse round across 4 shards — kicks, fan-out, cross-shard
-// exchange, barriers — must not allocate once warm.
-func TestShardedPulseRoundZeroAllocs(t *testing.T) {
-	f := benchPulseNetSharded(32, 4)
-	defer f.coord.Close()
-	allocs := testing.AllocsPerRun(20, func() { f.kickRound(1) })
-	if allocs != 0 {
-		t.Fatalf("sharded pulse round allocates %v per round", allocs)
-	}
-}
-
-// BenchmarkSignHMAC / BenchmarkSignEd25519 compare the signature schemes.
-func BenchmarkSignHMAC(b *testing.B) {
-	s := sig.NewHMAC(4, 1)
-	payload := []byte("optsync/st/round/0000000000000001")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sign(i%4, payload)
-	}
-}
-
-func BenchmarkSignEd25519(b *testing.B) {
-	s := sig.NewEd25519(4, 1)
-	payload := []byte("optsync/st/round/0000000000000001")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sign(i%4, payload)
-	}
-}
-
-func BenchmarkVerifyHMAC(b *testing.B) {
-	s := sig.NewHMAC(4, 1)
-	payload := []byte("optsync/st/round/0000000000000001")
-	sg := s.Sign(0, payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !s.Verify(0, payload, sg) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-func BenchmarkVerifyEd25519(b *testing.B) {
-	s := sig.NewEd25519(4, 1)
-	payload := []byte("optsync/st/round/0000000000000001")
-	sg := s.Sign(0, payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !s.Verify(0, payload, sg) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
-// BenchmarkProtocolRound measures end-to-end cost of one simulated
-// resynchronization round (n=25, authenticated).
-func BenchmarkProtocolRound(b *testing.B) {
-	p := benchParams(25, bounds.Auth)
-	spec := Spec{
-		Algo: AlgoAuth, Params: p,
-		FaultyCount: p.F, Attack: AttackSilent,
-		Horizon: float64(b.N) + 2, Seed: 1,
-	}
-	b.ResetTimer()
-	res := mustRun(b, spec)
-	if res.CompleteRounds == 0 {
-		b.Fatal("no rounds")
-	}
-	b.ReportMetric(float64(res.TotalMsgs)/float64(b.N), "msgs/round")
-}
-
-// --- Batch throughput ---
-
-// batchSpecs is a T1-style slate of independent runs.
-func batchSpecs(k int) []Spec {
-	p := benchParams(7, bounds.Auth)
-	specs := make([]Spec, k)
-	for i := range specs {
-		specs[i] = Spec{
-			Algo: AlgoAuth, Params: p,
-			FaultyCount: p.F, Attack: AttackSilent,
-			Horizon: 20, Seed: int64(i + 1),
-		}
-	}
-	return specs
-}
-
-func benchBatch(b *testing.B, workers int) {
-	specs := batchSpecs(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunBatch(context.Background(), specs, WithWorkers(workers)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatchSerial vs BenchmarkRunBatchParallel measure the
-// worker-pool speedup on a 16-run slate (near-linear on a multi-core
-// host: runs share nothing).
-func BenchmarkRunBatchSerial(b *testing.B)   { benchBatch(b, 1) }
-func BenchmarkRunBatchParallel(b *testing.B) { benchBatch(b, runtime.GOMAXPROCS(0)) }

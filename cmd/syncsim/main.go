@@ -43,14 +43,14 @@
 // Custom runs can record their full typed event trace (messages, pulses,
 // resyncs, boots, partition markers, skew samples); the trace subcommand
 // replays a recorded trace through the streaming collectors and prints
-// aggregates identical to the live run's, and converts between the three
-// encodings — JSONL, binary frames, and the columnar trace lake — with
-// -out (see trace.go):
+// aggregates identical to the live run's, and converts between the two
+// encodings — JSONL and the columnar trace lake — with -out (see
+// trace.go):
 //
-//	syncsim -run -n 7 -horizon 30 -trace run.bin
-//	syncsim trace -in run.bin
-//	syncsim trace -in run.bin -json
-//	syncsim trace -in run.bin -out run.lake
+//	syncsim -run -n 7 -horizon 30 -trace run.jsonl
+//	syncsim trace -in run.jsonl
+//	syncsim trace -in run.jsonl -json
+//	syncsim trace -in run.jsonl -out run.lake
 //
 // The query subcommand runs typed, node-, time-, and round-bounded
 // queries against a lake without replaying the whole stream — the footer
@@ -226,7 +226,7 @@ func run(args []string) error {
 		workers = fs.Int("workers", 0, "worker pool size for experiment batches (0 = all cores)")
 		custom  = fs.Bool("run", false, "run a single custom simulation instead of an experiment")
 		rtStats = fs.Bool("runtime-stats", false, "print the simulator's own counters for the run (payload arena slots, event-queue chunks) to stderr (custom runs)")
-		trace   = fs.String("trace", "", "record the run's event trace to this file (custom runs; .lake = queryable columnar lake, .bin/.trace = compact binary, else JSONL; replay with `syncsim trace -in FILE`, query lakes with `syncsim query`)")
+		trace   = fs.String("trace", "", "record the run's event trace to this file (custom runs; .lake = queryable columnar lake, else JSONL; replay with `syncsim trace -in FILE`, query lakes with `syncsim query`)")
 
 		sf = addSpecFlags(fs)
 	)
@@ -305,14 +305,21 @@ func printRuntimeStats(w io.Writer, rs optsync.RuntimeStats) {
 		l.Chunks, l.FreeHigh, l.GrowCopies, l.Spills, l.Unseals, l.Reanchors, l.Shifted)
 }
 
-func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) (optsync.Result, error) {
+func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) (res optsync.Result, err error) {
 	var opts []optsync.Option
 	if tracePath != "" {
-		sink, f, err := traceSinkFor(tracePath)
-		if err != nil {
-			return optsync.Result{}, err
+		sink, f, serr := traceSinkFor(tracePath)
+		if serr != nil {
+			return optsync.Result{}, serr
 		}
-		defer f.Close()
+		// Run flushes the sink; the trace is whole only once the file has
+		// closed too (ENOSPC, NFS write-back), so a close error fails a run
+		// that otherwise succeeded.
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		opts = append(opts, traceOption(sink))
 	}
 
@@ -325,7 +332,7 @@ func runCustom(spec optsync.Spec, jsonOut, csvOut bool, tracePath string) (optsy
 		return optsync.Run(context.Background(), spec, append(opts, optsync.WithSink(sink))...)
 	}
 
-	res, err := optsync.Run(context.Background(), spec, opts...)
+	res, err = optsync.Run(context.Background(), spec, opts...)
 	if err != nil {
 		return res, err
 	}

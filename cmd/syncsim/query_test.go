@@ -246,11 +246,11 @@ func TestQuerySubcommandErrors(t *testing.T) {
 	}
 
 	// A row trace is rejected with the conversion recipe, not misparsed.
-	bin := filepath.Join(t.TempDir(), "run.bin")
-	if _, err := capture(t, func() error { return run(traceRunArgs(bin)) }); err != nil {
+	rows := filepath.Join(t.TempDir(), "run.jsonl")
+	if _, err := capture(t, func() error { return run(traceRunArgs(rows)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"query", "-in", bin}); err == nil ||
+	if err := run([]string{"query", "-in", rows}); err == nil ||
 		!strings.Contains(err.Error(), "not a trace lake") || !strings.Contains(err.Error(), "-out") {
 		t.Fatalf("row trace not rejected with recipe: %v", err)
 	}

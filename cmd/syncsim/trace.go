@@ -15,7 +15,7 @@ import (
 // traceCollectors is the aggregate set the trace subcommand replays into
 // — the bounded-memory collectors, in presentation order. Replaying a
 // run's trace through them reproduces the live run's aggregates exactly
-// (all trace formats round-trip float64 bit-for-bit).
+// (both trace encodings round-trip float64 bit-for-bit).
 func traceCollectors() []optsync.Collector {
 	return []optsync.Collector{
 		optsync.NewSkewCollector(),
@@ -105,12 +105,12 @@ type traceJSON struct {
 // runTraceCmd implements `syncsim trace -in FILE [-json]` (replay a
 // recorded stream through the built-in collectors and print their
 // aggregates) and `syncsim trace -in FILE -out FILE` (convert between
-// the three trace encodings, output format picked by extension).
+// the two trace encodings, output format picked by extension).
 func runTraceCmd(args []string) error {
 	fs := flag.NewFlagSet("syncsim trace", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "", "trace file to read (jsonl, binary, or lake, auto-detected; - for stdin)")
-		out     = fs.String("out", "", "convert to this file instead of replaying aggregates (.lake = columnar lake, .bin/.trace = binary frames, else JSONL)")
+		in      = fs.String("in", "", "trace file to read (jsonl or lake, auto-detected; - for stdin)")
+		out     = fs.String("out", "", "convert to this file instead of replaying aggregates (.lake = columnar lake, else JSONL)")
 		jsonOut = fs.Bool("json", false, "emit JSON instead of an aligned table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -149,7 +149,7 @@ func runTraceCmd(args []string) error {
 
 // convertTrace streams every event of r into a fresh sink at path. The
 // conversion is lossless: events pass through as values, so a round trip
-// between any two encodings reproduces the stream bit-for-bit.
+// between the two encodings reproduces the stream bit-for-bit.
 func convertTrace(r io.Reader, path string) error {
 	sink, f, err := traceSinkFor(path)
 	if err != nil {
@@ -180,21 +180,26 @@ type traceSink interface {
 	Events() uint64
 }
 
+// createTraceFile opens a trace destination. Tests swap in one whose
+// Close fails, which no real file does on demand.
+var createTraceFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+
 // traceSinkFor creates path and picks the encoding by extension: .lake
-// for the columnar lake container, .bin / .trace for compact binary
-// frames, anything else JSON Lines.
-func traceSinkFor(path string) (traceSink, *os.File, error) {
-	f, err := os.Create(path)
+// for the columnar lake container, anything else JSON Lines — except the
+// extensions that used to select the removed binary row format, which
+// are refused before anything is created rather than filled with JSONL.
+func traceSinkFor(path string) (traceSink, io.Closer, error) {
+	if strings.HasSuffix(path, ".bin") || strings.HasSuffix(path, ".trace") {
+		return nil, nil, fmt.Errorf("%s: %w", path, optsync.ErrBinaryTraceRemoved)
+	}
+	f, err := createTraceFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch {
-	case strings.HasSuffix(path, ".lake"):
+	if strings.HasSuffix(path, ".lake") {
 		return optsync.NewLakeWriter(f), f, nil
-	case strings.HasSuffix(path, ".bin"), strings.HasSuffix(path, ".trace"):
-		return optsync.NewTraceWriter(f, optsync.TraceBinary), f, nil
 	}
-	return optsync.NewTraceWriter(f, optsync.TraceJSONL), f, nil
+	return optsync.NewTraceWriter(f), f, nil
 }
 
 // traceOption wraps a sink in the matching recording option for Run.

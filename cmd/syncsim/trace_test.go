@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,9 +26,9 @@ func traceRunArgs(path string) []string {
 
 // TestTraceRoundTripCLI is the end-to-end acceptance check: a run's
 // exported trace, replayed through `syncsim trace`, reproduces the live
-// collectors' aggregates byte-for-byte — in both framings.
+// collectors' aggregates byte-for-byte — in both encodings.
 func TestTraceRoundTripCLI(t *testing.T) {
-	for _, name := range []string{"run.jsonl", "run.bin", "run.lake"} {
+	for _, name := range []string{"run.jsonl", "run.lake"} {
 		path := filepath.Join(t.TempDir(), name)
 		if _, err := capture(t, func() error { return run(traceRunArgs(path)) }); err != nil {
 			t.Fatal(err)
@@ -80,7 +82,7 @@ func addSpecFlagsForTest(t *testing.T, args []string) *specFlags {
 }
 
 func TestTraceSubcommandTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.bin")
+	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if _, err := capture(t, func() error { return run(traceRunArgs(path)) }); err != nil {
 		t.Fatal(err)
 	}
@@ -119,20 +121,19 @@ func TestTraceSubcommandJSON(t *testing.T) {
 	}
 }
 
-// TestTraceConvertChain drives the conversion path through every
-// encoding and back: binary -> lake -> jsonl -> binary must reproduce
-// the original file bit-for-bit (the lake's seq column restores exact
-// stream order, and all three encodings round-trip float64 bits).
+// TestTraceConvertChain drives the conversion path through both
+// encodings and back: jsonl -> lake -> jsonl must reproduce the original
+// file bit-for-bit (the lake's seq column restores exact stream order,
+// and both encodings round-trip float64 bits).
 func TestTraceConvertChain(t *testing.T) {
 	dir := t.TempDir()
-	orig := filepath.Join(dir, "run.bin")
+	orig := filepath.Join(dir, "run.jsonl")
 	if _, err := capture(t, func() error { return run(traceRunArgs(orig)) }); err != nil {
 		t.Fatal(err)
 	}
 	lake := filepath.Join(dir, "a.lake")
-	jsonl := filepath.Join(dir, "b.jsonl")
-	back := filepath.Join(dir, "c.bin")
-	for _, step := range [][2]string{{orig, lake}, {lake, jsonl}, {jsonl, back}} {
+	back := filepath.Join(dir, "b.jsonl")
+	for _, step := range [][2]string{{orig, lake}, {lake, back}} {
 		out, err := capture(t, func() error {
 			return run([]string{"trace", "-in", step[0], "-out", step[1]})
 		})
@@ -152,7 +153,7 @@ func TestTraceConvertChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("binary -> lake -> jsonl -> binary drifted: %d vs %d bytes", len(a), len(b))
+		t.Fatalf("jsonl -> lake -> jsonl drifted: %d vs %d bytes", len(a), len(b))
 	}
 }
 
@@ -161,14 +162,14 @@ func TestTraceConvertChain(t *testing.T) {
 // trace and as a lake must replay to byte-identical aggregate tables.
 func TestTraceLakeAggregatesMatchRowTrace(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "run.bin")
+	rows := filepath.Join(dir, "run.jsonl")
 	lake := filepath.Join(dir, "run.lake")
-	for _, path := range []string{bin, lake} {
+	for _, path := range []string{rows, lake} {
 		if _, err := capture(t, func() error { return run(traceRunArgs(path)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	binOut, err := capture(t, func() error { return run([]string{"trace", "-in", bin}) })
+	rowsOut, err := capture(t, func() error { return run([]string{"trace", "-in", rows}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +177,8 @@ func TestTraceLakeAggregatesMatchRowTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if binOut != lakeOut {
-		t.Fatalf("lake aggregates diverge from row-trace aggregates\nbin:\n%s\nlake:\n%s", binOut, lakeOut)
+	if rowsOut != lakeOut {
+		t.Fatalf("lake aggregates diverge from row-trace aggregates\njsonl:\n%s\nlake:\n%s", rowsOut, lakeOut)
 	}
 }
 
@@ -191,5 +192,70 @@ func TestTraceSubcommandErrors(t *testing.T) {
 	if err := run([]string{"-trace", "x.jsonl", "-exp", "T6"}); err == nil ||
 		!strings.Contains(err.Error(), "-trace") {
 		t.Fatalf("-trace outside -run not rejected: %v", err)
+	}
+}
+
+// TestBinaryTraceExtensionRefused: .bin and .trace used to select the
+// binary row format PR 22 removed. Recording or converting to one is an
+// error that names the two formats left, and creates no file — not JSONL
+// written under a binary extension.
+func TestBinaryTraceExtensionRefused(t *testing.T) {
+	dir := t.TempDir()
+	rows := filepath.Join(dir, "run.jsonl")
+	if _, err := capture(t, func() error { return run(traceRunArgs(rows)) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x.bin", "x.trace"} {
+		path := filepath.Join(dir, name)
+		for what, args := range map[string][]string{
+			"-run -trace": traceRunArgs(path),
+			"trace -out":  {"trace", "-in", rows, "-out", path},
+		} {
+			_, err := capture(t, func() error { return run(args) })
+			if !errors.Is(err, optsync.ErrBinaryTraceRemoved) ||
+				!strings.Contains(err.Error(), ".lake") || !strings.Contains(err.Error(), "JSONL") {
+				t.Fatalf("%s %s: err = %v, want the removed-format error", what, name, err)
+			}
+			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+				t.Fatalf("%s %s left a file behind (stat: %v)", what, name, serr)
+			}
+		}
+	}
+}
+
+// closeFailer is a trace destination that takes every byte and then
+// fails to close, as a full disk or an NFS write-back does.
+type closeFailer struct{ bytes.Buffer }
+
+var errCloseFailed = errors.New("close: no space left on device")
+
+func (*closeFailer) Close() error { return errCloseFailed }
+
+// TestCustomRunReportsTraceCloseError: a trace whose file fails at close
+// is truncated, so the run must not report success — in table, -json and
+// lake form alike. A run that failed on its own keeps its own error.
+func TestCustomRunReportsTraceCloseError(t *testing.T) {
+	defer func(orig func(string) (io.WriteCloser, error)) { createTraceFile = orig }(createTraceFile)
+	var dst *closeFailer
+	createTraceFile = func(string) (io.WriteCloser, error) {
+		dst = &closeFailer{}
+		return dst, nil
+	}
+	for _, args := range [][]string{
+		traceRunArgs("run.jsonl"),
+		append(traceRunArgs("run.jsonl"), "-json"),
+		traceRunArgs("run.lake"),
+	} {
+		_, err := capture(t, func() error { return run(args) })
+		if !errors.Is(err, errCloseFailed) {
+			t.Fatalf("%v: err = %v, want the close error", args, err)
+		}
+		if dst.Len() == 0 {
+			t.Fatalf("%v: nothing was written before the close", args)
+		}
+	}
+	_, err := capture(t, func() error { return run(append(traceRunArgs("run.jsonl"), "-attack", "no-such-attack")) })
+	if err == nil || errors.Is(err, errCloseFailed) {
+		t.Fatalf("failed run: err = %v, want the run's own error", err)
 	}
 }

@@ -35,12 +35,12 @@ func main() {
 	}
 
 	// 1. Observe the run three ways at once: a bounded-memory skew
-	//    collector, a traffic collector, and a binary trace of every
+	//    collector, a traffic collector, and a JSONL trace of every
 	//    event — plus an ad-hoc probe counting partition markers.
 	skew := optsync.NewSkewCollector()
 	msgs := optsync.NewMsgCollector()
 	var trace bytes.Buffer
-	tw := optsync.NewTraceWriter(&trace, optsync.TraceBinary)
+	tw := optsync.NewTraceWriter(&trace)
 	marks := 0
 	res, err := optsync.Run(context.Background(), spec,
 		optsync.WithCollector(skew),
@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("traffic: %d sent, %d delivered, %d offline drops, %d link drops\n",
 		msgs.Sent(), msgs.Delivered(), res.DroppedOffline, res.DroppedLink)
 	fmt.Printf("partition markers seen: %d (cut@8s, heal@12s)\n", marks)
-	fmt.Printf("trace: %d events in %d bytes (binary framing)\n\n", tw.Events(), trace.Len())
+	fmt.Printf("trace: %d events in %d bytes (JSON Lines)\n\n", tw.Events(), trace.Len())
 
 	// 2. Replay the trace through fresh collectors: same event stream,
 	//    same aggregates, bit for bit.

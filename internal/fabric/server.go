@@ -188,7 +188,7 @@ func (s *Server) Compact() (campaign.CompactStats, error) { return s.store.Compa
 // to it for life. The coordinator's two hot endpoints run thousands of
 // times per second against a fleet, and re-allocating an encode buffer
 // and a body-read buffer per RPC was the bulk of its per-op garbage
-// (BENCH_PR6 measured 255 allocs and ~28 KB per lease+report pair).
+// (PR 6 measured 255 allocs and ~28 KB per lease+report pair).
 type ioBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder

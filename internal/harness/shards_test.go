@@ -10,16 +10,19 @@ import (
 	"optsync/internal/core/bounds"
 	"optsync/internal/node"
 	"optsync/internal/probe"
+	"optsync/internal/tracelake"
 )
 
-// runTraced runs a spec and returns both the Result and the binary probe
-// trace of every event the run emitted. The trace is the strictest
-// equality witness available: it pins the order, timing, and payload of
-// each observable event, not just the aggregate report.
+// runTraced runs a spec and returns both the Result and the trace lake of
+// every event the run emitted. The lake is the strictest equality witness
+// available: its seq column pins the order of the stream and its value
+// columns the timing and payload of each observable event, not just the
+// aggregate report — and its bytes do not depend on GOMAXPROCS or on the
+// engine that produced the events.
 func runTraced(t *testing.T, spec Spec) (Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := probe.NewWriter(&buf, probe.FormatBinary)
+	w := tracelake.NewWriter(&buf)
 	res, err := RunObserved(context.Background(), spec, func(_ Spec, bus *probe.Bus) {
 		bus.Attach(w)
 	})
@@ -89,7 +92,7 @@ func shardInvariant(res Result) Result {
 // TestShardedMatchesSerial is the bit-exactness contract of the parallel
 // engine: for every spec in the property grid, shard counts 2 and 8 must
 // reproduce the serial engine's Result (including the full skew series
-// and pulse log) and its probe trace byte for byte. It runs under -race
+// and pulse log) and its trace lake byte for byte. It runs under -race
 // in CI, so it doubles as the data-race witness for the worker pool,
 // cross-shard mailboxes, and barrier merges.
 func TestShardedMatchesSerial(t *testing.T) {
@@ -109,7 +112,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 					t.Errorf("shards=%d result diverged from serial:\n serial  %+v\n sharded %+v", k, wantRes, gotRes)
 				}
 				if !bytes.Equal(wantTrace, gotTrace) {
-					t.Errorf("shards=%d probe trace diverged from serial: %d bytes vs %d (first diff at %d)",
+					t.Errorf("shards=%d trace lake diverged from serial: %d bytes vs %d (first diff at %d)",
 						k, len(wantTrace), len(gotTrace), firstDiff(wantTrace, gotTrace))
 				}
 			}

@@ -128,9 +128,9 @@ func AllTypes() []Type {
 
 // Event is one observation. It is a plain value — fixed size, no
 // pointers — so emitting one costs a stack write and recording one costs
-// a fixed-width frame. Field meaning is per-Type (see the Type
-// constants); unused fields are zero, except From/To which are -1 when
-// not applicable.
+// a fixed number of column appends. Field meaning is per-Type (see the
+// Type constants); unused fields are zero, except From/To which are -1
+// when not applicable.
 type Event struct {
 	Type Type
 	// Kind is the message kind for message events.

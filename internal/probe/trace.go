@@ -2,41 +2,29 @@ package probe
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
-// Format selects a trace encoding.
-type Format uint8
+// removedBinaryMagic opened the 40-byte binary row format that PR 22
+// removed. ReadTrace still recognizes it, so an old file is refused by
+// name instead of being misparsed as JSONL.
+var removedBinaryMagic = [8]byte{'O', 'S', 'T', 'R', 'A', 'C', 'E', '1'}
 
-const (
-	// FormatJSONL encodes one self-describing JSON object per line —
-	// greppable, diffable, toolable. Go's shortest-round-trip float
-	// encoding keeps replay exact.
-	FormatJSONL Format = iota
-	// FormatBinary encodes fixed-width 40-byte little-endian frames after
-	// an 8-byte magic header — about 4x denser than JSONL and bit-exact
-	// by construction.
-	FormatBinary
-)
-
-// binaryMagic identifies a binary trace stream (format version 1).
-var binaryMagic = [8]byte{'O', 'S', 'T', 'R', 'A', 'C', 'E', '1'}
+// ErrBinaryRemoved is the one error for the binary row format: ReadTrace
+// returns it for the magic above, the CLI for the format's extensions.
+var ErrBinaryRemoved = errors.New("probe: the binary row trace format was removed in PR 22; " +
+	"record a .lake (columnar, indexed) or JSONL trace instead")
 
 // LakeMagic identifies a columnar lake container (internal/tracelake).
-// The row-oriented readers here cannot stream one — a lake needs random
-// access to its footer index — so ReadTrace recognizes the magic and
-// fails with a pointer to the lake API instead of misparsing the bytes
-// as JSONL. Defined here, beside the other stream magics, so format
-// sniffing has one home; tracelake asserts it matches its own header.
+// The row reader here cannot stream one — a lake needs random access to
+// its footer index — so ReadTrace recognizes the magic and fails with a
+// pointer to the lake API instead of misparsing the bytes as JSONL.
+// Defined here, beside the other stream magic, so format sniffing has one
+// home; tracelake asserts it matches its own header.
 var LakeMagic = [8]byte{'O', 'S', 'L', 'A', 'K', 'E', '1', '\n'}
-
-// binaryFrameSize is the fixed record width of FormatBinary.
-const binaryFrameSize = 40
 
 // traceRecord is the JSONL projection of an Event. Every field is always
 // present so replay never guesses at defaults.
@@ -59,29 +47,24 @@ var typeByName = func() map[string]Type {
 	return m
 }()
 
-// Writer records the event stream it observes. It implements Probe, so
-// installing a trace is just attaching it to the bus (WithTrace does).
-// Writes are buffered; call Flush when the run is over. I/O errors are
-// sticky: the first one stops further writes and is reported by Flush
-// and Err.
+// Writer records the event stream it observes as JSON Lines: one
+// self-describing object per event — greppable, diffable, toolable — with
+// Go's shortest-round-trip float encoding keeping replay exact. It
+// implements Probe, so installing a trace is just attaching it to the bus
+// (WithTrace does). Writes are buffered; call Flush when the run is over.
+// I/O errors are sticky: the first one stops further writes and is
+// reported by Flush and Err.
 type Writer struct {
 	bw     *bufio.Writer
-	format Format
 	enc    *json.Encoder
-	frame  [binaryFrameSize]byte
 	err    error
 	events uint64
-	wrote  bool
 }
 
-// NewWriter returns a trace writer emitting the given format to w.
-func NewWriter(w io.Writer, format Format) *Writer {
+// NewWriter returns a JSONL trace writer on w.
+func NewWriter(w io.Writer) *Writer {
 	bw := bufio.NewWriter(w)
-	tw := &Writer{bw: bw, format: format}
-	if format == FormatJSONL {
-		tw.enc = json.NewEncoder(bw)
-	}
-	return tw
+	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
 }
 
 // Events returns the number of events recorded so far.
@@ -95,36 +78,12 @@ func (w *Writer) OnEvent(ev Event) {
 	if w.err != nil {
 		return
 	}
-	if !w.wrote {
-		w.wrote = true
-		if w.format == FormatBinary {
-			if _, err := w.bw.Write(binaryMagic[:]); err != nil {
-				w.err = err
-				return
-			}
-		}
-	}
-	switch w.format {
-	case FormatJSONL:
-		w.err = w.enc.Encode(traceRecord{
-			Type: ev.Type.String(), T: ev.T,
-			From: ev.From, To: ev.To,
-			Kind: ev.Kind, Round: ev.Round,
-			Value: ev.Value, Aux: ev.Aux,
-		})
-	case FormatBinary:
-		b := w.frame[:]
-		b[0] = byte(ev.Type)
-		b[1] = 0
-		binary.LittleEndian.PutUint16(b[2:4], ev.Kind)
-		binary.LittleEndian.PutUint32(b[4:8], uint32(ev.From))
-		binary.LittleEndian.PutUint32(b[8:12], uint32(ev.To))
-		binary.LittleEndian.PutUint32(b[12:16], uint32(ev.Round))
-		binary.LittleEndian.PutUint64(b[16:24], math.Float64bits(ev.T))
-		binary.LittleEndian.PutUint64(b[24:32], math.Float64bits(ev.Value))
-		binary.LittleEndian.PutUint64(b[32:40], math.Float64bits(ev.Aux))
-		_, w.err = w.bw.Write(b)
-	}
+	w.err = w.enc.Encode(traceRecord{
+		Type: ev.Type.String(), T: ev.T,
+		From: ev.From, To: ev.To,
+		Kind: ev.Kind, Round: ev.Round,
+		Value: ev.Value, Aux: ev.Aux,
+	})
 	if w.err == nil {
 		w.events++
 	}
@@ -140,59 +99,24 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// ReadTrace decodes a trace stream (either format, auto-detected from
-// the leading bytes) and invokes fn for every event in order. A non-nil
-// error from fn aborts the read and is returned.
+// ReadTrace decodes a JSONL trace stream and invokes fn for every event
+// in order. A non-nil error from fn aborts the read and is returned. The
+// leading bytes are sniffed first: a lake container and the removed
+// binary row format are errors that name what to use instead.
 func ReadTrace(r io.Reader, fn func(Event) error) error {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
+	head, err := br.Peek(len(LakeMagic))
 	if err == io.EOF && len(head) == 0 {
 		return nil // empty trace: a run nobody observed
 	}
-	if err == nil && [8]byte(head) == binaryMagic {
-		return readBinary(br, fn)
+	if err == nil && [8]byte(head) == removedBinaryMagic {
+		return ErrBinaryRemoved
 	}
 	if err == nil && [8]byte(head) == LakeMagic {
 		return errors.New("probe: stream is a columnar trace lake, not a row trace; " +
 			"open it with optsync.OpenLake (or tracelake.Open) instead of ReplayTrace")
 	}
 	return readJSONL(br, fn)
-}
-
-func readBinary(br *bufio.Reader, fn func(Event) error) error {
-	if _, err := io.ReadFull(br, make([]byte, len(binaryMagic))); err != nil {
-		return err
-	}
-	var b [binaryFrameSize]byte
-	for n := uint64(0); ; n++ {
-		off := uint64(len(binaryMagic)) + n*binaryFrameSize
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			if err == io.ErrUnexpectedEOF {
-				return fmt.Errorf("probe: binary trace truncated mid-frame at event %d (byte offset %d)", n, off)
-			}
-			return err
-		}
-		t := Type(b[0])
-		if t <= typeInvalid || t >= numTypes {
-			return fmt.Errorf("probe: binary trace frame %d (byte offset %d) has invalid event type %d", n, off, b[0])
-		}
-		ev := Event{
-			Type:  t,
-			Kind:  binary.LittleEndian.Uint16(b[2:4]),
-			From:  int32(binary.LittleEndian.Uint32(b[4:8])),
-			To:    int32(binary.LittleEndian.Uint32(b[8:12])),
-			Round: int32(binary.LittleEndian.Uint32(b[12:16])),
-			T:     math.Float64frombits(binary.LittleEndian.Uint64(b[16:24])),
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(b[24:32])),
-			Aux:   math.Float64frombits(binary.LittleEndian.Uint64(b[32:40])),
-		}
-		if err := fn(ev); err != nil {
-			return err
-		}
-	}
 }
 
 func readJSONL(br *bufio.Reader, fn func(Event) error) error {
@@ -224,8 +148,8 @@ func readJSONL(br *bufio.Reader, fn func(Event) error) error {
 
 // Replay feeds a recorded trace back through probes, in recorded order,
 // and returns the number of events replayed. Collectors fed a replayed
-// trace reproduce the aggregates of the original run exactly: both
-// formats round-trip float64 values bit-for-bit.
+// trace reproduce the aggregates of the original run exactly: JSONL
+// round-trips float64 values bit-for-bit.
 func Replay(r io.Reader, probes ...Probe) (int, error) {
 	var bus Bus
 	bus.AttachAll(probes...)

@@ -36,11 +36,10 @@ func traceTestEvents() []Event {
 	return evs
 }
 
-func roundTrip(t *testing.T, format Format) {
-	t.Helper()
+func TestTraceRoundTripJSONL(t *testing.T) {
 	events := traceTestEvents()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, format)
+	w := NewWriter(&buf)
 	for _, ev := range events {
 		w.OnEvent(ev)
 	}
@@ -68,12 +67,9 @@ func roundTrip(t *testing.T, format Format) {
 	}
 }
 
-func TestTraceRoundTripJSONL(t *testing.T)  { roundTrip(t, FormatJSONL) }
-func TestTraceRoundTripBinary(t *testing.T) { roundTrip(t, FormatBinary) }
-
 // TestReplayReproducesAggregates is the replay contract in miniature: a
 // recorded stream fed through fresh collectors yields bit-identical
-// aggregates in both formats.
+// aggregates.
 func TestReplayReproducesAggregates(t *testing.T) {
 	events := traceTestEvents()
 	live := []Collector{NewSkewStats(), NewSpreadStats(), NewMsgStats(), NewReintegrationWindows(), NewSeries()}
@@ -81,40 +77,32 @@ func TestReplayReproducesAggregates(t *testing.T) {
 	for _, c := range live {
 		liveBus.AttachCollector(c)
 	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, ev := range events {
+		w.OnEvent(ev)
+		liveBus.Emit(ev)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, format := range []Format{FormatJSONL, FormatBinary} {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, format)
-		for _, ev := range events {
-			w.OnEvent(ev)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if format == FormatJSONL {
-			for _, ev := range events {
-				liveBus.Emit(ev)
-			}
-		}
-
-		replayed := []Collector{NewSkewStats(), NewSpreadStats(), NewMsgStats(), NewReintegrationWindows(), NewSeries()}
-		probes := make([]Probe, len(replayed))
-		for i, c := range replayed {
-			probes[i] = c
-		}
-		n, err := Replay(bytes.NewReader(buf.Bytes()), probes...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(events) {
-			t.Fatalf("replayed %d events, want %d", n, len(events))
-		}
-		for i := range live {
-			a, b := live[i].Aggregate(), replayed[i].Aggregate()
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("format %v collector %s: live %+v != replay %+v",
-					format, live[i].Name(), a, b)
-			}
+	replayed := []Collector{NewSkewStats(), NewSpreadStats(), NewMsgStats(), NewReintegrationWindows(), NewSeries()}
+	probes := make([]Probe, len(replayed))
+	for i, c := range replayed {
+		probes[i] = c
+	}
+	n, err := Replay(bytes.NewReader(buf.Bytes()), probes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(events) {
+		t.Fatalf("replayed %d events, want %d", n, len(events))
+	}
+	for i := range live {
+		a, b := live[i].Aggregate(), replayed[i].Aggregate()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("collector %s: live %+v != replay %+v", live[i].Name(), a, b)
 		}
 	}
 }
@@ -128,20 +116,6 @@ func TestReadTraceEmpty(t *testing.T) {
 	}
 }
 
-func TestReadTraceTruncatedBinary(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
-	w.OnEvent(Event{Type: TypePulse, T: 1})
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-5] // cut mid-frame
-	err := ReadTrace(bytes.NewReader(data), func(Event) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("err = %v, want truncation error", err)
-	}
-}
-
 func TestReadTraceBadJSONLType(t *testing.T) {
 	err := ReadTrace(strings.NewReader(`{"type":"no_such_event","t":1}`+"\n"),
 		func(Event) error { return nil })
@@ -152,7 +126,7 @@ func TestReadTraceBadJSONLType(t *testing.T) {
 
 func TestReadTraceCallbackError(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatJSONL)
+	w := NewWriter(&buf)
 	w.OnEvent(Event{Type: TypePulse, T: 1})
 	w.OnEvent(Event{Type: TypePulse, T: 2})
 	if err := w.Flush(); err != nil {
@@ -183,7 +157,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriterStickyError(t *testing.T) {
-	w := NewWriter(&failWriter{left: 16}, FormatBinary)
+	w := NewWriter(&failWriter{left: 16})
 	for i := 0; i < 2000; i++ { // overflow the bufio buffer to force the write through
 		w.OnEvent(Event{Type: TypeSkewSample, T: float64(i), Value: 0.001})
 	}
@@ -219,44 +193,41 @@ func TestReadTraceRejectsLake(t *testing.T) {
 	}
 }
 
+// rejectsRemovedBinary feeds ReadTrace a stream that opens with the magic
+// of the binary row format PR 22 removed and requires the error that
+// names the format and the two that replace it — never a misparse as
+// JSONL, never a callback.
+func rejectsRemovedBinary(t *testing.T, body []byte) {
+	t.Helper()
+	data := append([]byte("OSTRACE1"), body...)
+	err := ReadTrace(bytes.NewReader(data), func(Event) error {
+		t.Fatal("callback invoked on a binary row trace")
+		return nil
+	})
+	if !errors.Is(err, ErrBinaryRemoved) {
+		t.Fatalf("err = %v, want ErrBinaryRemoved", err)
+	}
+	for _, want := range []string{"removed in PR 22", ".lake", "JSONL"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want mention of %q", err, want)
+		}
+	}
+}
+
+func TestReadTraceRejectsRemovedBinary(t *testing.T) {
+	rejectsRemovedBinary(t, make([]byte, 2*40)) // two 40-byte frames
+	rejectsRemovedBinary(t, nil)                // nothing but the magic
+}
+
+// TestReadTraceTruncatedBinary: a binary file cut mid-frame used to be a
+// truncation error; with the frame reader gone it is refused like any
+// other, before a byte of it is parsed.
+func TestReadTraceTruncatedBinary(t *testing.T) {
+	rejectsRemovedBinary(t, make([]byte, 35))
+}
+
 // Corrupt-input contract: decode errors name the byte offset of the
 // damage, so a mangled multi-gigabyte trace is debuggable with dd.
-
-func TestReadTraceTruncatedBinaryNamesOffset(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
-	for i := 0; i < 3; i++ {
-		w.OnEvent(Event{Type: TypePulse, T: float64(i)})
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Cut inside the third frame: the error must point at its start.
-	data := buf.Bytes()[:8+2*binaryFrameSize+11]
-	err := ReadTrace(bytes.NewReader(data), func(Event) error { return nil })
-	wantOff := fmt.Sprintf("byte offset %d", 8+2*binaryFrameSize)
-	if err == nil || !strings.Contains(err.Error(), "event 2") || !strings.Contains(err.Error(), wantOff) {
-		t.Fatalf("err = %v, want truncation at event 2, %s", err, wantOff)
-	}
-}
-
-func TestReadTraceBinaryBadTypeNamesOffset(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, FormatBinary)
-	for i := 0; i < 2; i++ {
-		w.OnEvent(Event{Type: TypePulse, T: float64(i)})
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[8+binaryFrameSize] = 0xEE // clobber frame 1's type byte
-	err := ReadTrace(bytes.NewReader(data), func(Event) error { return nil })
-	wantOff := fmt.Sprintf("byte offset %d", 8+binaryFrameSize)
-	if err == nil || !strings.Contains(err.Error(), "frame 1") || !strings.Contains(err.Error(), wantOff) {
-		t.Fatalf("err = %v, want invalid type at frame 1, %s", err, wantOff)
-	}
-}
 
 func TestReadTraceMalformedJSONLNamesOffset(t *testing.T) {
 	line := `{"type":"pulse","t":1,"from":0,"to":0,"kind":0,"round":1,"value":0,"aux":0}` + "\n"
@@ -274,29 +245,5 @@ func TestReadTraceMalformedJSONLNamesOffset(t *testing.T) {
 	wantOff := fmt.Sprintf("byte offset %d", 2*len(line)-1)
 	if err == nil || !strings.Contains(err.Error(), "event 2") || !strings.Contains(err.Error(), wantOff) {
 		t.Fatalf("err = %v, want malformed-json error at event 2, %s", err, wantOff)
-	}
-}
-
-// TestBinaryDensity documents the compact-framing claim: binary frames
-// are fixed 40 bytes vs ~150 for JSONL.
-func TestBinaryDensity(t *testing.T) {
-	var jb, bb bytes.Buffer
-	jw, bw := NewWriter(&jb, FormatJSONL), NewWriter(&bb, FormatBinary)
-	for i := 0; i < 100; i++ {
-		ev := Event{Type: TypeSkewSample, From: -1, To: -1, T: float64(i) * 0.05, Value: 1.0 / float64(i+3)}
-		jw.OnEvent(ev)
-		bw.OnEvent(ev)
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if bb.Len() != 8+100*binaryFrameSize {
-		t.Fatalf("binary trace is %d bytes, want %d", bb.Len(), 8+100*binaryFrameSize)
-	}
-	if bb.Len() >= jb.Len() {
-		t.Fatalf("binary (%d B) not denser than jsonl (%d B)", bb.Len(), jb.Len())
 	}
 }

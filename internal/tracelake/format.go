@@ -1,11 +1,11 @@
 // Package tracelake is the columnar trace container and query engine of
 // the observation layer: the at-rest form of the probe event stream.
 //
-// The trace formats of internal/probe (JSONL and the 40-byte binary
-// framing) are row-oriented and write-only: answering "skew samples of
-// node 17 between t=2.5 and t=9" means decoding every frame of the
-// stream. A lake stores the same events partitioned into per-type row
-// groups of struct-of-arrays column blocks, with a footer index carrying
+// The trace format of internal/probe (JSONL) is row-oriented and
+// write-only: answering "skew samples of node 17 between t=2.5 and t=9"
+// means decoding every line of the stream. A lake stores the same events
+// partitioned into per-type row groups of struct-of-arrays column
+// blocks, with a footer index carrying
 // per-block type, count, and min/max bounds for time, node ids, and
 // rounds — so a reader seeks straight to the blocks a query can match
 // and never touches the rest (ndn-dpdk's packet-oriented SoA layout is

@@ -78,7 +78,7 @@ func TestRunFlushesTracesOnError(t *testing.T) {
 
 	var lake, rows bytes.Buffer
 	lw := NewLakeWriter(&lake)
-	tw := NewTraceWriter(&rows, TraceBinary)
+	tw := NewTraceWriter(&rows)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0

@@ -12,8 +12,8 @@ import (
 type (
 	// Event is one typed observation of a run: a message sent, delivered,
 	// or dropped; a pulse; a resync; a node boot; a partition cut or
-	// heal; a skew sample. Events are plain values — recording them is a
-	// fixed-width frame, and emitting them allocates nothing.
+	// heal; a skew sample. Events are plain values — fixed size, no
+	// pointers — and emitting them allocates nothing.
 	Event = probe.Event
 	// EventType discriminates events (EventMessageSent, EventPulse, ...).
 	EventType = probe.Type
@@ -35,10 +35,9 @@ type (
 	MsgStats             = probe.MsgStats
 	ReintegrationWindows = probe.ReintegrationWindows
 	Series               = probe.Series
-	// TraceWriter records the event stream it observes (a Probe).
+	// TraceWriter records the event stream it observes as JSON Lines (a
+	// Probe).
 	TraceWriter = probe.Writer
-	// TraceFormat selects the trace encoding.
-	TraceFormat = probe.Format
 )
 
 // Event types.
@@ -54,12 +53,6 @@ const (
 	EventPartitionCut       = probe.TypePartitionCut
 	EventPartitionHeal      = probe.TypePartitionHeal
 	EventSkewSample         = probe.TypeSkewSample
-
-	// TraceJSONL is one self-describing JSON object per event;
-	// TraceBinary is a compact fixed-width framing (~4x denser). Both
-	// round-trip float64 values exactly, so replay is bit-faithful.
-	TraceJSONL  = probe.FormatJSONL
-	TraceBinary = probe.FormatBinary
 )
 
 // MessageEventTypes lists the five per-message event types — the hot-path
@@ -98,18 +91,23 @@ func NewReintegrationCollector() *ReintegrationWindows { return probe.NewReinteg
 // WithKeepSeries — O(samples) memory, for when the whole trace matters.
 func NewSeriesCollector() *Series { return probe.NewSeries() }
 
-// NewTraceWriter returns a trace writer emitting the given format to w.
-// Install it with WithTrace; the run entry points flush it and surface
-// its I/O errors.
-func NewTraceWriter(w io.Writer, format TraceFormat) *TraceWriter {
-	return probe.NewWriter(w, format)
-}
+// NewTraceWriter returns a JSONL trace writer on w: one self-describing
+// JSON object per event, float64 values round-tripped exactly, so replay
+// is bit-faithful. Install it with WithTrace; the run entry points flush
+// it and surface its I/O errors. For anything a machine reads back, record
+// a lake instead (NewLakeWriter).
+func NewTraceWriter(w io.Writer) *TraceWriter { return probe.NewWriter(w) }
 
-// ReplayTrace feeds a recorded trace (either format, auto-detected) back
-// through probes in recorded order and returns the number of events
-// replayed. Collectors fed a replayed trace reproduce the aggregates of
-// the original run exactly — `syncsim trace` is this function with the
-// built-in collectors.
+// ErrBinaryTraceRemoved is returned for the 40-byte binary row format
+// that PR 22 removed: by ReplayTrace on a stream that opens with its
+// magic, and by the CLI for a .bin / .trace output path.
+var ErrBinaryTraceRemoved = probe.ErrBinaryRemoved
+
+// ReplayTrace feeds a recorded JSONL trace back through probes in
+// recorded order and returns the number of events replayed. Collectors
+// fed a replayed trace reproduce the aggregates of the original run
+// exactly — `syncsim trace` is this function with the built-in
+// collectors.
 func ReplayTrace(r io.Reader, probes ...Probe) (int, error) {
 	return probe.Replay(r, probes...)
 }

@@ -52,8 +52,8 @@ func TestWithProbeAndCollector(t *testing.T) {
 	}
 }
 
-// TestTraceReplayRoundTrip is the PR's acceptance contract: export a
-// run's trace (both formats), replay it through fresh collectors, and
+// TestTraceReplayRoundTrip is the row trace's acceptance contract:
+// export a run's JSONL trace, replay it through fresh collectors, and
 // require bit-identical aggregates.
 func TestTraceReplayRoundTrip(t *testing.T) {
 	spec := testSpecs(t, 1)[0]
@@ -61,38 +61,35 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 	spec.StartAt = map[int]float64{0: 3.25}
 	spec.Partitions = []Partition{{At: 2, Heal: 4, LeftSize: 2}}
 
-	for _, format := range []TraceFormat{TraceJSONL, TraceBinary} {
-		var buf bytes.Buffer
-		tw := NewTraceWriter(&buf, format)
-		live := collectors()
-		opts := []Option{WithTrace(tw)}
-		for _, c := range live {
-			opts = append(opts, WithCollector(c))
-		}
-		if _, err := Run(context.Background(), spec, opts...); err != nil {
-			t.Fatal(err)
-		}
-		if tw.Events() == 0 {
-			t.Fatal("trace recorded no events")
-		}
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	live := collectors()
+	opts := []Option{WithTrace(tw)}
+	for _, c := range live {
+		opts = append(opts, WithCollector(c))
+	}
+	if _, err := Run(context.Background(), spec, opts...); err != nil {
+		t.Fatal(err)
+	}
+	if tw.Events() == 0 {
+		t.Fatal("trace recorded no events")
+	}
 
-		replayed := collectors()
-		probes := make([]Probe, len(replayed))
-		for i, c := range replayed {
-			probes[i] = c
-		}
-		n, err := ReplayTrace(bytes.NewReader(buf.Bytes()), probes...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(n) != tw.Events() {
-			t.Fatalf("replayed %d of %d recorded events", n, tw.Events())
-		}
-		liveAgg, replayAgg := aggregates(live), aggregates(replayed)
-		if !reflect.DeepEqual(liveAgg, replayAgg) {
-			t.Fatalf("format %v: replay aggregates diverged\n live   %+v\n replay %+v",
-				format, liveAgg, replayAgg)
-		}
+	replayed := collectors()
+	probes := make([]Probe, len(replayed))
+	for i, c := range replayed {
+		probes[i] = c
+	}
+	n, err := ReplayTrace(bytes.NewReader(buf.Bytes()), probes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(n) != tw.Events() {
+		t.Fatalf("replayed %d of %d recorded events", n, tw.Events())
+	}
+	liveAgg, replayAgg := aggregates(live), aggregates(replayed)
+	if !reflect.DeepEqual(liveAgg, replayAgg) {
+		t.Fatalf("replay aggregates diverged\n live   %+v\n replay %+v", liveAgg, replayAgg)
 	}
 }
 
@@ -292,7 +289,7 @@ func (f sinkFunc) Flush() error           { return nil }
 // fails must surface the error from Run's flush path.
 func TestTraceWriterErrorSurfaces(t *testing.T) {
 	spec := testSpecs(t, 1)[0]
-	tw := NewTraceWriter(failingWriter{}, TraceBinary)
+	tw := NewTraceWriter(failingWriter{})
 	if _, err := Run(context.Background(), spec, WithTrace(tw)); err == nil {
 		t.Fatal("trace I/O error vanished")
 	}
