@@ -28,7 +28,9 @@ type (
 	CampaignGroup = campaign.Group
 	// Store is the content-addressed on-disk result store keyed by
 	// SpecKey; campaigns run against a store are resumable by
-	// construction.
+	// construction. Close it when the process that wrote it is done:
+	// that seals what was appended (a store left unclosed loses nothing,
+	// its next OpenStore re-indexes the unsealed segment).
 	Store = campaign.Store
 	// ThresholdSearch bisects one campaign axis per group to find the
 	// last passing value without gridding the axis.
@@ -86,8 +88,9 @@ func WithCampaignWorkers(n int) CampaignOption {
 	return func(c *campaignConfig) { c.opts.Workers = n }
 }
 
-// WithRecompute ignores cached cells: everything executes again and the
-// fresh results overwrite the store.
+// WithRecompute ignores cached cells: everything executes again. A cell
+// the store already holds keeps its line — results are content-addressed,
+// the fresh one is identical — and a cell it lacks is stored.
 func WithRecompute() CampaignOption {
 	return func(c *campaignConfig) { c.opts.Recompute = true }
 }

@@ -66,7 +66,7 @@ func deriveSpecDefaults(fs *flag.FlagSet, axes []optsync.Axis) func(*optsync.Spe
 // a persistent, resumable result store and adaptive threshold search.
 // Aggregates go to stdout; the execution accounting line goes to stderr
 // so machine-readable output stays pure.
-func runCampaignCmd(args []string) error {
+func runCampaignCmd(args []string) (err error) {
 	fs := flag.NewFlagSet("syncsim campaign", flag.ContinueOnError)
 	var (
 		axes stringList
@@ -76,7 +76,7 @@ func runCampaignCmd(args []string) error {
 		samples    = fs.Int("samples", 0, "random-sample this many grid points instead of the full grid (0 = full grid)")
 		sampleSeed = fs.Int64("sample-seed", 1, "seed for -samples point selection")
 		storeDir   = fs.String("store", "", "result store directory (empty = run unpersisted)")
-		resume     = fs.Bool("resume", true, "serve already-completed cells from the store; -resume=false recomputes and overwrites")
+		resume     = fs.Bool("resume", true, "serve already-completed cells from the store; -resume=false recomputes every cell")
 		search     = fs.String("search", "", "bisect this axis per group for the last passing value instead of running the full grid")
 		cellsOut   = fs.Bool("cells", false, "emit per-cell results instead of per-group aggregates")
 		csvOut     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -117,10 +117,17 @@ func runCampaignCmd(args []string) error {
 
 	opts := []optsync.CampaignOption{optsync.WithCampaignWorkers(*workers)}
 	if *storeDir != "" {
-		store, err := optsync.OpenStore(*storeDir)
-		if err != nil {
-			return err
+		store, oerr := optsync.OpenStore(*storeDir)
+		if oerr != nil {
+			return oerr
 		}
+		// Seal on the way out, failed run or not: what settled stays
+		// settled, and a failed seal must not read as success.
+		defer func() {
+			if cerr := store.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
 		opts = append(opts, optsync.WithStore(store))
 	}
 	if !*resume {

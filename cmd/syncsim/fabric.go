@@ -34,8 +34,8 @@ func runServeCmd(args []string) error {
 		addr         = fs.String("addr", "127.0.0.1:9190", "TCP listen address for the coordinator API")
 		leaseTTL     = fs.Duration("lease-ttl", 0, "lease TTL; a worker silent this long forfeits its cells (0 = default 60s)")
 		leaseBatch   = fs.Int("lease-batch", 0, "max cells per lease response (0 = default 64)")
-		compactEvery = fs.Int("compact-every", 0, "fold loose cells into an indexed segment every N settled cells (0 = only on exit)")
-		noCompact    = fs.Bool("no-compact", false, "skip store compaction on exit")
+		compactEvery = fs.Int("compact-every", 0, "seal the store (fsync, move the segment under segments/, republish index.json) every N settled cells (0 = only on exit)")
+		noCompact    = fs.Bool("no-compact", false, "leave the store unsealed on exit (the next open re-indexes cells/; nothing is lost, nothing was fsynced)")
 		linger       = fs.Duration("linger", 2*time.Second, "keep answering after completion so polling workers hear 'complete'")
 		csvOut       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonOut      = fs.Bool("json", false, "emit JSON instead of aligned tables")

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"optsync"
+	"optsync/internal/fabric"
 )
 
 func TestFabricCLIErrors(t *testing.T) {
@@ -184,6 +190,119 @@ func TestServeWorkSeparateProcesses(t *testing.T) {
 	}
 	if resumed != want {
 		t.Fatalf("resume over fleet store drifted:\n%s\nvs\n%s", resumed, want)
+	}
+}
+
+// TestServeKilledMidCampaignResumes is the coordinator's own crash test,
+// at process fidelity: `syncsim serve` is SIGKILLed after it has accepted
+// three of four cells — no shutdown, no seal, the store left as one
+// unsealed segment under cells/ — and a second serve on the same store
+// must find all three (cached, not re-run), settle the fourth through a
+// worker, print aggregates byte-identical to the single-process run, and
+// leave a sealed store behind.
+func TestServeKilledMidCampaignResumes(t *testing.T) {
+	want, err := capture(t, func() error {
+		return run(append([]string{"campaign"}, append(fabricSpecArgs, "-csv")...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := buildSyncsim(t)
+	storeDir := t.TempDir() + "/store"
+	startServe := func(stdout io.Writer) (*exec.Cmd, string, <-chan string) {
+		serve := exec.Command(bin, append([]string{"serve",
+			"-store", storeDir, "-addr", "127.0.0.1:0", "-linger", "200ms", "-csv"},
+			fabricSpecArgs...)...)
+		serveErr, err := serve.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve.Stdout = stdout
+		lines := scanForPrefixes(t, serveErr, "serving campaign on ", "4 cells: ")
+		if err := serve.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ready := waitLine(t, lines[0], "serve readiness")
+		return serve, strings.Fields(strings.TrimPrefix(ready, "serving campaign on "))[0], lines[1]
+	}
+	post := func(url string, req, resp any) {
+		t.Helper()
+		blob, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(url, "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		if err := json.NewDecoder(hr.Body).Decode(resp); err != nil || hr.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %s (%v)", url, hr.Status, err)
+		}
+	}
+
+	// First coordinator: the test plays the worker, so exactly three
+	// cells are accepted — the /report has been answered — at the kill.
+	first, url, _ := startServe(io.Discard)
+	defer first.Process.Kill()
+	var lease fabric.LeaseResponse
+	post(url+"/lease", fabric.LeaseRequest{Worker: "test", Max: 3}, &lease)
+	report := fabric.ReportRequest{Worker: "test"}
+	for _, cell := range lease.Cells {
+		res, err := optsync.Run(context.Background(), cell.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report.Cells = append(report.Cells, fabric.CellReport{Index: cell.Index, Key: cell.Key, Result: res})
+	}
+	var ack fabric.ReportResponse
+	post(url+"/report", report, &ack)
+	if ack.Accepted != 3 {
+		t.Fatalf("report acknowledged %+v, want 3 accepted", ack)
+	}
+	if err := first.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	first.Wait()
+	if left, _ := filepath.Glob(filepath.Join(storeDir, "cells", "open-*.jsonl")); len(left) != 1 {
+		t.Fatalf("killed coordinator left %v under cells/, want its one unsealed segment", left)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "segments", "index.json")); err == nil {
+		t.Fatal("killed coordinator had sealed: the test exercised nothing")
+	}
+
+	// Second coordinator, same store.
+	var out strings.Builder
+	second, url, summary := startServe(&out)
+	defer second.Process.Kill()
+	hr, err := http.Get(url + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progress fabric.Progress
+	err = json.NewDecoder(hr.Body).Decode(&progress)
+	hr.Body.Close()
+	if err != nil || progress.CacheHits != 3 || progress.Done != 3 || progress.Store.LinesRecovered != 3 || progress.Store.TornTails != 0 {
+		t.Fatalf("restarted coordinator's progress = %+v (%v), want the three accepted cells cached", progress, err)
+	}
+	work := exec.Command(bin, "work", "-coordinator", url, "-batch", "1", "-poll", "50ms", "-quiet")
+	if blob, err := work.CombinedOutput(); err != nil {
+		t.Fatalf("worker: %v\n%s", err, blob)
+	}
+	if line := waitLine(t, summary, "serve summary"); line != "4 cells: 1 executed, 3 cached" {
+		t.Fatalf("restarted coordinator settled %q, want 1 executed + 3 cached", line)
+	}
+	if err := second.Wait(); err != nil {
+		t.Fatalf("serve exited: %v", err)
+	}
+	if out.String() != want {
+		t.Fatalf("aggregates after kill and restart differ from the single-process run:\n--- fleet\n%s--- single\n%s", out.String(), want)
+	}
+	if left, _ := filepath.Glob(filepath.Join(storeDir, "cells", "*")); len(left) != 0 {
+		t.Fatalf("a cleanly exited coordinator left %v under cells/", left)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "segments", "index.json")); err != nil {
+		t.Fatal(err)
 	}
 }
 

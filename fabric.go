@@ -70,13 +70,20 @@ func NewCampaignServer(c Campaign, store *Store, opts FabricServerOptions) (*Fab
 	return fabric.NewServer(c, store, opts)
 }
 
-// CompactStore folds the store's loose one-file-per-cell tier into an
-// append-only indexed segment, returning how many cells were compacted.
-// Safe to run while a coordinator is accepting reports against the same
-// store.
+// CompactStore seals the store: every cell accepted so far is fsynced,
+// its segment moved from cells/ to segments/ and index.json republished;
+// it returns how many cells that made index-durable. Safe to run while a
+// coordinator is accepting reports against the same store. Store.Close
+// does the same and then releases the store.
 func CompactStore(s *Store) (campaign.CompactStats, error) {
 	return s.Compact()
 }
 
-// CompactStats reports one compaction pass.
+// CompactStats reports one seal.
 type CompactStats = campaign.CompactStats
+
+// StoreStats is Store.Stats' counters: appends and batches, hits, misses
+// and damaged reads, seals, and what OpenStore recovered. They describe
+// the execution, not the results, and reach no cell, record or report;
+// the coordinator's /progress carries them as "store".
+type StoreStats = campaign.Stats

@@ -117,3 +117,58 @@ func TestCompactStoreThroughPublicAPI(t *testing.T) {
 		t.Fatalf("resume over compacted store recomputed: %s", resumed.Summary())
 	}
 }
+
+// TestStoreWritePathThroughPublicAPI drives the store's exported write
+// path as an embedder would: a batch is one append, a key that is not a
+// SpecKey is an error (Put) or a miss (Get) and never a panic, Close
+// seals, and a store reopened after Close answers from the sealed
+// segment.
+func TestStoreWritePathThroughPublicAPI(t *testing.T) {
+	dir := t.TempDir() + "/store"
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := testSpecs(t, 3)
+	keys := make([]string, len(specs))
+	results := make([]Result, len(specs))
+	for i, spec := range specs {
+		if keys[i], err = SpecKey(spec); err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.PutBatch(len(keys), func(i int) (string, Result) { return keys[i], results[i] }); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"", "a", "../../etc/passwd"} {
+		if _, ok, err := store.Get(key); ok || err != nil {
+			t.Errorf("Get(%q) = ok=%v err=%v, want a miss", key, ok, err)
+		}
+		if err := store.Put(key, results[0]); err == nil {
+			t.Errorf("Put(%q) accepted", key)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var st StoreStats = store.Stats()
+	if st.Puts != 3 || st.Batches != 1 || st.Misses != 3 || st.Seals != 1 {
+		t.Fatalf("store stats = %+v", st)
+	}
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		got, ok, err := reopened.Get(key)
+		if err != nil || !ok || got.MaxSkew != results[i].MaxSkew {
+			t.Fatalf("cell %d after Close and reopen: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if st := reopened.Stats(); st.LinesRecovered != 0 || st.Hits != 3 {
+		t.Fatalf("reopen of a closed store scanned or missed: %+v", st)
+	}
+}

@@ -16,8 +16,8 @@ type Options struct {
 	Store *Store
 	// Workers bounds the worker pool (<= 0: the harness default).
 	Workers int
-	// Recompute ignores cached cells — they execute again and the fresh
-	// results overwrite the store.
+	// Recompute ignores cached cells — they execute again; the store
+	// keeps the (identical, content-addressed) results it already holds.
 	Recompute bool
 	// Progress, if non-nil, is invoked serially after every settled cell
 	// (cache hit or executed run).

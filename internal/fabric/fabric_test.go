@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -456,6 +458,13 @@ func TestAggregatesEndpointLive(t *testing.T) {
 	}
 	var ack ReportResponse
 	postJSON(t, hs.URL+"/report", report, &ack)
+	// /progress carries the store's own accounting: the preload's twelve
+	// misses, and the report's four cells in one append.
+	var progress Progress
+	getJSON(t, hs.URL+"/progress", &progress)
+	if st := progress.Store; progress.Done != 4 || st.Misses != 12 || st.Puts != 4 || st.Batches != 1 || st.BytesAppended == 0 {
+		t.Fatalf("progress after one report = %+v", progress)
+	}
 	var partial Aggregates
 	getJSON(t, hs.URL+"/aggregates", &partial)
 	if partial.Done != 4 || partial.Complete || len(partial.Groups) == 0 {
@@ -476,6 +485,91 @@ func TestAggregatesEndpointLive(t *testing.T) {
 	}
 	if got := marshalGroups(t, final.Groups); !bytes.Equal(got, want) {
 		t.Fatal("completed /aggregates diverges from single-process groups")
+	}
+}
+
+// TestStoreAccountingOfOneCampaign pins the store traffic of the
+// benchmark's op shape: the coordinator's preload misses every cell, each
+// /report is one append however many cells it carries, two resumes hit
+// every cell, and one seal covers the lot and leaves three files.
+func TestStoreAccountingOfOneCampaign(t *testing.T) {
+	store := quietStore(t, t.TempDir()+"/store")
+	srv, err := NewServer(testCampaign(), store, ServerOptions{LeaseBatch: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	worker, err := NewWorker(hs.URL, WorkerOptions{Name: "solo", Batch: 3,
+		PollInterval: 2 * time.Millisecond, BackoffBase: time.Millisecond}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if r, err := campaign.Run(context.Background(), testCampaign(), campaign.Options{Store: store}); err != nil || r.CacheHits != 12 {
+			t.Fatalf("resume %d: %v, %v", i, r, err)
+		}
+	}
+	sealed, err := srv.Compact()
+	if err != nil || sealed.Compacted != 12 {
+		t.Fatalf("seal = %+v, %v", sealed, err)
+	}
+	st := store.Stats()
+	want := campaign.Stats{Puts: 12, Batches: worker.Leases, BytesAppended: st.BytesAppended, Hits: 24, Misses: 12, Seals: 1}
+	if worker.Leases != 4 || st != want {
+		t.Fatalf("%d leases; store stats\n got  %+v\n want %+v", worker.Leases, st, want)
+	}
+	var files []string
+	err = filepath.WalkDir(store.Dir(), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() {
+			files = append(files, filepath.Base(path))
+		}
+		return err
+	})
+	if err != nil || strings.Join(files, " ") != "meta.json index.json seg-000001.jsonl" {
+		t.Fatalf("a finished, sealed campaign store holds %v (%v)", files, err)
+	}
+}
+
+// TestStoreFailureSettlesNothing: durability before accounting. A report
+// the store does not take is a 500 and counts for nothing — no cell done,
+// the lease still out — so the cells come back when it expires.
+func TestStoreFailureSettlesNothing(t *testing.T) {
+	store := quietStore(t, t.TempDir()+"/store")
+	srv, err := NewServer(testCampaign(), store, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	var lease LeaseResponse
+	postJSON(t, hs.URL+"/lease", LeaseRequest{Worker: "w", Max: 4}, &lease)
+	report := ReportRequest{Worker: "w"}
+	for _, cell := range lease.Cells {
+		report.Cells = append(report.Cells, CellReport{Index: cell.Index, Key: cell.Key, Result: harness.Result{Spec: cell.Spec}})
+	}
+	if err := store.Close(); err != nil { // from here on every write is refused
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/report", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("report into a refusing store = %s, want 500", resp.Status)
+	}
+	var progress Progress
+	getJSON(t, hs.URL+"/progress", &progress)
+	if progress.Done != 0 || progress.Executed != 0 || progress.Leased != 4 || progress.Store.Puts != 0 {
+		t.Fatalf("a refused report was counted: %+v", progress)
+	}
+	if len(srv.Report().Cells) != 0 {
+		t.Fatal("a refused report reached the aggregates")
 	}
 }
 

@@ -28,8 +28,10 @@ type ServeOptions struct {
 	// ShutdownGrace bounds how long graceful shutdown waits for
 	// in-flight reports (default 10s).
 	ShutdownGrace time.Duration
-	// CompactOnExit folds the loose cell tier into an indexed segment
-	// before returning — the store "flush" of a clean shutdown.
+	// CompactOnExit seals and closes the store before returning — the
+	// "flush" of a clean shutdown: every cell fsynced and indexed, no
+	// file left under cells/. Without it the next Open re-indexes the
+	// unsealed segment, which loses nothing but is not fsynced.
 	CompactOnExit bool
 }
 
@@ -87,7 +89,7 @@ func Serve(ctx context.Context, c campaign.Campaign, store *campaign.Store, opts
 		cause = serr
 	}
 	if opts.CompactOnExit {
-		if _, cerr := store.Compact(); cerr != nil && cause == nil {
+		if cerr := store.Close(); cerr != nil && cause == nil {
 			cause = cerr
 		}
 	}

@@ -32,10 +32,11 @@ type ServerOptions struct {
 	// LeaseBatch caps cells per lease regardless of what the worker
 	// asks for (0: DefaultLeaseBatch).
 	LeaseBatch int
-	// CompactEvery folds loose cells into an indexed segment after this
-	// many worker-reported cells (0: only on Close/explicit Compact).
-	// Compaction runs in the background, concurrent with reports — the
-	// store's ordering contract makes that safe.
+	// CompactEvery seals the store after this many worker-reported cells
+	// (0: only on Close/explicit Compact), bounding what a machine crash
+	// could cost to that many. The seal runs in the background,
+	// concurrent with reports — the store's ordering contract makes that
+	// safe.
 	CompactEvery int
 	// Progress, if non-nil, is invoked after every newly settled cell.
 	Progress func(done, total int)
@@ -70,7 +71,7 @@ type Server struct {
 	settled   []bool
 	executed  int // settled by worker reports
 	preloaded int // settled from the store at startup
-	sinceComp int // reports since the last background compaction
+	sinceComp int // reports since the last background seal
 	compactng bool
 
 	doneOnce sync.Once
@@ -181,7 +182,7 @@ func (s *Server) settledSnapshotLocked() ([]campaign.Cell, []harness.Result) {
 	return cells, results
 }
 
-// Compact folds finished loose cells into the store's segment tier.
+// Compact seals the store: every accepted cell becomes index-durable.
 func (s *Server) Compact() (campaign.CompactStats, error) { return s.store.Compact() }
 
 // ioBuf is one pooled JSON scratch: a byte buffer with an encoder bound
@@ -302,6 +303,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp ReportResponse
+	valid := req.Cells[:0]
 	for _, cr := range req.Cells {
 		if cr.Index < 0 || cr.Index >= len(s.cells) || s.cells[cr.Index].Key != cr.Key {
 			// An index/key mismatch is a client bug or a stale campaign
@@ -310,14 +312,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		// Durability before accounting: the store write lands before the
-		// lease table (and the live aggregates) count the cell as done,
-		// so a coordinator crash between the two re-serves the cell from
-		// the store on restart instead of losing it.
-		if err := s.store.Put(cr.Key, cr.Result); err != nil {
-			writeErr(w, http.StatusInternalServerError, "storing cell %d: %v", cr.Index, err)
-			return
-		}
+		valid = append(valid, cr)
+	}
+	// Durability before accounting: the report's cells land in the store,
+	// in one write, before the lease table (and the live aggregates) count
+	// any of them as done, so a coordinator crash between the two
+	// re-serves them from the store on restart instead of losing them.
+	err := s.store.PutBatch(len(valid), func(i int) (string, harness.Result) { return valid[i].Key, valid[i].Result })
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "storing %d cells: %v", len(valid), err)
+		return
+	}
+	for _, cr := range valid {
 		if !s.table.report(cr.Index) {
 			resp.Duplicates++
 			continue
@@ -350,7 +356,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) backgroundCompact() {
 	if _, err := s.store.Compact(); err != nil {
-		s.opts.Warn("fabric: background compaction: %v", err)
+		s.opts.Warn("fabric: background seal: %v", err)
 	}
 	s.mu.Lock()
 	s.compactng = false
@@ -371,6 +377,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		Executed:  executed,
 		CacheHits: preloaded,
 		Complete:  done == len(s.cells),
+		Store:     s.store.Stats(),
 	})
 }
 

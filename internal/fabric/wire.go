@@ -102,6 +102,9 @@ type Progress struct {
 	Executed  int  `json:"executed"`
 	CacheHits int  `json:"cache_hits"`
 	Complete  bool `json:"complete"`
+	// Store is the result store's own accounting since it was opened:
+	// appends, hits and misses, seals, what Open recovered.
+	Store campaign.Stats `json:"store"`
 }
 
 // Aggregates is the live grouped-summary snapshot: the campaign's

@@ -13,15 +13,16 @@ import (
 //     mis-parameterized timer silently never fires;
 //   - any Flush method with results — sinks and trace writers buffer,
 //     so an unchecked Flush can lose the tail of a table or a trace;
-//   - campaign Store.Put / Store.Compact — the content-addressed store's
-//     durability contract.
+//   - campaign Store.Put / PutBatch / Compact / Close — the
+//     content-addressed store's durability contract (a dropped Close is
+//     a dropped seal).
 //
 // Discarding means an expression statement, a defer, or a go statement.
 // An explicit blank assignment (`_ = w.Flush()`) documents intent and is
 // accepted.
 var MustCheck = &Analyzer{
 	Name: "mustcheck",
-	Doc:  "forbid discarding results of Engine.After, Flush, and campaign Store.Put/Compact",
+	Doc:  "forbid discarding results of Engine.After, Flush, and campaign Store.Put/PutBatch/Compact/Close",
 	Run:  runMustCheck,
 }
 
@@ -71,7 +72,9 @@ func mustCheckTarget(fn *types.Func) string {
 	case fn.Name() == "Flush" && recvTypeName(fn) != "":
 		return "a failed flush loses buffered output"
 	case isMethod(fn, campaignPath, "Store", "Put"),
-		isMethod(fn, campaignPath, "Store", "Compact"):
+		isMethod(fn, campaignPath, "Store", "PutBatch"),
+		isMethod(fn, campaignPath, "Store", "Compact"),
+		isMethod(fn, campaignPath, "Store", "Close"):
 		return "a failed store write breaks campaign resume"
 	}
 	return ""

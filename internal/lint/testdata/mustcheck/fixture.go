@@ -1,6 +1,6 @@
 // Package fixture seeds mustcheck cases: discarded results of
 // Engine.After, a buffered sink's Flush, and the campaign store's
-// Put/Compact, next to the accepted forms (checked, or explicitly
+// Put/PutBatch/Compact/Close, next to the accepted forms (checked, or explicitly
 // assigned to blank).
 package fixture
 
@@ -44,4 +44,20 @@ func discardCompact(s *campaign.Store) {
 
 func checkedPutOK(s *campaign.Store, res harness.Result) error {
 	return s.Put("cell-key", res)
+}
+
+func discardPutBatch(s *campaign.Store, res harness.Result) {
+	s.PutBatch(1, func(int) (string, harness.Result) { return "cell-key", res }) // want mustcheck "result of Store.PutBatch discarded"
+}
+
+func checkedPutBatchOK(s *campaign.Store, res harness.Result) error {
+	return s.PutBatch(1, func(int) (string, harness.Result) { return "cell-key", res })
+}
+
+func deferredClose(s *campaign.Store) {
+	defer s.Close() // want mustcheck "deferred result of Store.Close discarded"
+}
+
+func blankCloseOK(s *campaign.Store) {
+	_ = s.Close()
 }

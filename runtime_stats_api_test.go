@@ -13,13 +13,16 @@ import (
 	"optsync/internal/fabric"
 )
 
-// runtimeWords matches any name Result.Runtime could surface under.
-var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|mailbox`)
+// runtimeWords matches any name Result.Runtime or Store.Stats could
+// surface under.
+var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|mailbox|puts|batches|bytes_appended|"hits|misses|damaged|seals|recovered|torn`)
 
 // TestRuntimeStatsStayOutOfEveryRecord: Result.Runtime describes the
 // execution, not the result — it may differ between shard counts — so it
-// must reach neither sink, nor a store cell (loose or compacted), nor a
-// fabric report body, and a stored result must come back without it.
+// must reach neither sink, nor a store cell (unsealed or sealed), nor a
+// fabric report body, and a stored result must come back without it. The
+// same holds for the store's own counters (StoreStats): they are on
+// /progress and nowhere else — not in a store file, not in a report.
 func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
 	spec := Spec{Algo: AlgoAuth, Params: testParams(t, 5, Auth), Attack: AttackSilent, Horizon: 4, Seed: 3}
 	var jsonOut, csvOut bytes.Buffer
@@ -63,11 +66,11 @@ func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
 	if err := store.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	collect("loose")
+	collect("unsealed")
 	if _, err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	collect("compacted")
+	collect("sealed")
 	back, ok, err := store.Get(key)
 	if err != nil || !ok {
 		t.Fatalf("stored cell not found: %v", err)
@@ -75,6 +78,20 @@ func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
 	if back.Runtime != (RuntimeStats{}) {
 		t.Errorf("a stored result came back with runtime counters %+v", back.Runtime)
 	}
+	if st := store.Stats(); st != (StoreStats{Puts: 1, Batches: 1, BytesAppended: st.BytesAppended, Hits: 1, Seals: 1}) {
+		t.Fatalf("store counters = %+v", st)
+	}
+	// The one place they do appear, so the pattern is known to bite.
+	progress, err := json.Marshal(FabricProgress{Store: store.Stats()})
+	if err != nil || !runtimeWords.Match(progress) {
+		t.Fatalf("/progress body does not carry the store counters: %s (%v)", progress, err)
+	}
+	// A coordinator's answer to a report says nothing of them either.
+	ack, err := json.Marshal(fabric.ReportResponse{Accepted: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records["fabric report response"] = ack
 
 	for name, b := range records {
 		if len(b) == 0 {
