@@ -6,8 +6,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"optsync/internal/core/bounds"
 )
@@ -57,6 +59,37 @@ func TestRunUnknownNamesError(t *testing.T) {
 		Algo: AlgoAuth, Params: p, FaultyCount: 1, Attack: AttackBias, Seed: 1,
 	}); err == nil {
 		t.Fatal("bias attack on auth accepted")
+	}
+}
+
+// TestRunRejectsUnrunnableSpecs: a sampling interval that never lets
+// simulated time advance and a horizon no run can reach are errors. Before
+// the check the first and third spec never returned and the second
+// panicked, so each runs under a deadline.
+func TestRunRejectsUnrunnableSpecs(t *testing.T) {
+	base := testSpecs(t, 1)[0]
+	for name, mutate := range map[string]func(*Spec){
+		"negative SampleEvery": func(s *Spec) { s.SampleEvery = -0.05 },
+		"NaN SampleEvery":      func(s *Spec) { s.SampleEvery = math.NaN() },
+		"infinite SampleEvery": func(s *Spec) { s.SampleEvery = math.Inf(1) },
+		"NaN Horizon":          func(s *Spec) { s.Horizon = math.NaN() },
+		"infinite Horizon":     func(s *Spec) { s.Horizon = math.Inf(1) },
+	} {
+		spec := base
+		mutate(&spec)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), spec)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Run did not return within 5 s", name)
+		}
 	}
 }
 

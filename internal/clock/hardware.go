@@ -131,15 +131,32 @@ func (h *Hardware) Read(t float64) float64 {
 		panic(fmt.Sprintf("clock: Read(%v) before time 0", t))
 	}
 	h.extendTo(t)
-	// Find the segment containing t: greatest i with ts[i] <= t.
-	i := sort.SearchFloat64s(h.ts, t)
-	if i == len(h.ts) || h.ts[i] > t {
+	i := segmentOf(h.ts, t)
+	return h.hs[i] + (t-h.ts[i])*h.rates[i]
+}
+
+// segmentOf returns the segment Read and Invert evaluate x in, given the
+// breakpoints xs extended past x: the first i with xs[i] == x, else the
+// last with xs[i] < x. Simulated time only moves forward, so nearly every
+// call lands in the last materialized segment, or in the one before it when
+// a timer inversion has already extended the clock; those two are tried
+// before the binary search over the whole history, and name the same index.
+func segmentOf(xs []float64, x float64) int {
+	last := len(xs) - 2 // the last segment runs from xs[last] to xs[last+1] > x
+	if last >= 0 && xs[last] < x {
+		return last
+	}
+	if last >= 1 && xs[last-1] < x && x < xs[last] {
+		return last - 1
+	}
+	i := sort.SearchFloat64s(xs, x)
+	if i == len(xs) || xs[i] > x {
 		i--
 	}
-	if i == len(h.rates) {
-		i-- // t exactly at the last breakpoint
+	if i == len(xs)-1 {
+		i-- // x exactly at the last breakpoint
 	}
-	return h.hs[i] + (t-h.ts[i])*h.rates[i]
+	return i
 }
 
 // Invert returns the earliest real time t with H(t) >= local. For local
@@ -149,13 +166,7 @@ func (h *Hardware) Invert(local float64) float64 {
 		return 0
 	}
 	h.extendToLocal(local)
-	i := sort.SearchFloat64s(h.hs, local)
-	if i == len(h.hs) || h.hs[i] > local {
-		i--
-	}
-	if i == len(h.rates) {
-		i--
-	}
+	i := segmentOf(h.hs, local)
 	return h.ts[i] + (local-h.hs[i])/h.rates[i]
 }
 

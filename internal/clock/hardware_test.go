@@ -3,6 +3,7 @@ package clock
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -172,6 +173,68 @@ func TestInvertRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(19))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// searchSegment is the segment lookup Read and Invert did on every call
+// before they tried the newest segments first: the reference for
+// TestReadBackwardsAfterForwards.
+func searchSegment(xs []float64, x float64) int {
+	i := sort.SearchFloat64s(xs, x)
+	if i == len(xs) || xs[i] > x {
+		i--
+	}
+	if i == len(xs)-1 {
+		i--
+	}
+	return i
+}
+
+// TestReadBackwardsAfterForwards: trying the last two segments first is a
+// shortcut for time that moves forward, not an assumption. After the clock
+// has been extended far ahead, reads and inversions going back in time, at
+// breakpoints and between them, give bit for bit what the search over the
+// whole history gives.
+func TestReadBackwardsAfterForwards(t *testing.T) {
+	rho := Rho(0.05)
+	h := NewHardware(2, rho, RandomWalk{Rho: rho, MinDur: 0.05, MaxDur: 0.5}, rand.New(rand.NewSource(5)))
+	var forward []float64
+	for tt := 0.0; tt < 40; tt += 0.0625 {
+		forward = append(forward, h.Read(tt))
+	}
+	if h.Segments() < 50 {
+		t.Fatalf("expected many segments, got %d", h.Segments())
+	}
+	check := func(tt float64) {
+		t.Helper()
+		i := searchSegment(h.ts, tt)
+		if got, want := h.Read(tt), h.hs[i]+(tt-h.ts[i])*h.rates[i]; got != want {
+			t.Fatalf("Read(%v) = %v, search gives %v", tt, got, want)
+		}
+		local := h.Read(tt)
+		if local <= h.hs[0] {
+			return
+		}
+		i = searchSegment(h.hs, local)
+		if got, want := h.Invert(local), h.ts[i]+(local-h.hs[i])/h.rates[i]; got != want {
+			t.Fatalf("Invert(%v) = %v, search gives %v", local, got, want)
+		}
+	}
+	for k := len(forward) - 1; k >= 0; k-- {
+		tt := float64(k) * 0.0625
+		if got := h.Read(tt); got != forward[k] {
+			t.Fatalf("Read(%v) = %v going back, %v going forward", tt, got, forward[k])
+		}
+		check(tt)
+	}
+	// Every breakpoint, newest first, and the instants either side of it.
+	for k := len(h.ts) - 2; k >= 0; k-- {
+		bp := h.ts[k]
+		check(bp)
+		check(math.Nextafter(bp, math.Inf(1)))
+		if bp > 0 {
+			check(math.Nextafter(bp, 0))
+		}
 	}
 }
 

@@ -79,6 +79,7 @@ func TestRunAllocBudgets(t *testing.T) {
 	}{
 		{"ring2048-auth", ring2048AuthSpec, 22 << 20},
 		{"mesh256-prim", mesh256PrimSpec, 8 << 20},
+		{"mesh25-auth", mesh25AuthSpec, 520 << 10}, // measured 491.4 KB, 1.2 KB of it the signature memo
 		{"campaign-cell", campaignCellSpec, 104 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -244,7 +245,8 @@ type Result struct {
 	Pulses []node.PulseRecord
 
 	// Runtime counts what the simulator did to produce the result (arena
-	// slots, queue chunks). It describes the execution, which may differ
+	// slots, queue chunks, signature checks computed rather than
+	// remembered). It describes the execution, which may differ
 	// between shard counts, so it is no part of the result proper: sinks,
 	// store cells and the fabric wire leave it out.
 	Runtime node.RuntimeStats `json:"-"`
@@ -471,6 +473,16 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 	}
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("harness: Shards=%d invalid (0 auto-picks, 1 forces serial, k>1 runs k shards)", spec.Shards)
+	}
+
+	// A sampler that re-arms zero or a negative interval ahead never lets
+	// the clock advance, and a run toward a NaN or infinite horizon never
+	// ends.
+	if math.IsNaN(spec.SampleEvery) || math.IsInf(spec.SampleEvery, 0) || spec.SampleEvery <= 0 {
+		return nil, fmt.Errorf("harness: SampleEvery=%v invalid (want a positive finite interval; 0 defaults to Period/20)", spec.SampleEvery)
+	}
+	if math.IsNaN(spec.Horizon) || math.IsInf(spec.Horizon, 0) {
+		return nil, fmt.Errorf("harness: Horizon=%v invalid (want a finite duration; 0 defaults to 30 periods)", spec.Horizon)
 	}
 
 	faulty := make(map[int]bool, spec.FaultyCount)

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"optsync/internal/sig"
+)
 
 // TestRuntimeCountersShowTheSharing reads the memory design off
 // Result.Runtime instead of a profile. On the signed specs every accepted
@@ -8,8 +12,12 @@ import "testing"
 // references a slot on the mesh, 9 on ring:8 (eight neighbours and the
 // sender itself — a slot cannot be shared further than the degree). On the
 // unsigned spec scalar envelopes ride their events and the arena is never
-// touched. Whatever the shard count, the references are the accepted
-// transmissions of the serial run; only mailbox copies add slots.
+// touched, nor is the signature memo. Whatever the shard count, the
+// references are the accepted transmissions of the serial run and the
+// verifications asked for are the serial run's; only mailbox copies add
+// slots, and only what each shard's memo has to compute for itself adds
+// verifications computed: over nine in ten are answered from memory on the
+// mesh, seven in ten on the ring.
 func TestRuntimeCountersShowTheSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large clusters")
@@ -18,9 +26,10 @@ func TestRuntimeCountersShowTheSharing(t *testing.T) {
 		name     string
 		spec     Spec
 		minShare float64
+		maxComp  float64 // verifications computed, as a share of those asked
 	}{
-		{"ring2048-auth", ring2048AuthSpec, 8.5},
-		{"mesh25-auth", mesh25AuthSpec, 10},
+		{"ring2048-auth", ring2048AuthSpec, 8.5, 0.30},
+		{"mesh25-auth", mesh25AuthSpec, 10, 0.09},
 	} {
 		serial := tc.spec
 		serial.Shards = 1
@@ -36,10 +45,19 @@ func TestRuntimeCountersShowTheSharing(t *testing.T) {
 		if a.Mailbox != 0 {
 			t.Errorf("%s: serial run parked %d mailbox copies", tc.name, a.Mailbox)
 		}
+		g := res.Runtime.Sig
+		t.Logf("%s: %d verifications asked, %d computed, %d rejected", tc.name, g.Asked, g.Computed, g.Rejected)
+		if g.Asked == 0 || float64(g.Computed) > tc.maxComp*float64(g.Asked) || g.Rejected != 0 {
+			t.Errorf("%s: sig counters %+v, want at most %.2f of the verifications computed and none rejected", tc.name, g, tc.maxComp)
+		}
 		for _, k := range []int{2, 3, 8} {
 			sharded := tc.spec
 			sharded.Shards = k
-			b := mustRun(t, sharded).Runtime.Arena
+			rt := mustRun(t, sharded).Runtime
+			if rt.Sig.Asked != g.Asked || rt.Sig.Computed < g.Computed || rt.Sig.Computed > uint64(k)*g.Computed {
+				t.Errorf("%s shards=%d: sig counters %+v, serial run %+v", tc.name, k, rt.Sig, g)
+			}
+			b := rt.Arena
 			if b.Refs != a.Refs {
 				t.Errorf("%s shards=%d: %d references, serial run %d", tc.name, k, b.Refs, a.Refs)
 			}
@@ -48,8 +66,12 @@ func TestRuntimeCountersShowTheSharing(t *testing.T) {
 			}
 		}
 	}
-	if a := mustRun(t, mesh256PrimSpec).Runtime.Arena; a.Slots != 0 || a.Refs != 0 || a.SlotsHigh != 0 {
+	rt := mustRun(t, mesh256PrimSpec).Runtime
+	if a := rt.Arena; a.Slots != 0 || a.Refs != 0 || a.SlotsHigh != 0 {
 		t.Errorf("mesh256-prim touched the payload arena: %+v", a)
+	}
+	if rt.Sig != (sig.MemoStats{}) {
+		t.Errorf("mesh256-prim verified signatures: %+v", rt.Sig)
 	}
 }
 

@@ -212,9 +212,10 @@ func (nd *Node) Sign(payload []byte) sig.Signature {
 	return nd.cluster.cfg.Scheme.Sign(nd.id, payload)
 }
 
-// Verify implements Env.
+// Verify implements Env: the scheme's answer, by way of the memo of the
+// engine the node runs on.
 func (nd *Node) Verify(signer ID, payload []byte, s sig.Signature) bool {
-	return nd.cluster.cfg.Scheme.Verify(signer, payload, s)
+	return nd.cluster.memos[nd.shard].Verify(signer, payload, s)
 }
 
 // Pulse implements Env.
@@ -264,6 +265,8 @@ type Config struct {
 	// Topology is the network connectivity; nil selects the full mesh.
 	Topology network.Topology
 	// Scheme is the signature scheme; nil selects HMAC (fast default).
+	// Nodes verify through a sig.Memo per engine, so Verify must be a
+	// function of its arguments alone and safe to share between shards.
 	Scheme sig.Scheme
 	// Clocks builds node i's hardware clock. nil defaults to perfect
 	// clocks (offset 0, rate 1).
@@ -323,6 +326,10 @@ type Cluster struct {
 	cfg    Config
 	probes *probe.Bus
 
+	// memos holds one signature memo per engine, so that each is touched
+	// by one goroutine only: one in a serial run, one per shard otherwise.
+	memos []*sig.Memo
+
 	// Sharded-execution state (nil/empty in a serial run).
 	coord       *sim.Shards
 	nets        []*network.Net
@@ -376,6 +383,10 @@ func NewCluster(cfg Config) *Cluster {
 		c.Net = network.New(engine, cfg.N, cfg.Delay, cfg.Topology)
 	}
 	c.probes = c.Engine.Probes()
+	c.memos = make([]*sig.Memo, c.Shards())
+	for i := range c.memos {
+		c.memos[i] = sig.NewMemo(cfg.Scheme, cfg.N)
+	}
 	for i := 0; i < cfg.N; i++ {
 		eng, net := c.Engine, c.Net
 		var shard int32
@@ -477,11 +488,12 @@ func (c *Cluster) NetStats() network.Stats {
 
 // RuntimeStats counts what the simulator did, as opposed to what it
 // simulated: payload arena and mailbox traffic, event-queue memory and
-// re-organisations. No result depends on it, and it may differ between
-// shard counts.
+// re-organisations, signature checks asked for and actually computed. No
+// result depends on it, and it may differ between shard counts.
 type RuntimeStats struct {
 	Arena  network.RuntimeStats
 	Ladder sim.LadderStats
+	Sig    sig.MemoStats
 }
 
 // RuntimeStats sums the per-engine and per-network counters — high-waters
@@ -489,6 +501,12 @@ type RuntimeStats struct {
 // integers each owned by one shard: read them between Run calls.
 func (c *Cluster) RuntimeStats() RuntimeStats {
 	rs := RuntimeStats{Ladder: c.Engine.LadderStats()}
+	for _, m := range c.memos {
+		s := m.Stats()
+		rs.Sig.Asked += s.Asked
+		rs.Sig.Computed += s.Computed
+		rs.Sig.Rejected += s.Rejected
+	}
 	if c.coord == nil {
 		rs.Arena = c.Net.RuntimeStats()
 		return rs

@@ -8,6 +8,7 @@ import (
 	"optsync/internal/clock"
 	"optsync/internal/network"
 	"optsync/internal/probe"
+	"optsync/internal/sig"
 )
 
 // echoProto broadcasts one message at boot and counts deliveries.
@@ -199,6 +200,37 @@ func TestSignVerifyThroughEnv(t *testing.T) {
 	}
 	if c.Nodes[1].Verify(2, payload, s) {
 		t.Fatal("signature verified for wrong signer")
+	}
+}
+
+// TestOneMemoPerEngine: a memo is plain memory, so no two goroutines may
+// share one. A serial cluster has one for all its nodes; a sharded cluster
+// has one per shard, a node checks signatures through its own shard's, and
+// the cluster's counters are their sum.
+func TestOneMemoPerEngine(t *testing.T) {
+	proto := func(int) Protocol { return protoFunc{} }
+	serial := NewCluster(Config{N: 4, Protocols: proto})
+	if len(serial.memos) != 1 {
+		t.Fatalf("serial cluster built %d memos, want 1", len(serial.memos))
+	}
+	sharded := NewCluster(Config{N: 4, Protocols: proto, Shards: 2, Lookahead: 0.001})
+	defer sharded.Close()
+	if sharded.Shards() != 2 || len(sharded.memos) != 2 || sharded.memos[0] == sharded.memos[1] {
+		t.Fatalf("2-shard cluster (%d shards) built memos %v, want two distinct", sharded.Shards(), sharded.memos)
+	}
+	for _, c := range []*Cluster{serial, sharded} {
+		payload := []byte("round 1")
+		s := c.Nodes[0].Sign(payload)
+		for _, nd := range c.Nodes {
+			if !nd.Verify(0, payload, s) || nd.Verify(1, payload, s) {
+				t.Fatalf("node %d: wrong answer", nd.id)
+			}
+		}
+		// Each memo computes the valid triple once and the forgery every time.
+		want := sig.MemoStats{Asked: 8, Computed: 4 + uint64(len(c.memos)), Rejected: 4}
+		if got := c.RuntimeStats().Sig; got != want {
+			t.Fatalf("%d shards: sig counters %+v, want %+v", c.Shards(), got, want)
+		}
 	}
 }
 

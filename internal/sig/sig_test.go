@@ -124,23 +124,6 @@ func TestCrossSchemeRejection(t *testing.T) {
 	}
 }
 
-func TestCountingScheme(t *testing.T) {
-	c := NewCounting(NewHMAC(2, 1))
-	msg := []byte("m")
-	sg := c.Sign(0, msg)
-	if !c.Verify(0, msg, sg) {
-		t.Fatal("valid signature rejected")
-	}
-	c.Verify(1, msg, sg) // wrong signer: rejected
-	signs, verifies, rejects := c.Stats()
-	if signs != 1 || verifies != 2 || rejects != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 2, 1)", signs, verifies, rejects)
-	}
-	if c.Name() != "hmac-sha256+counting" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-}
-
 // Property: no signer's signature over one payload verifies for any other
 // (signer, payload) pair.
 func TestNoCrossVerifyProperty(t *testing.T) {

@@ -60,7 +60,8 @@ type (
 	// Result aggregates everything measured in one run.
 	Result = harness.Result
 	// RuntimeStats is Result.Runtime: what the simulator did to produce a
-	// result (arena slots, queue chunks), never written by a Sink.
+	// result (arena slots, queue chunks, signature checks computed), never
+	// written by a Sink.
 	RuntimeStats = node.RuntimeStats
 	// Algorithm names a registered protocol.
 	Algorithm = harness.Algorithm

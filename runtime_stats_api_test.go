@@ -15,7 +15,7 @@ import (
 
 // runtimeWords matches any name Result.Runtime or Store.Stats could
 // surface under.
-var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|mailbox|puts|batches|bytes_appended|"hits|misses|damaged|seals|recovered|torn`)
+var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|mailbox|"sig|asked|computed|puts|batches|bytes_appended|"hits|misses|damaged|seals|recovered|torn`)
 
 // TestRuntimeStatsStayOutOfEveryRecord: Result.Runtime describes the
 // execution, not the result — it may differ between shard counts — so it
@@ -30,7 +30,7 @@ func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Runtime.Arena.Slots == 0 || res.Runtime.Arena.Refs <= res.Runtime.Arena.Slots {
+	if rt := res.Runtime; rt.Arena.Slots == 0 || rt.Arena.Refs <= rt.Arena.Slots || rt.Sig.Asked == 0 || rt.Sig.Computed >= rt.Sig.Asked {
 		t.Fatalf("Result.Runtime not filled in: %+v", res.Runtime)
 	}
 	key, err := SpecKey(spec)
