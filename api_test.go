@@ -62,6 +62,37 @@ func TestRunUnknownNamesError(t *testing.T) {
 	}
 }
 
+// runWithin runs spec on its own goroutine and returns Run's error, or
+// fails the test when Run panics — recover names the panic — or does not
+// return within five seconds.
+func runWithin(t *testing.T, name string, spec Spec) error {
+	t.Helper()
+	type outcome struct {
+		err   error
+		panic any
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- outcome{panic: r}
+			}
+		}()
+		_, err := Run(context.Background(), spec)
+		done <- outcome{err: err}
+	}()
+	select {
+	case o := <-done:
+		if o.panic != nil {
+			t.Errorf("%s: Run panicked: %v", name, o.panic)
+		}
+		return o.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: Run did not return within 5 s", name)
+		return nil
+	}
+}
+
 // TestRunRejectsUnrunnableSpecs: a sampling interval that never lets
 // simulated time advance and a horizon no run can reach are errors. Before
 // the check the first and third spec never returned and the second
@@ -77,19 +108,77 @@ func TestRunRejectsUnrunnableSpecs(t *testing.T) {
 	} {
 		spec := base
 		mutate(&spec)
-		done := make(chan error, 1)
-		go func() {
-			_, err := Run(context.Background(), spec)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Errorf("%s: accepted", name)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: Run did not return within 5 s", name)
+		if runWithin(t, name, spec) == nil {
+			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestRunRejectsMalformedSpecs: a spec whose numbers are not finite,
+// ordered and in range is an error from Run. Most entries used to panic
+// below Run (an inverted delay policy, a negative slice length, a NaN
+// clock offset indexing before the first clock segment, an alpha outside
+// the period), an infinite drift bound or initial skew hung, and the rest
+// ran on meaningless numbers. These are well-formedness checks only: a
+// spec outside the resilience bound is a legitimate experiment and still
+// runs.
+func TestRunRejectsMalformedSpecs(t *testing.T) {
+	base := Spec{
+		Algo: AlgoAuth, Params: testParams(t, 7, Auth),
+		FaultyCount: 2, Attack: AttackSilent, Horizon: 4, Seed: 1,
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cnv := func(s *Spec) { s.Algo, s.Params.Variant, s.Attack = AlgoCNV, Primitive, AttackBias }
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"Alpha = Period", func(s *Spec) { s.Params.Alpha = s.Params.Period }},
+		{"Alpha > Period", func(s *Spec) { s.Params.Alpha = 2 * s.Params.Period }},
+		{"negative Alpha", func(s *Spec) { s.Params.Alpha = -0.001 }},
+		{"NaN Alpha", func(s *Spec) { s.Params.Alpha = nan }},
+		{"DMin > DMax", func(s *Spec) { s.Params.DMin, s.Params.DMax = 0.01, 0.002 }},
+		{"negative DMin", func(s *Spec) { s.Params.DMin = -0.001 }},
+		{"NaN DMin", func(s *Spec) { s.Params.DMin = nan }},
+		{"+Inf DMax", func(s *Spec) { s.Params.DMax = inf }},
+		{"-Inf DMax", func(s *Spec) { s.Params.DMax = -inf }},
+		{"NaN DMax", func(s *Spec) { s.Params.DMax = nan }},
+		{"NaN InitialSkew", func(s *Spec) { s.Params.InitialSkew = nan }},
+		{"+Inf InitialSkew", func(s *Spec) { s.Params.InitialSkew = inf }},
+		{"negative InitialSkew", func(s *Spec) { s.Params.InitialSkew = -1 }},
+		{"N = 0", func(s *Spec) { s.Params.N, s.FaultyCount = 0, 0 }},
+		{"negative N", func(s *Spec) { s.Params.N, s.FaultyCount = -3, 0 }},
+		{"negative F", func(s *Spec) { s.Params.F = -1 }},
+		{"FaultyCount > N", func(s *Spec) { s.FaultyCount = 8 }},
+		{"negative FaultyCount", func(s *Spec) { s.FaultyCount = -1 }},
+		{"NaN Rho", func(s *Spec) { s.Params.Rho = Rho(nan) }},
+		{"+Inf Rho", func(s *Spec) { s.Params.Rho = Rho(inf) }},
+		{"negative Rho", func(s *Spec) { s.Params.Rho = -1e-4 }},
+		{"NaN Period", func(s *Spec) { s.Params.Period, s.SampleEvery = nan, 0.05 }},
+		{"NaN Partition.At", func(s *Spec) { s.Partitions = []Partition{{At: nan, Heal: 2, LeftSize: 3}} }},
+		{"+Inf Partition.Heal", func(s *Spec) { s.Partitions = []Partition{{At: 1, Heal: inf, LeftSize: 3}} }},
+		{"NaN StartAt", func(s *Spec) { s.StartAt = map[int]float64{1: nan} }},
+		{"StartAt of no node", func(s *Spec) { s.StartAt = map[int]float64{7: 1} }},
+		{"NaN ClockOffset", func(s *Spec) { s.ClockOffset = map[int]float64{1: nan} }},
+		{"SlewRate 1", func(s *Spec) { s.SlewRate = 1 }},
+		{"NaN SlewRate", func(s *Spec) { s.SlewRate = nan }},
+		{"NaN RushInterval", func(s *Spec) { s.Attack, s.FaultyCount, s.RushInterval = AttackRush, 4, nan }},
+		{"NaN Bias", func(s *Spec) { cnv(s); s.Bias = nan }},
+		{"NaN CNVDelta", func(s *Spec) { cnv(s); s.CNVDelta = nan }},
+		{"negative Window", func(s *Spec) { cnv(s); s.Window = -1 }},
+	} {
+		spec := base
+		tc.mutate(&spec)
+		if err := runWithin(t, tc.name, spec); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Outside the resilience bound is not malformed: f >= n/2 signed faults
+	// run (and are expected to break agreement).
+	beyond := base
+	beyond.Params.F, beyond.FaultyCount = 4, 4
+	if err := runWithin(t, "f beyond resilience", beyond); err != nil {
+		t.Errorf("a spec outside the resilience bound was refused: %v", err)
 	}
 }
 

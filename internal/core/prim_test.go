@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"optsync/internal/node"
 )
@@ -198,24 +199,30 @@ func TestPrimitiveMatchesTextbook(t *testing.T) {
 }
 
 // readyBytes is the memory behind the protocol's ready sets, spare
-// included, counted by capacity.
-func readyBytes(p *PrimitiveProtocol) (ids, capBytes int) {
-	const idSize = 8
-	capBytes = cap(p.spare) * idSize
-	for _, set := range p.readyFrom {
-		ids += len(set)
-		capBytes += cap(set) * idSize
+// included: each set's header and its words, counted by capacity.
+func readyBytes(p *PrimitiveProtocol) (ids, words, capBytes int) {
+	setBytes := func(s *readySet) int {
+		return int(unsafe.Sizeof(*s)) + cap(s.words)*int(unsafe.Sizeof(readyWord{}))
 	}
-	return ids, capBytes
+	if p.spare != nil {
+		capBytes = setBytes(p.spare)
+	}
+	for _, set := range p.readyFrom {
+		ids += set.n
+		words += len(set.words)
+		capBytes += setBytes(set)
+	}
+	return ids, words, capBytes
 }
 
 // TestForgedReadiesBuyBoundedState: f faulty senders readying every round
 // of the window, over and over, hold f ids per round and no more; rounds
-// beyond the window hold nothing; the one spare buffer does not multiply;
+// beyond the window hold nothing; the one spare set does not multiply;
 // and an honest quorum for a round inside the window is accepted after the
 // flood.
 func TestForgedReadiesBuyBoundedState(t *testing.T) {
 	const n, f, window = 256, 85, 16
+	const blocks = (f + 63) / 64 // words one round of ids 0..f-1 needs
 	env := &recEnv{stubEnv: stubEnv{n: n, f: f}}
 	p := NewPrimitive(Config{Period: 1, MaxRoundAhead: window})
 	p.Start(env)
@@ -230,23 +237,25 @@ func TestForgedReadiesBuyBoundedState(t *testing.T) {
 			}
 		}
 	}
-	// A set's capacity is what append grew it to: under twice its length.
-	// After an acceptance one set may sit in the recycled quorum-sized
-	// buffer instead.
-	check := func(when string, spareCap int) {
+	// A set's word capacity is what append grew it to: under twice its
+	// length. After an acceptance one set may sit in the recycled spare
+	// instead, at whatever capacity the accepted round grew it to.
+	check := func(when string, spareBytes int) {
 		t.Helper()
-		ids, bytes := readyBytes(p)
-		if len(p.readyFrom) != window || ids != f*window {
-			t.Fatalf("%s: %d rounds hold %d sender ids, want %d rounds and %d ids", when, len(p.readyFrom), ids, window, f*window)
+		ids, words, bytes := readyBytes(p)
+		if len(p.readyFrom) != window || ids != f*window || words != blocks*window {
+			t.Fatalf("%s: %d rounds hold %d sender ids in %d words, want %d rounds, %d ids, %d words",
+				when, len(p.readyFrom), ids, words, window, f*window, blocks*window)
 		}
-		if limit := 8 * (2*f*window + spareCap); bytes > limit {
+		perSet := int(unsafe.Sizeof(readySet{})) + 2*blocks*int(unsafe.Sizeof(readyWord{}))
+		if limit := window*perSet + spareBytes; bytes > limit {
 			t.Fatalf("%s: ready sets hold %d bytes, want at most %d", when, bytes, limit)
 		}
 	}
 	flood()
 	check("after the first flood", 0)
 	if p.spare != nil {
-		t.Fatalf("a flood that completed no round left a spare buffer of %d ids", cap(p.spare))
+		t.Fatalf("a flood that completed no round left a spare set of %d words", cap(p.spare.words))
 	}
 	if len(env.log) != calls {
 		t.Fatalf("f faulty readies per round moved the protocol: %v", env.log[calls:])
@@ -262,15 +271,82 @@ func TestForgedReadiesBuyBoundedState(t *testing.T) {
 	if len(p.readyFrom) != window-honest {
 		t.Fatalf("%d rounds retained after accepting round %d of a full window of %d", len(p.readyFrom), honest, window)
 	}
-	spareCap := cap(p.spare)
-	if spareCap < 2*f+1 {
-		t.Fatalf("the accepted round's buffer was not kept: spare holds %d ids", spareCap)
+	if p.spare == nil || p.spare.n != 0 || len(p.spare.words) != 0 || cap(p.spare.words) < n/64 {
+		t.Fatalf("the accepted round's set was not kept empty as the spare: %+v", p.spare)
 	}
+	if p.cur != nil {
+		t.Fatal("the cached set survived the acceptance that deleted its round")
+	}
+	spareBytes := int(unsafe.Sizeof(readySet{})) + cap(p.spare.words)*int(unsafe.Sizeof(readyWord{}))
 	flood()
-	check("after the second flood", spareCap)
+	check("after the second flood", spareBytes)
 	if p.spare != nil {
-		t.Fatal("the spare buffer was not taken by the next round to be created")
+		t.Fatal("the spare set was not taken by the next round to be created")
 	}
+}
+
+// checkReadySet fails unless s is well formed and holds exactly ref: words
+// strictly ascending by block, none empty, and n the number of set bits.
+func checkReadySet(t *testing.T, s *readySet, ref map[int]bool) {
+	t.Helper()
+	count := 0
+	for i, w := range s.words {
+		if w.bits == 0 || i > 0 && s.words[i-1].idx >= w.idx {
+			t.Fatalf("word %d of %v is empty or out of order", i, s.words)
+		}
+		for b := 0; b < 64; b++ {
+			if w.bits&(1<<b) != 0 {
+				count++
+				if id := w.idx<<6 | b; !ref[id] {
+					t.Fatalf("set holds %d, which was never added", id)
+				}
+			}
+		}
+	}
+	if count != len(ref) || s.n != len(ref) {
+		t.Fatalf("set counts %d (%d bits) for %d distinct senders", s.n, count, len(ref))
+	}
+}
+
+// FuzzReadySetMatchesMap runs byte-decoded sender ids through a readySet
+// and a map[int]bool side by side. Each step takes three bytes: an op
+// byte and a little-endian 16-bit id. Op 0 adds the id as unsigned (0 to
+// 2^16-1), op 1 as signed (negative ids have blocks too), op 2 repeats an
+// earlier id, op 3 resets both — the spare's reuse. add's answer and n
+// must match the map's at every step. The committed corpus
+// (testdata/fuzz) starts it at block edges (0, 63, 64, 255 = n-1 at
+// n = 256), the top of the 16-bit range, negative ids, inserts in front of
+// every word, and a shuffled full mesh of 256.
+func FuzzReadySetMatchesMap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s readySet
+		ref := map[int]bool{}
+		var seen []int
+		for ; len(data) >= 3; data = data[3:] {
+			raw := uint16(data[1]) | uint16(data[2])<<8
+			id := int(raw)
+			switch data[0] % 4 {
+			case 1:
+				id = int(int16(raw))
+			case 2:
+				if len(seen) == 0 {
+					continue
+				}
+				id = seen[int(raw)%len(seen)]
+			case 3:
+				s.reset()
+				clear(ref)
+				checkReadySet(t, &s, ref)
+				continue
+			}
+			seen = append(seen, id)
+			if got, want := s.add(id), !ref[id]; got != want {
+				t.Fatalf("add(%d) = %v, map says new = %v", id, got, want)
+			}
+			ref[id] = true
+			checkReadySet(t, &s, ref)
+		}
+	})
 }
 
 // TestPrimDeliverAllocs pins the unsigned path's steady state at the

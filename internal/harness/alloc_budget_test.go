@@ -64,10 +64,12 @@ func runAllocBytes(t *testing.T, spec Spec) float64 {
 // payload arena, which hold what is in flight — chunks from one pool, one
 // slot per broadcast — and not one array per bucket index and one envelope
 // per recipient: that design measured 30.0 MB and 16.1 MB here, this one
-// 17.7 MB and 5.7 MB. At n = 7 the bytes are fixed costs, the Engine value
+// 17.7 MB and 5.7 MB with 64-byte events and sorted id slices as the
+// primitive's ready sets, 17.2 MB and 4.1 MB with 48-byte events and
+// 64-sender bit words. At n = 7 the bytes are fixed costs, the Engine value
 // first (13.3 KB of 115.4 KB with two 256-bucket rungs of slice headers,
 // 9.3 KB of 98.5 KB with one rung of 32-byte buckets): a cell must not pay
-// for the large run's structures.
+// for the large run's structures, nor for a closure per skew sample.
 func TestRunAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large clusters")
@@ -78,9 +80,9 @@ func TestRunAllocBudgets(t *testing.T) {
 		budget float64
 	}{
 		{"ring2048-auth", ring2048AuthSpec, 22 << 20},
-		{"mesh256-prim", mesh256PrimSpec, 8 << 20},
-		{"mesh25-auth", mesh25AuthSpec, 520 << 10}, // measured 491.4 KB, 1.2 KB of it the signature memo
-		{"campaign-cell", campaignCellSpec, 104 << 10},
+		{"mesh256-prim", mesh256PrimSpec, 5 << 20},
+		{"mesh25-auth", mesh25AuthSpec, 480 << 10},    // measured 448.8 KB, 1.2 KB of it the signature memo
+		{"campaign-cell", campaignCellSpec, 96 << 10}, // measured 91.3 KB
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runAllocBytes(t, tc.spec) // package-level lazies (registries, kinds)

@@ -467,22 +467,12 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 	if _, err := lookupAttack(spec.Attack); err != nil {
 		return nil, err
 	}
+	if err := wellFormed(spec); err != nil {
+		return nil, err
+	}
 	topo, err := topologyFor(spec)
 	if err != nil {
 		return nil, err
-	}
-	if spec.Shards < 0 {
-		return nil, fmt.Errorf("harness: Shards=%d invalid (0 auto-picks, 1 forces serial, k>1 runs k shards)", spec.Shards)
-	}
-
-	// A sampler that re-arms zero or a negative interval ahead never lets
-	// the clock advance, and a run toward a NaN or infinite horizon never
-	// ends.
-	if math.IsNaN(spec.SampleEvery) || math.IsInf(spec.SampleEvery, 0) || spec.SampleEvery <= 0 {
-		return nil, fmt.Errorf("harness: SampleEvery=%v invalid (want a positive finite interval; 0 defaults to Period/20)", spec.SampleEvery)
-	}
-	if math.IsNaN(spec.Horizon) || math.IsInf(spec.Horizon, 0) {
-		return nil, fmt.Errorf("harness: Horizon=%v invalid (want a finite duration; 0 defaults to 30 periods)", spec.Horizon)
 	}
 
 	faulty := make(map[int]bool, spec.FaultyCount)
@@ -556,6 +546,74 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 		Protocols: func(i int) node.Protocol { return protos[i] },
 		Faulty:    faulty,
 	}), nil
+}
+
+// wellFormed rejects a defaulted spec that no run can execute: a number
+// that is not finite, bounds out of order, a count or a constant out of its
+// range. Each of these used to panic (or hang) somewhere below the harness.
+// It is not Params.Validate: a spec outside the resilience bound, or with a
+// period too short for the guarantees, is a legitimate experiment and runs.
+func wellFormed(spec Spec) error {
+	p := spec.Params
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("harness: %s=%v invalid (want %s)", field, v, want)
+	}
+	switch {
+	case p.N < 1:
+		return bad("N", p.N, "at least one node")
+	case p.F < 0:
+		return bad("F", p.F, "f >= 0")
+	case spec.FaultyCount < 0 || spec.FaultyCount > p.N:
+		return bad("FaultyCount", spec.FaultyCount, fmt.Sprintf("0..N=%d", p.N))
+	case !finite(float64(p.Rho)) || p.Rho < 0:
+		return bad("Rho", p.Rho, "a finite drift bound >= 0")
+	case !finite(p.DMin) || p.DMin < 0:
+		return bad("DMin", p.DMin, "a finite delay >= 0")
+	case !finite(p.DMax) || p.DMax < p.DMin:
+		return bad("DMax", p.DMax, fmt.Sprintf("a finite delay >= DMin=%v", p.DMin))
+	case !finite(p.Period) || p.Period <= 0:
+		return bad("Period", p.Period, "a positive finite period")
+	case !finite(p.Alpha) || p.Alpha < 0 || p.Alpha >= p.Period:
+		return bad("Alpha", p.Alpha, fmt.Sprintf("0 <= alpha < Period=%v; 0 defaults to (1+rho)*DMax", p.Period))
+	case !finite(p.InitialSkew) || p.InitialSkew < 0:
+		return bad("InitialSkew", p.InitialSkew, "a finite skew >= 0")
+	case spec.Shards < 0:
+		return bad("Shards", spec.Shards, "0 auto-picks, 1 forces serial, k>1 runs k shards")
+	// A sampler that re-arms zero or a negative interval ahead never lets
+	// the clock advance, and a run toward a NaN or infinite horizon never
+	// ends.
+	case !finite(spec.SampleEvery) || spec.SampleEvery <= 0:
+		return bad("SampleEvery", spec.SampleEvery, "a positive finite interval; 0 defaults to Period/20")
+	case !finite(spec.Horizon):
+		return bad("Horizon", spec.Horizon, "a finite duration; 0 defaults to 30 periods")
+	case !finite(spec.RushInterval) || spec.RushInterval <= 0:
+		return bad("RushInterval", spec.RushInterval, "a positive finite interval; 0 defaults to Period/10")
+	case !finite(spec.Window) || spec.Window <= 0:
+		return bad("Window", spec.Window, "a positive finite window; 0 defaults to 4*(1+rho)*DMax + InitialSkew")
+	case !finite(spec.CNVDelta) || spec.CNVDelta <= 0:
+		return bad("CNVDelta", spec.CNVDelta, "a positive finite threshold; 0 defaults to 4*Dmax")
+	case !finite(spec.Bias):
+		return bad("Bias", spec.Bias, "a finite shift")
+	case !(spec.SlewRate < 1):
+		return bad("SlewRate", spec.SlewRate, "a rate below 1; <= 0 jumps")
+	}
+	for id, at := range spec.StartAt {
+		if id < 0 || id >= p.N || !finite(at) || at < 0 {
+			return bad(fmt.Sprintf("StartAt[%d]", id), at, fmt.Sprintf("a node id in 0..%d booting at a finite time >= 0", p.N-1))
+		}
+	}
+	for id, off := range spec.ClockOffset {
+		if id < 0 || id >= p.N || !finite(off) {
+			return bad(fmt.Sprintf("ClockOffset[%d]", id), off, fmt.Sprintf("a node id in 0..%d with a finite offset", p.N-1))
+		}
+	}
+	for i, w := range spec.Partitions {
+		if !finite(w.At) || !finite(w.Heal) {
+			return bad(fmt.Sprintf("Partitions[%d]", i), fmt.Sprintf("at %v heal %v", w.At, w.Heal), "finite instants")
+		}
+	}
+	return nil
 }
 
 // autoShards picks the shard count for Spec.Shards == 0: serial below

@@ -30,6 +30,9 @@ type SkewSampler struct {
 	interval float64
 	stopped  bool
 	discard  bool
+	// tick is sample, bound once: every arm schedules the same func value
+	// instead of a fresh closure.
+	tick func()
 }
 
 // NewSkewSampler installs a recurring sampling event on the cluster's
@@ -37,45 +40,49 @@ type SkewSampler struct {
 // interval from now. Sampling continues until Stop (samples are generated
 // lazily as the engine runs).
 func NewSkewSampler(c *node.Cluster, ids []node.ID, interval float64) *SkewSampler {
-	s := &SkewSampler{cluster: c, ids: ids, interval: interval}
-	s.arm()
-	return s
+	return newSkewSampler(&SkewSampler{cluster: c, ids: ids, interval: interval})
 }
 
 // NewBootedSkewSampler records the skew over the correct nodes that have
 // booted by each tick — the right measure when StartAt staggers boots: an
 // offline node has no meaningful logical clock to compare yet.
 func NewBootedSkewSampler(c *node.Cluster, interval float64) *SkewSampler {
-	s := &SkewSampler{cluster: c, booted: true, interval: interval}
+	return newSkewSampler(&SkewSampler{cluster: c, booted: true, interval: interval})
+}
+
+func newSkewSampler(s *SkewSampler) *SkewSampler {
+	s.tick = s.sample
 	s.arm()
 	return s
 }
 
 func (s *SkewSampler) arm() {
-	_, err := s.cluster.Engine.After(s.interval, func() {
-		if s.stopped {
-			return
-		}
-		ids := s.ids
-		if s.booted {
-			ids = s.cluster.CorrectIDs()
-		}
-		now := s.cluster.Engine.Now()
-		skew := s.cluster.Skew(ids)
-		if !s.discard {
-			s.Series = append(s.Series, Sample{T: now, Skew: skew})
-		}
-		if bus := s.cluster.Engine.Probes(); bus.Active(probe.TypeSkewSample) {
-			bus.Emit(probe.Event{
-				Type: probe.TypeSkewSample, From: -1, To: -1,
-				Round: int32(len(ids)), T: now, Value: skew,
-			})
-		}
-		s.arm()
-	})
-	if err != nil {
+	if _, err := s.cluster.Engine.After(s.interval, s.tick); err != nil {
 		s.cluster.Engine.Fatalf("metrics: invalid sampling interval %v: %v", s.interval, err)
 	}
+}
+
+// sample measures one tick and re-arms.
+func (s *SkewSampler) sample() {
+	if s.stopped {
+		return
+	}
+	ids := s.ids
+	if s.booted {
+		ids = s.cluster.CorrectIDs()
+	}
+	now := s.cluster.Engine.Now()
+	skew := s.cluster.Skew(ids)
+	if !s.discard {
+		s.Series = append(s.Series, Sample{T: now, Skew: skew})
+	}
+	if bus := s.cluster.Engine.Probes(); bus.Active(probe.TypeSkewSample) {
+		bus.Emit(probe.Event{
+			Type: probe.TypeSkewSample, From: -1, To: -1,
+			Round: int32(len(ids)), T: now, Value: skew,
+		})
+	}
+	s.arm()
 }
 
 // Stop ends sampling.

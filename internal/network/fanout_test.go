@@ -27,6 +27,7 @@ type fanoutTrace struct {
 	perNode [][]fanoutRec // handler view, by recipient
 	events  []probe.Event // probe stream; its delivered events are the global delivery sequence
 	stats   Stats
+	slots   uint64 // arena slots taken, all shards
 }
 
 // runFanout drives a fixed script through fanout: node i fans round i out
@@ -76,6 +77,9 @@ func runFanout(shards int, policy Policy, topo Topology, envelope func(round int
 	}
 	drain()
 	tr.stats = MergeStats(nets)
+	for _, nt := range nets {
+		tr.slots += nt.RuntimeStats().Slots
+	}
 	return tr
 }
 
@@ -117,7 +121,8 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 		name string
 		make func(round int) Message
 	}{
-		{"inline", func(round int) Message { return Message{Kind: kind, Round: round, Value: float64(round) / 8} }},
+		{"inline", func(round int) Message { return Message{Kind: kind, Round: round} }},
+		{"valued", func(round int) Message { return Message{Kind: kind, Round: round, Value: -float64(round) / 8} }}, // -0.0 at round 0
 		{"payload", func(round int) Message { return Message{Kind: kind, Round: round, Payload: fmt.Sprint("p", round)} }},
 	}
 	// Observing drop-link events forces the full link scan; without them a
@@ -146,6 +151,9 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 						if s.Sent != s.Delivered+s.Dropped+s.DroppedOffline {
 							t.Fatalf("Sent != Delivered + Dropped + DroppedOffline after drain: %+v", s)
 						}
+						if (env.name == "inline") != (want.slots == 0) {
+							t.Fatalf("%s envelopes took %d arena slots", env.name, want.slots)
+						}
 						check := func(label string, got fanoutTrace) {
 							t.Helper()
 							if !reflect.DeepEqual(got.stats, want.stats) {
@@ -156,6 +164,9 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 							}
 							if !reflect.DeepEqual(got.events, want.events) {
 								t.Errorf("%s: probe stream differs (%d events, want %d)", label, len(got.events), len(want.events))
+							}
+							if (env.name == "inline") != (got.slots == 0) {
+								t.Errorf("%s: %s envelopes took %d arena slots", label, env.name, got.slots)
 							}
 						}
 						check("send loop", runFanout(0, pol.p, top.topo(), env.make, sub.types, sendLoop))

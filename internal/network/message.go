@@ -24,9 +24,11 @@ const KindRaw Kind = 0
 //   - Kind selects the protocol message type.
 //   - Src names a claimed origin for relayed traffic (broadcast
 //     primitives re-broadcast other processes' announcements).
-//   - Round and Value are inline scalar payloads; the common protocol
-//     messages ("ready(k)", "my clock reads v") need nothing else and
-//     therefore allocate nothing.
+//   - Round and Value are scalar payloads; the common protocol messages
+//     ("ready(k)", "my clock reads v") need nothing else and therefore
+//     allocate nothing. Kind and Round alone ride the simulator's event
+//     inline; an envelope with any Value but +0.0 waits in an arena slot
+//     like a payload envelope, which returns its bits exactly.
 //   - Payload carries structured content (signature sets, application
 //     data). For messages fanned out by Broadcast the payload is shared
 //     by all recipients: it is boxed once per broadcast, and the whole

@@ -16,8 +16,8 @@
 // sequence (linked → transmit → place), Broadcast being exactly Send to
 // each recipient in ascending id order: the model delays every copy
 // independently, so every copy is its own event — of one shared envelope.
-// place has three outcomes — a scalar-only envelope rides the sim event
-// inline, a payload envelope parks in a recycled arena slot that the
+// place has three outcomes — a kind-and-round envelope rides the sim event
+// inline, any other envelope parks in a recycled arena slot that the
 // broadcast's first local copy takes and every further one references (the
 // arena holds what is in flight per broadcast, not per recipient), and a
 // recipient owned by another shard goes to that shard's mailbox by value,
@@ -34,6 +34,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"optsync/internal/probe"
@@ -79,16 +80,18 @@ type Stats struct {
 }
 
 // msgInline marks a sim.Message whose scalar fields carry the whole
-// envelope: Kind/Round/Value inline, no arena slot. Scalar-only
-// envelopes — nil Payload, zero Src, Round within int32 — take this
-// path, which is the entire traffic of the O(n^2) pulse rounds: delivery
-// reads one self-contained 32-byte value instead of chasing an arena
-// slot.
+// envelope: Kind/Round inline, no arena slot. Envelopes that are a kind
+// and a round — nil Payload, zero Src, Round within int32, Value +0.0 —
+// take this path, which is the entire traffic of the O(n^2) pulse rounds:
+// delivery reads one self-contained 48-byte event instead of chasing an
+// arena slot.
 const msgInline uint16 = 1
 
-// inlinable reports whether msg can ride a sim event inline.
+// inlinable reports whether msg can ride a sim event inline. The event has
+// no room for Value: any value but +0.0 (-0.0 and NaN included) parks in
+// the arena with its exact bits.
 func inlinable(msg Message) bool {
-	return msg.Payload == nil && msg.Src == 0 &&
+	return msg.Payload == nil && msg.Src == 0 && math.Float64bits(msg.Value) == 0 &&
 		int64(msg.Round) == int64(int32(msg.Round))
 }
 
@@ -393,7 +396,7 @@ func (nt *Net) pack(from, to NodeID, msg Message, cur *uint32) sim.Message {
 	if inlinable(msg) {
 		return sim.Message{
 			From: int32(from), To: int32(to), Kind: uint16(msg.Kind),
-			Flags: msgInline, Round: int32(msg.Round), Value: msg.Value,
+			Flags: msgInline, Round: int32(msg.Round),
 		}
 	}
 	if *cur == noSlot {
@@ -465,7 +468,7 @@ func (nt *Net) Dispatch(now sim.Time, m sim.Message) {
 	from, to := NodeID(m.From), NodeID(m.To)
 	var msg Message
 	if m.Flags&msgInline != 0 {
-		msg = Message{Kind: Kind(m.Kind), Round: int(m.Round), Value: m.Value}
+		msg = Message{Kind: Kind(m.Kind), Round: int(m.Round)}
 	} else {
 		msg = nt.release(m.Index)
 	}

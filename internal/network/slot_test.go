@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,12 +100,19 @@ const (
 	slotLookahead = 0.02
 )
 
-// slotDelivery is one delivery as the recipient's handler saw it.
+// slotDelivery is one delivery as the recipient's handler saw it. The
+// envelope's Value is logged as its bits (msg.Value zeroed), so -0.0 and a
+// NaN compare exactly.
 type slotDelivery struct {
 	at       sim.Time
 	from, to NodeID
 	msg      Message
+	value    uint64
 }
+
+// slotValues are the scalar values the script's valued envelopes carry:
+// none of them fits the inline event, which has no Value field.
+var slotValues = []float64{0.375, -2e-300, math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.Inf(-1)}
 
 // slotWorld is one network under test, serial (one engine) or sharded.
 type slotWorld struct {
@@ -135,8 +143,8 @@ func slotTopology(seed int64) Topology {
 	return NewSplit(FullMesh{}, slotN, 4, 0.3, 0.9)
 }
 
-// slotScript installs a random interleaving of Send and Broadcast, inline
-// and payload envelopes, on w. Node slotN-1 never registers (offline
+// slotScript installs a random interleaving of Send and Broadcast, inline,
+// valued and payload envelopes, on w. Node slotN-1 never registers (offline
 // recipient); a handler that receives a round divisible by three relays it
 // onward, by Broadcast or Send, from inside Dispatch; with probeSends a
 // probe answers some MessageSent events with a Send of its own, in the
@@ -146,15 +154,20 @@ func slotScript(seed int64, w *slotWorld, probeSends bool) {
 	rng := rand.New(rand.NewSource(seed))
 	w.log = make([][]slotDelivery, slotN)
 	envelope := func(round int) Message {
-		if round%4 == 0 {
-			return Message{Round: round, Value: float64(round)} // rides the event inline
+		switch round % 4 {
+		case 0:
+			return Message{Round: round} // rides the event inline
+		case 2:
+			return Message{Round: round, Value: slotValues[round/4%len(slotValues)]} // parks in the arena
 		}
 		return Message{Round: round, Src: round % 5, Payload: fmt.Sprint("p", round)}
 	}
 	for i := 0; i < slotN-1; i++ {
 		i, eng, nt := i, w.engs[w.owner[i]], w.nets[w.owner[i]]
 		nt.Register(i, func(from NodeID, msg Message) {
-			w.log[i] = append(w.log[i], slotDelivery{at: eng.Now(), from: from, to: i, msg: msg})
+			logged := msg
+			logged.Value = 0
+			w.log[i] = append(w.log[i], slotDelivery{at: eng.Now(), from: from, to: i, msg: logged, value: math.Float64bits(msg.Value)})
 			if msg.Round%3 == 0 && msg.Round < 400 {
 				if relay := envelope(msg.Round + 400); msg.Round%2 == 0 {
 					nt.Broadcast(i, relay)

@@ -68,7 +68,7 @@ const (
 	// ladderSpillMin is the sealed-bucket size above which a rung-0
 	// bucket is re-bucketed into rung 1 instead of sorted directly.
 	ladderSpillMin = 128
-	// ladderChunk is the event capacity of one pooled chunk (8 KB): "more
+	// ladderChunk is the event capacity of one pooled chunk (6 KB): "more
 	// than one chunk" and "spills" are the same test.
 	ladderChunk = ladderSpillMin
 	// ladderFirstCap is the capacity a bucket's first array starts at, so
@@ -91,9 +91,10 @@ const (
 	ladderTrimCap = 8192
 )
 
-// msgEvent is one scheduled message event: a plain value, 64 bytes, no
-// pointers. The ladder stores these inline, so a full window of pending
-// messages is a set of 8 KB arrays the GC skips entirely.
+// msgEvent is one scheduled message event: a plain value, 48 bytes (a
+// 24-byte Key, a 20-byte Message, the target), no pointers. The ladder
+// stores these inline, so a full window of pending messages is a set of
+// 6 KB arrays the GC skips entirely.
 type msgEvent struct {
 	key    Key
 	msg    Message

@@ -5,7 +5,20 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// TestMsgEventIs48Bytes pins the queued event's size: a chunk is ladderChunk
+// of them, and every byte here is paid once per message in flight. A field
+// added to Message or msgEvent has to argue against this number.
+func TestMsgEventIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(msgEvent{}); got != 48 {
+		t.Fatalf("msgEvent is %d bytes, want 48 (Key 24, Message 20, target 4)", got)
+	}
+	if got := unsafe.Sizeof(Message{}); got != 20 {
+		t.Fatalf("Message is %d bytes, want 20", got)
+	}
+}
 
 // --- Reference implementation ---
 //

@@ -39,7 +39,8 @@ type Time = float64
 // holding the real payload — or, when the dispatcher's Flags say so, the
 // scalar fields carry the entire payload inline and the event never
 // touches an arena at all. Either way the steady-state message path
-// stays allocation-free.
+// stays allocation-free. Message is 20 bytes of 32-bit fields, so a queued
+// event (Key, Message, target) is 48.
 type Message struct {
 	// From and To are the sender and the recipient (dispatcher-defined).
 	From, To int32
@@ -49,11 +50,10 @@ type Message struct {
 	Flags uint16
 	// Index addresses the payload in the dispatcher's arena.
 	Index uint32
-	// Round and Value are dispatcher-defined inline payload scalars:
-	// envelopes that fit them skip the arena and ride the event queue
-	// as one self-contained value.
+	// Round is a dispatcher-defined inline payload scalar: envelopes that
+	// fit it (with Kind) skip the arena and ride the event queue as one
+	// self-contained value.
 	Round int32
-	Value float64
 }
 
 // Dispatcher consumes value-typed message events at their delivery time.
