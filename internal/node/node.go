@@ -31,9 +31,10 @@ type ID = network.NodeID
 type Message = network.Message
 
 // Timer is an opaque handle to a cancellable scheduled callback. The
-// simulation runtime backs it with a *sim.Event; the real-time runtime
-// (internal/rt) with a *time.Timer. Protocols only store it and hand it
-// back to Env.Cancel.
+// simulation runtime backs it with a sim.Timer, an 8-byte value naming a
+// slot of the engine's timer slab; the real-time runtime (internal/rt)
+// with a *time.Timer. Protocols only store it and hand it back to
+// Env.Cancel.
 type Timer any
 
 // Env is the world as seen by a protocol instance.
@@ -176,13 +177,13 @@ func (nd *Node) AtLogical(value float64, fn func()) Timer {
 	// infinite logical instant (a divergent clock inversion, a NaN from
 	// upstream arithmetic) is a simulation error, reported through the
 	// engine's trap rather than a bare scheduling panic.
-	ev, err := nd.eng.At(t, fn)
+	h, err := nd.eng.At(t, fn)
 	if err != nil {
 		nd.eng.Fatalf("node %d: AtLogical(%v) resolves to unschedulable instant %v: %v",
 			nd.id, value, t, err)
 		return nil
 	}
-	return ev
+	return h
 }
 
 // Cancel implements Env.
@@ -190,11 +191,12 @@ func (nd *Node) Cancel(t Timer) {
 	if t == nil {
 		return
 	}
-	ev, ok := t.(*sim.Event)
+	h, ok := t.(sim.Timer)
 	if !ok {
-		panic("node: Cancel called with a foreign timer handle")
+		nd.eng.Fatalf("node %d: Cancel called with a foreign timer handle %T", nd.id, t)
+		return
 	}
-	nd.eng.Cancel(ev)
+	nd.eng.Cancel(h)
 }
 
 // Send implements Env.
@@ -517,6 +519,8 @@ func (c *Cluster) RuntimeStats() RuntimeStats {
 		rs.Arena.Slots += a.Slots
 		rs.Arena.Refs += a.Refs
 		rs.Arena.Mailbox += a.Mailbox
+		rs.Ladder.Timers += l.Timers
+		rs.Ladder.Tombstones += l.Tombstones
 		rs.Ladder.Chunks += l.Chunks
 		rs.Ladder.FreeHigh += l.FreeHigh
 		rs.Ladder.GrowCopies += l.GrowCopies

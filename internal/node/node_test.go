@@ -1,8 +1,10 @@
 package node
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"optsync/internal/clock"
@@ -291,9 +293,18 @@ func TestEnvAccessors(t *testing.T) {
 	}
 }
 
+// A foreign timer handle is a simulation error: it reaches the engine's
+// Trap like any other, and panics only when none is installed.
 func TestCancelForeignHandlePanics(t *testing.T) {
 	c, _ := newEchoCluster(1)
 	c.Start()
+	var trapped string
+	c.Engine.Trap = func(format string, args ...any) { trapped = fmt.Sprintf(format, args...) }
+	c.Nodes[0].Cancel("not a timer")
+	if !strings.Contains(trapped, "foreign timer handle string") {
+		t.Fatalf("trap got %q", trapped)
+	}
+	c.Engine.Trap = nil
 	defer func() {
 		if recover() == nil {
 			t.Fatal("foreign timer handle accepted")

@@ -8,12 +8,9 @@ import "math"
 // so the sharded engine executes them single-threaded at window barriers.
 const LaneGlobal int32 = -1
 
-// Key totally orders every pending event across both tiers (the closure
-// heap and the message ladder). It replaces the old single global
-// sequence number, which only a serial engine can assign: the sharded
-// engine needs an order every shard can compute locally, yet one that the
-// serial engine reproduces exactly, so that k-shard runs are bit-identical
-// to serial runs.
+// Key totally orders every pending event, messages and timers alike. Every
+// shard can compute it locally, yet the serial engine reproduces it
+// exactly, so k-shard runs are bit-identical to serial runs.
 //
 // The order is lexicographic (At, Cause, Lane, Seq):
 //

@@ -68,12 +68,16 @@ func TestSealSortsEitherSideOfCutOver(t *testing.T) {
 		for i := range want {
 			// Equal keys cannot occur in a run ((Lane, Seq) is unique), so
 			// either sort may permute them: compare keys only.
-			k, ok := l.peek()
-			if got := l.pop(); !ok || got.key != k || k != want[i] {
-				t.Fatalf("n=%d: position %d holds %+v (peek %+v, %v), want %+v", n, i, got.key, k, ok, want[i])
+			ev := l.peek()
+			if ev == nil {
+				t.Fatalf("n=%d: ladder empty at position %d", n, i)
+			}
+			k := ev.key
+			if got := l.pop(); got.key != k || k != want[i] {
+				t.Fatalf("n=%d: position %d holds %+v (peek %+v), want %+v", n, i, got.key, k, want[i])
 			}
 		}
-		if _, ok := l.peek(); ok {
+		if l.peek() != nil {
 			t.Fatalf("n=%d: ladder not empty after %d pops", n, n)
 		}
 	}

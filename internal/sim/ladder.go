@@ -1,86 +1,74 @@
 package sim
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
-// This file implements the message-event scheduler: a two-level
-// ladder/calendar queue of value-inline events.
+// This file implements the event queue: a two-level ladder/calendar queue
+// of value-inline events, message deliveries and timers alike.
 //
-// Motivation: the simulator's O(n^2)-per-round hot path schedules and
-// drains one event per message. On a binary heap of *Event pointers
-// every message pays two O(log k) pointer-chasing reorganizations (push
-// + pop), and the heap itself is a large pointer-dense allocation the
-// garbage collector must trace. The ladder replaces both costs for
-// message events: scheduling is an append into a time-indexed bucket of
-// plain values, and draining sorts one small bucket at a time, so the
-// steady-state cost per message is O(1) amortized appends plus an
-// O(log b) share of sorting a bucket of b ~ tens of events. Closure
-// events keep the heap: they are rare (timers), escape to callers, and
-// must support Cancel.
+// Motivation: a heap of pointers pays two O(log k) pointer-chasing moves per
+// event and is memory the GC must trace. A ladder appends a plain value to
+// a time-indexed bucket and drains by sorting one small bucket at a time.
 //
-// Structure. Rung 0 covers the near future [base, base+256*width) with
-// 256 equal buckets; events beyond it go to the far bucket. Events are
-// drained bucket by bucket: the next non-empty bucket is sealed — sorted
-// by event Key into `bottom` — and consumed in order. A bucket that is
-// too large is first re-bucketed ("spilled") into rung 1, a 256-bucket
-// ring spanning just that bucket's width, whose buckets are then sealed
-// individually; a rung-1 bucket is sorted directly however large it is
-// (two levels only). When rung 0 is exhausted the ladder re-anchors on
-// the far bucket, re-tuning the bucket width to the far events' span so
-// sparse far-future schedules stay O(1) amortized too.
+// Structure. Rung 0 covers [base, base+256*width) with 256 equal buckets;
+// later events go to the far bucket. The next non-empty bucket is sealed —
+// sorted by Key into `bottom` — and consumed in order. A bucket of over
+// ladderSpillMin messages is first spilled into rung 1, 256 buckets over
+// just that bucket's width, each sealed however large (two levels only).
+// When rung 0 runs out, the ladder re-anchors at the earliest far event,
+// re-tuning the width to the far messages' span.
 //
-// Capacity belongs to the ladder, not to a bucket index. A bucket is
-// unordered until sealed, so it need not be contiguous: it is a list of
-// ladderChunk-event chunks drawn from and returned to one per-ladder free
-// list, which sweep trims at quiescent points. Queue memory is the
-// in-flight peak rounded up to chunks, and a re-anchor that re-tunes the
-// width strands nothing. Three exceptions: a bucket's first array doubles
-// up to one chunk and stays with its bucket while smaller than one, so a
-// run of small buckets (a campaign cell) never builds a pool; a bucket of
-// at most ladderSpillMin events is one array, which seal sorts in place;
-// and a bucket sealed at several chunks (rung 1 under a burst at one
-// instant, rung 0 under the ladderMinWidth fallback) is gathered into the
-// ladder's one contiguous buffer, `own`, which also takes over a bottom
-// that late arrivals outgrow.
+// Timers. A timer is an event for the reserved timerTarget naming a slot of
+// the engine's timer slab (sim.go); cancelling it moves the slot's
+// generation on, leaving a tombstone that peek discards at the head. Timers
+// are few and far apart and must not shape the queue: the width re-tunes on
+// message bounds, spills count messages, and the sweep runs when the last
+// message leaves. As queued timers keep the ladder from ever emptying, two
+// re-anchors stand in for an empty ladder anchoring at its next push: a
+// message arriving while only timers are queued re-anchors the window at
+// its instant, so each round's burst lands at the same offsets; and one
+// over a timers-only far bucket anchors at the earliest timer and keeps the
+// width. Either returns what lies beyond the new window to far. A future
+// timer pushed onto an empty ladder is sealed as the bottom at once.
 //
-// Ordering. The engine's global order is the locally-computable event Key
-// (see key.go), shared with closure events. Within the ladder this order
-// is restored lazily: buckets are unsorted until sealed, and events that
-// arrive behind the drain point (a callback scheduling at or near the
-// current instant) are inserted into the sorted bottom by binary search.
-// Step merges the ladder's head with the closure heap's head, so the
-// interleaving of message and closure events matches a single priority
-// queue exactly — pinned by TestLadderMatchesReferenceQueue and
-// FuzzLadderMatchesReferenceQueue.
+// Capacity belongs to the ladder, not to a bucket index: a bucket is
+// unordered until sealed, so it is a list of ladderChunk-event chunks from
+// one free list, which sweep trims at quiescent points. A bucket's first
+// array doubles up to one chunk; drained, it goes to a stack of spares the
+// next empty bucket takes, so small buckets (a campaign cell) never build a
+// pool and timers all over the window allocate nothing. A bucket sealed at
+// several chunks is gathered into the ladder's contiguous buffer `own`,
+// which also takes over a bottom that late arrivals outgrow.
 //
-// Sealing ahead of the clock. The run loop looks at the ladder's head
-// before every event, and peek seals the next non-empty bucket as soon as
-// the previous one is exhausted, even when it lies milliseconds ahead and
-// timers are due before it; what those timers send into the sealed span
-// are late arrivals, at a round start thousands of them into a bottom of
-// thousands. Hence the un-seal rule: a push that finds a rung-0 bottom with
-// ladderSpillMin or more unconsumed events scatters them across rung 1,
-// making this and every later arrival a rung-1 append.
+// Ordering. The global order is the locally-computable event Key (see
+// key.go), restored lazily: buckets are unsorted until sealed, and events
+// arriving behind the drain point are inserted into the sorted bottom by
+// binary search — pinned against a brute-force queue by
+// TestLadderMatchesReferenceQueue and FuzzLadderMatchesReferenceQueue.
+//
+// Sealing ahead of the clock. A sealed bucket may span milliseconds; what
+// the timers sealed with it send into that span are late arrivals. Hence
+// the un-seal rule: a push that finds a rung-0 bottom with ladderSpillMin
+// or more unconsumed events scatters them across rung 1, making this and
+// every later arrival a rung-1 append.
 
 const (
-	// ladderBuckets is the bucket count per rung (a power of two keeps
-	// the rung arrays cache-friendly; 256 spans 256*width per window).
+	// ladderBuckets is the bucket count per rung.
 	ladderBuckets = 256
-	// ladderSpillMin is the sealed-bucket size above which a rung-0
-	// bucket is re-bucketed into rung 1 instead of sorted directly.
+	// ladderSpillMin is the message count above which a rung-0 bucket is
+	// spilled into rung 1 instead of sorted directly.
 	ladderSpillMin = 128
-	// ladderChunk is the event capacity of one pooled chunk (6 KB): "more
-	// than one chunk" and "spills" are the same test.
+	// ladderChunk is the event capacity of one pooled chunk (6 KB).
 	ladderChunk = ladderSpillMin
-	// ladderFirstCap is the capacity a bucket's first array starts at, so
-	// the drift of rung-1 occupancies (a few events a bucket) stops
-	// crossing growth thresholds after the first rounds.
+	// ladderFirstCap is the capacity a bucket's first array opens at.
 	ladderFirstCap = 8
 	// ladderInsertionMax is the bucket size up to which seal sorts by
 	// straight insertion instead of the generic comparison sort.
 	ladderInsertionMax = 64
 	// ladderDefaultWidth is the initial rung-0 bucket width in seconds
-	// (LAN-scale delivery delays land a handful of buckets apart). The
-	// width re-tunes automatically at every re-anchor.
+	// (LAN-scale delivery delays land a handful of buckets apart).
 	ladderDefaultWidth = 1e-3
 	// ladderMinWidth floors the re-tuned width so locate() never
 	// divides by a denormal.
@@ -91,18 +79,18 @@ const (
 	ladderTrimCap = 8192
 )
 
-// msgEvent is one scheduled message event: a plain value, 48 bytes (a
-// 24-byte Key, a 20-byte Message, the target), no pointers. The ladder
-// stores these inline, so a full window of pending messages is a set of
-// 6 KB arrays the GC skips entirely.
+// msgEvent is one scheduled event: a plain value, 48 bytes (a 24-byte Key,
+// a 20-byte Message, the target), no pointers, so a window of pending
+// events is a set of 6 KB arrays the GC skips entirely.
 type msgEvent struct {
 	key    Key
 	msg    Message
 	target int32
 }
 
-// msgBefore is the engine's global event order restricted to messages.
-func msgBefore(a, b msgEvent) bool { return a.key.Less(b.key) }
+// timerTarget is the reserved target of a timer event: msg.Index is its
+// slab slot and msg.Round the slot's generation when it was armed.
+const timerTarget int32 = -1
 
 // chunk is one pooled array of ladderChunk events. ev has length 0: a
 // bucket's head chunk is filled through its tail, the ones behind are full.
@@ -131,9 +119,8 @@ type rung struct {
 	buckets [ladderBuckets]bucket
 }
 
-// locate maps an instant to a bucket index, clamped to the rung. Callers
-// guarantee at < base+ladderBuckets*width for rung 0 (far bucket otherwise);
-// instants before base (events behind the drain point) clamp to 0.
+// locate maps an instant to a bucket index, clamped to the rung: instants
+// before base (behind the drain point) clamp to 0.
 func (r *rung) locate(at Time) int {
 	i := int((at - r.base) / r.width)
 	if i < 0 {
@@ -145,48 +132,48 @@ func (r *rung) locate(at Time) int {
 	return i
 }
 
-// LadderStats counts what an engine's message queue did: plain integers,
-// bumped per chunk or rarer (Shifted apart), read once a run is over.
+// LadderStats counts what an engine's event queue did: plain integers,
+// bumped per chunk or timer or rarer (Shifted apart).
 type LadderStats struct {
+	Timers     uint64 // timers armed
+	Tombstones uint64 // cancelled timers' entries discarded
 	Chunks     uint64 // chunks allocated
 	FreeHigh   uint64 // high-water of the chunk free list
 	GrowCopies uint64 // first arrays copied to grow
 	Spills     uint64 // rung-0 buckets re-bucketed into rung 1
 	Unseals    uint64 // of which: sealed ahead of the clock, then handed back
-	Reanchors  uint64 // windows rebuilt over the far bucket
+	Reanchors  uint64 // windows rebuilt: over the far bucket, or at a message
 	Shifted    uint64 // events insortBottom moved to make room
 }
 
-// ladder is the two-level message-event queue.
+// ladder is the two-level event queue.
 type ladder struct {
-	count    int // total queued message events, all tiers
-	anchored bool
+	count    int          // queued events
+	timers   int          // of which timers, tombstones included
+	dead     int          // of which tombstones
+	slab     *[]timerSlot // the engine's, which tells tombstones apart
 	r1active bool
 	r0       rung
 	r1       *rung // built by the first spill: a run of small buckets never pays for it
 
-	// bottom is the sealed bucket currently being drained, sorted by Key;
-	// pos is the next unconsumed index. Late arrivals that land at or
-	// behind the drain point are insertion-sorted into bottom[pos:]. It is
-	// the one array of bucket src, sorted in place, or (src nil) the
-	// ladder's own buffer; with rung 1 inactive it came from bucket r0.cur.
+	// bottom is the sealed bucket being drained, sorted by Key; pos is the
+	// next unconsumed index, and late arrivals are insertion-sorted into
+	// bottom[pos:]. It is the one array of bucket src, sorted in place, or
+	// (src nil) the ladder's own buffer.
 	bottom []msgEvent
 	pos    int
 	src    *bucket
 	own    []msgEvent
 
-	// far holds events beyond rung 0's window; farLo and farHi bound their
-	// instants, so a re-anchor reads them once.
-	far          bucket
-	farLo, farHi Time
+	// far holds the events beyond rung 0's window: farLo bounds their
+	// instants, msgLo and msgHi those of its messages (msgLo > msgHi: none).
+	far                 bucket
+	farLo, msgLo, msgHi Time
+	spare               [][]msgEvent // empty first arrays, for empty buckets
 
 	// free is the chunk free list; nfree chunks are on it and live are held
-	// by buckets. peak is the largest live since the last sweep and
-	// prevPeak that of the period before: sweep releases only capacity no
-	// recent burst came near. Two periods, because a round-structured
-	// workload quiesces twice per round — after its deliveries drain and
-	// when the next round's few trigger events re-anchor the window — and
-	// a one-period floor would release the chunks about to be refilled.
+	// by buckets. peak is the largest live since the last sweep, prevPeak
+	// that of the period before, as a round quiesces twice.
 	free           *chunk
 	nfree, live    int
 	peak, prevPeak int
@@ -194,69 +181,97 @@ type ladder struct {
 	stats LadderStats
 }
 
-// push enqueues ev. ev.at must be finite and >= now, the engine's
-// current time (validated by the engine before the event is built).
+// push enqueues ev, which the engine has validated: at finite, >= now.
 //
 //syncsim:hotpath
 func (l *ladder) push(now Time, ev msgEvent) {
-	if !l.anchored {
+	if l.count == 0 {
 		l.anchor(now)
 	}
-	l.count++
-	if at := ev.key.At; at >= l.r0.base+ladderBuckets*l.r0.width {
-		if len(l.far.tail) == 0 {
-			l.farLo, l.farHi = at, at
+	if ev.target == timerTarget {
+		l.timers++
+		l.stats.Timers++
+		if l.count == 0 && ev.key.At > now && ev.key.At < l.r0.base+ladderBuckets*l.r0.width {
+			l.own = append(l.own[:0], ev) // a lone timer is its own sealed bucket
+			l.r0.cur, l.bottom, l.count = l.r0.locate(ev.key.At), l.own, 1
+			return
 		}
-		l.farLo, l.farHi = min(l.farLo, at), max(l.farHi, at)
-		l.add(&l.far, ev)
+	} else if l.count == l.timers && l.count > 0 {
+		l.refile(now)
+	}
+	l.count++
+	l.place(&ev)
+}
+
+// place files ev under rung 0 or, beyond its window, in the far bucket.
+//
+//syncsim:hotpath
+func (l *ladder) place(ev *msgEvent) {
+	at := ev.key.At
+	if at >= l.r0.base+ladderBuckets*l.r0.width {
+		if len(l.far.tail) == 0 {
+			l.farLo, l.msgLo, l.msgHi = at, math.Inf(1), math.Inf(-1)
+		}
+		l.farLo = min(l.farLo, at)
+		if ev.target != timerTarget {
+			l.msgLo, l.msgHi = min(l.msgLo, at), max(l.msgHi, at)
+		}
+		l.add(&l.far, ev, false)
 		return
 	}
-	i := l.r0.locate(ev.key.At)
+	i := l.r0.locate(at)
 	if i > l.r0.cur {
-		l.add(&l.r0.buckets[i], ev)
+		l.add(&l.r0.buckets[i], ev, true)
 		return
 	}
-	// At or behind the drain point: the event belongs to the region
-	// already sealed. Un-seal a large rung-0 bottom first; then route the
-	// event into rung 1 if that still has unsealed buckets ahead of it,
-	// else into the sorted bottom.
+	// At or behind the drain point, in the sealed region: un-seal a large
+	// rung-0 bottom first, then route the event into rung 1 if that still
+	// has unsealed buckets ahead of it, else into the sorted bottom.
 	if !l.r1active && len(l.bottom)-l.pos >= ladderSpillMin && l.r0.width/ladderBuckets >= ladderMinWidth {
 		l.unseal()
 	}
 	if l.r1active {
-		if j := l.r1.locate(ev.key.At); j > l.r1.cur {
-			l.add(&l.r1.buckets[j], ev)
+		if j := l.r1.locate(at); j > l.r1.cur {
+			l.add(&l.r1.buckets[j], ev, false)
 			return
 		}
 	}
 	l.insortBottom(ev)
 }
 
-// add appends ev to b.
+// add appends ev to b, a rung-0 bucket if wide.
 //
 //syncsim:hotpath
-func (l *ladder) add(b *bucket, ev msgEvent) {
+func (l *ladder) add(b *bucket, ev *msgEvent, wide bool) {
 	if len(b.tail) == cap(b.tail) {
-		l.grow(b)
+		l.grow(b, wide)
 	}
-	b.tail = append(b.tail, ev)
+	b.tail = append(b.tail, *ev)
 }
 
 // grow makes room in b's tail: a full chunk gets a fresh one chained in
-// front of it; an empty bucket takes a chunk when the pool has one to
-// spare; otherwise the bucket's own array doubles, into a chunk once it
-// would reach the size of one — the only growth that copies.
-func (l *ladder) grow(b *bucket) {
+// front of it. An empty bucket takes a spare first array, or a chunk if it
+// is a rung-0 bucket and the pool has one to spare: rung 0's buckets are
+// the ones a burst fills. Otherwise the bucket's own array doubles, into a
+// chunk once it would reach the size of one — the only growth that copies.
+func (l *ladder) grow(b *bucket, wide bool) {
 	c := cap(b.tail)
 	if c == ladderChunk {
 		nc := l.takeChunk()
 		nc.next, b.head, b.tail = b.head, nc, nc.ev
 		return
 	}
+	if n := len(l.spare); c == 0 && (l.free == nil || !wide) && n > 0 {
+		b.tail, l.spare = l.spare[n-1], l.spare[:n-1]
+		return
+	}
 	var next []msgEvent
 	if 2*c >= ladderChunk || c == 0 && l.free != nil {
 		b.head = l.takeChunk()
 		next = b.head.ev
+		if c > 0 {
+			l.spare = append(l.spare, b.tail[:0]) // copied below, reused later
+		}
 	} else {
 		next = make([]msgEvent, 0, max(2*c, ladderFirstCap))
 	}
@@ -293,13 +308,18 @@ func (l *ladder) putChunk(c *chunk) {
 
 // drain empties b: its events are scattered across rung r (or, r nil, are
 // spent), each chunk returns to the pool as soon as it has been read — a
-// spill fills rung 1 from what it frees — and a first array stays put.
+// spill fills rung 1 from what it frees — and a first array to the spares,
+// except the far bucket's, which every window refills.
 //
 //syncsim:hotpath
 func (l *ladder) drain(b *bucket, r *rung) {
 	l.scatter(b.tail, r)
 	if b.head == nil {
-		b.tail = b.tail[:0]
+		if b == &l.far {
+			b.tail = b.tail[:0]
+		} else if cap(b.tail) > 0 {
+			l.spare, b.tail = append(l.spare, b.tail[:0]), nil
+		}
 		return
 	}
 	for c := b.head; c != nil; {
@@ -313,30 +333,90 @@ func (l *ladder) drain(b *bucket, r *rung) {
 	b.head, b.tail = nil, nil
 }
 
-// scatter appends evs to the buckets of r their instants select.
+// scatter appends evs to the buckets of r their instants select; to rung 0,
+// it files them as place does and buries the tombstones among them.
 //
 //syncsim:hotpath
 func (l *ladder) scatter(evs []msgEvent, r *rung) {
-	if r == nil {
-		return
-	}
 	for i := range evs {
-		l.add(&r.buckets[r.locate(evs[i].key.At)], evs[i])
+		switch {
+		case r == nil:
+			return
+		case r != &l.r0:
+			l.add(&r.buckets[r.locate(evs[i].key.At)], &evs[i], false)
+		case !l.stale(&evs[i]):
+			l.place(&evs[i])
+		default:
+			l.count, l.timers, l.dead = l.count-1, l.timers-1, l.dead-1
+			l.stats.Tombstones++
+		}
 	}
 }
 
-// anchor starts a fresh window at the current instant — not at the
-// first event's: anchoring on an event in the middle of a burst would
-// clamp every earlier-delivery event into bucket 0, skewing occupancy by
-// the luck of the first delay draw. The bucket width is retained across
-// anchors (it re-tunes at re-anchor time).
-func (l *ladder) anchor(at Time) {
-	if l.r0.width < ladderMinWidth {
+// anchor starts a fresh window at now, not at the first event: anchoring in
+// the middle of a burst would clamp every earlier delivery into bucket 0,
+// by the luck of the first delay draw.
+func (l *ladder) anchor(now Time) {
+	l.r0.base, l.r0.cur = now, -1
+	if l.r0.width == 0 {
 		l.r0.width = ladderDefaultWidth
 	}
-	l.r0.base = at
-	l.r0.cur = -1
-	l.anchored = true
+}
+
+// refile rebuilds rung 0 from base: every queued event is gathered into the
+// own buffer and filed again, what lies beyond the new window to far.
+func (l *ladder) refile(base Time) {
+	evs := l.own[:0]
+	if l.src == nil && l.bottom != nil {
+		evs = l.bottom[:0] // the bottom is the own buffer
+	}
+	evs = append(evs, l.bottom[l.pos:]...)
+	l.releaseBottom()
+	for i := range l.r0.buckets {
+		evs = l.gather(evs, &l.r0.buckets[i])
+	}
+	for j := 0; l.r1active && j < ladderBuckets; j++ {
+		evs = l.gather(evs, &l.r1.buckets[j])
+	}
+	l.r1active = false
+	l.r0.base, l.r0.cur = base, -1
+	l.stats.Reanchors++
+	if far := l.far; far.head != nil { // refiled as it drains, chunk by chunk
+		l.far = bucket{}
+		l.scatter(evs, &l.r0)
+		l.drain(&far, &l.r0)
+	} else { // far keeps its first array
+		evs = l.gather(evs, &l.far)
+		l.scatter(evs, &l.r0)
+	}
+	l.own = evs[:0]
+}
+
+// gather appends b's events to evs and empties b.
+func (l *ladder) gather(evs []msgEvent, b *bucket) []msgEvent {
+	if len(b.tail) > 0 {
+		evs = append(evs, b.tail...)
+		for c := b.head; c != nil && c.next != nil; c = c.next {
+			evs = append(evs, c.next.ev[:ladderChunk]...)
+		}
+		l.drain(b, nil)
+	}
+	return evs
+}
+
+// reanchor refiles the far bucket after the window drained, at its earliest
+// event, with the width re-tuned to the span of its messages (kept when it
+// holds timers only); the earliest event stays in the window, so advance
+// makes progress.
+func (l *ladder) reanchor() {
+	msgs := l.msgLo <= l.msgHi
+	if w := (l.msgHi - l.msgLo) / Time(ladderBuckets-1); w >= ladderMinWidth {
+		l.r0.width = w
+	}
+	l.refile(l.farLo)
+	if msgs {
+		l.sweep()
+	}
 }
 
 // openRung1 lays rung 1 over rung-0 bucket r0.cur.
@@ -354,8 +434,7 @@ func (l *ladder) openRung1() {
 }
 
 // unseal scatters the unconsumed part of a rung-0 bottom across rung 1,
-// leaving no bottom: the consumed prefix is behind every key still to
-// come, so only the drain's granularity changes.
+// leaving no bottom: the consumed prefix is behind every key to come.
 //
 //syncsim:hotpath
 func (l *ladder) unseal() {
@@ -365,14 +444,13 @@ func (l *ladder) unseal() {
 	l.releaseBottom()
 }
 
-// insortBottom inserts ev into the sorted, partially drained bottom. A
-// bucket's array that has no room left is first exchanged for the ladder's
-// own buffer, which may grow.
-func (l *ladder) insortBottom(ev msgEvent) {
+// insortBottom inserts ev into the sorted, partially drained bottom, moved
+// first into the growable own buffer if it is a full bucket array.
+func (l *ladder) insortBottom(ev *msgEvent) {
 	lo, hi := l.pos, len(l.bottom)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if msgBefore(ev, l.bottom[mid]) {
+		if ev.key.Less(l.bottom[mid].key) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -387,19 +465,35 @@ func (l *ladder) insortBottom(ev msgEvent) {
 	}
 	l.bottom = append(l.bottom, msgEvent{})
 	copy(l.bottom[lo+1:], l.bottom[lo:])
-	l.bottom[lo] = ev
+	l.bottom[lo] = *ev
 }
 
-// peek returns the key of the earliest pending message event without
-// consuming it.
-func (l *ladder) peek() (Key, bool) {
-	if l.count == 0 {
-		return Key{}, false
+// peek returns the earliest pending event without consuming it, nil when
+// there is none; the tombstones in front of it are discarded.
+//
+//syncsim:hotpath
+func (l *ladder) peek() *msgEvent {
+	for l.count > 0 {
+		if l.pos == len(l.bottom) {
+			l.advance()
+			continue
+		}
+		if ev := &l.bottom[l.pos]; !l.stale(ev) {
+			return ev
+		}
+		l.pop()
+		l.dead--
+		l.stats.Tombstones++
 	}
-	for l.pos >= len(l.bottom) {
-		l.advance()
-	}
-	return l.bottom[l.pos].key, true
+	return nil
+}
+
+// stale reports whether ev is a tombstone: a timer's entry whose slot's
+// generation has moved on.
+//
+//syncsim:hotpath
+func (l *ladder) stale(ev *msgEvent) bool {
+	return ev.target == timerTarget && (*l.slab)[ev.msg.Index].gen != uint32(ev.msg.Round)
 }
 
 // pop consumes the event peek returned. Callers must call peek first.
@@ -409,20 +503,27 @@ func (l *ladder) pop() msgEvent {
 	ev := l.bottom[l.pos]
 	l.pos++
 	l.count--
+	if ev.target == timerTarget {
+		l.timers--
+	} else if l.count == l.timers && l.count > 0 {
+		l.sweep() // the last message left: a quiescent point
+	}
 	if l.count == 0 {
-		// Pristine reset: release the drained bottom and let the next push
-		// re-anchor at its own instant. Capacity is retained (steady
-		// bursts stay allocation-free) except what the trim sweep finds
-		// grossly oversized.
-		l.releaseBottom()
-		l.r1active = false
-		l.anchored = false
-		l.sweep()
+		l.reset()
 	}
 	return ev
 }
 
-// advance seals the next non-empty bucket into bottom. Callers guarantee
+// reset leaves an empty ladder for the next push to anchor, its capacity
+// retained except what the sweep finds grossly oversized.
+func (l *ladder) reset() {
+	l.releaseBottom()
+	l.r1active = false
+	l.sweep()
+}
+
+// advance seals the next non-empty bucket into bottom, or leaves the
+// ladder empty when a re-anchor found tombstones only. Callers guarantee
 // count > 0.
 func (l *ladder) advance() {
 	l.releaseBottom()
@@ -442,12 +543,15 @@ func (l *ladder) advance() {
 			i++
 		}
 		if i == ladderBuckets {
-			l.reanchor()
+			if l.reanchor(); l.count == 0 {
+				l.reset()
+				return
+			}
 			continue
 		}
 		l.r0.cur = i
 		b := &l.r0.buckets[i]
-		if !b.multi() || l.r0.width/ladderBuckets < ladderMinWidth {
+		if !crowded(b) || l.r0.width/ladderBuckets < ladderMinWidth {
 			l.seal(b)
 			return
 		}
@@ -457,16 +561,32 @@ func (l *ladder) advance() {
 	}
 }
 
+// crowded reports whether b holds over ladderSpillMin messages, the size
+// worth spilling: timers send nothing into their own bucket's span unless
+// the width exceeds the minimum delay, and the un-seal rule catches that.
+func crowded(b *bucket) bool {
+	if !b.multi() {
+		return false
+	}
+	n := 0
+	for c, evs := b.head, b.tail; ; c, evs = c.next, c.next.ev[:ladderChunk] {
+		for i := range evs {
+			if evs[i].target != timerTarget {
+				n++
+			}
+		}
+		if n > ladderSpillMin || c.next == nil {
+			return n > ladderSpillMin
+		}
+	}
+}
+
 // seal sorts bucket b and makes it the drain bottom: in place when it is
 // one array, gathered into the ladder's own buffer when it is several.
 func (l *ladder) seal(b *bucket) {
 	l.bottom, l.src = b.tail, b
 	if b.multi() {
-		l.bottom, l.src = append(l.own[:0], b.tail...), nil
-		for c := b.head.next; c != nil; c = c.next {
-			l.bottom = append(l.bottom, c.ev[:ladderChunk]...)
-		}
-		l.drain(b, nil)
+		l.bottom, l.src = l.gather(l.own[:0], b), nil
 	}
 	if len(l.bottom) <= ladderInsertionMax {
 		sortSmall(l.bottom)
@@ -503,13 +623,11 @@ func (l *ladder) releaseBottom() {
 	l.bottom, l.pos = nil, 0
 }
 
-// sweep releases the free list and the gather buffer when they are both
-// large and far beyond anything the workload has needed since the sweep
-// before last, so one oversized burst does not pin its worst-case memory
-// for the rest of a long run. It runs at quiescent points only — queue
-// empty or window re-anchor, no bottom — never touches a chunk a bucket
-// holds, and uses a 4x hysteresis against the recent in-flight peak, so a
-// steady workload never releases (and never re-allocates) anything.
+// sweep releases the free list and the gather buffer when both are far
+// beyond anything needed since the sweep before last, so one burst does
+// not pin its memory for the rest of a run. It runs at quiescent points
+// (no message queued, or a re-anchor over messages), never touches a chunk
+// a bucket holds, and keeps a 4x hysteresis against the recent peak.
 func (l *ladder) sweep() {
 	floor := max(4*max(l.peak, l.prevPeak), ladderTrimCap/ladderChunk)
 	if l.live+l.nfree > floor {
@@ -519,19 +637,4 @@ func (l *ladder) sweep() {
 		l.own = nil
 	}
 	l.prevPeak, l.peak = l.peak, l.live
-}
-
-// reanchor rebuilds rung 0 over the far bucket after the window drained,
-// re-tuning the bucket width to the far events' span. Callers guarantee
-// count > 0, which here means far is non-empty. Every far event fits the
-// new window by construction (locate clamps farHi into the last bucket).
-func (l *ladder) reanchor() {
-	if w := (l.farHi - l.farLo) / Time(ladderBuckets-1); w >= ladderMinWidth {
-		l.r0.width = w
-	}
-	l.r0.base = l.farLo
-	l.r0.cur = -1
-	l.stats.Reanchors++
-	l.drain(&l.far, &l.r0)
-	l.sweep()
 }

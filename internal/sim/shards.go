@@ -9,21 +9,18 @@ import (
 
 // This file implements the conservative parallel tier of the engine: a
 // Shards coordinator that partitions a simulation's lanes (nodes) across
-// k worker goroutines, each owning a full Engine — its own ladder
-// partition, closure heap, lane counters, and observation buffer.
+// k worker goroutines, each owning a full Engine.
 //
 // Parallelism is classic conservative PDES with the network's minimum
-// delivery delay as the lookahead bound: a message sent at time t arrives
-// no earlier than t+L, so every event in the window [W, W+L) is causally
-// independent across shards — cross-shard influence can only arrive at or
-// after the window's end. Workers therefore drain their own queues freely
-// inside the window, buffering cross-shard sends into per-pair mailboxes
-// (owned by the network layer), and the coordinator exchanges the
-// mailboxes at a barrier between windows. No rollback is ever needed.
+// delivery delay L as the lookahead: a message sent at t arrives no
+// earlier than t+L, so the events of a window [W, W+L) are causally
+// independent across shards. Workers drain their own queues inside the
+// window, buffering cross-shard sends into per-pair mailboxes (owned by
+// the network layer), which the coordinator exchanges at a barrier
+// between windows. No rollback is ever needed.
 //
-// Determinism. Correctness here means more than "no races": a k-shard run
-// must be bit-identical to the serial engine — same results, same stats,
-// same probe traces. Three mechanisms deliver that:
+// Determinism: a k-shard run must be bit-identical to the serial engine —
+// same results, stats and probe traces. Three mechanisms deliver that:
 //
 //  1. The event Key (key.go) is computable by the scheduling shard alone
 //     yet totally orders all events exactly as the serial engine executes
@@ -38,10 +35,9 @@ import (
 //     index), and k-way merged into the real bus at the barrier — the
 //     merged stream is byte-identical to serial emission order.
 //
-// The worker goroutines persist for the life of the coordinator and park
-// on channels between windows, so a steady-state window costs 2k channel
-// operations and no allocation (the 0 allocs/op message-path guarantee
-// holds per shard).
+// The workers persist for the life of the coordinator and park on
+// channels between windows: a steady-state window costs 2k channel
+// operations and no allocation.
 type Shards struct {
 	k         int
 	lookahead Time
@@ -95,38 +91,14 @@ func NewShards(seed int64, k int, lookahead Time) *Shards {
 // K returns the shard count.
 func (s *Shards) K() int { return s.k }
 
-// Lookahead returns the window width.
-func (s *Shards) Lookahead() Time { return s.lookahead }
-
 // Global returns the coordinator's global engine: the home of LaneGlobal
-// closures and of the run's real probe bus. Its clock is the simulation
+// timers and of the run's real probe bus. Its clock is the simulation
 // frontier.
 func (s *Shards) Global() *Engine { return s.global }
 
 // Shard returns shard i's engine. Outside Run, the caller owns it (build
 // and boot single-threaded); during Run only its worker touches it.
 func (s *Shards) Shard(i int) *Engine { return s.engs[i] }
-
-// Now returns the simulation frontier.
-func (s *Shards) Now() Time { return s.global.Now() }
-
-// Processed returns the number of events executed across all engines.
-func (s *Shards) Processed() uint64 {
-	total := s.global.Processed()
-	for _, e := range s.engs {
-		total += e.Processed()
-	}
-	return total
-}
-
-// Pending returns the number of events queued across all engines.
-func (s *Shards) Pending() int {
-	total := s.global.Pending()
-	for _, e := range s.engs {
-		total += e.Pending()
-	}
-	return total
-}
 
 // OnBarrier registers fn to run at every window barrier, after workers
 // have parked and observations merged. The network layer registers its
@@ -182,13 +154,13 @@ func (s *Shards) run(until Time) {
 		// virtual time.
 		next := math.Inf(1)
 		for _, e := range s.engs {
-			if k, _, ok := e.head(); ok && k.At < next {
-				next = k.At
+			if ev := e.ladder.peek(); ev != nil && ev.key.At < next {
+				next = ev.key.At
 			}
 		}
-		gk, _, gok := s.global.head()
-		if gok && gk.At < next {
-			next = gk.At
+		g := s.global.ladder.peek()
+		if g != nil && g.key.At < next {
+			next = g.key.At
 		}
 		if next > until || math.IsInf(next, 1) {
 			break
@@ -204,12 +176,12 @@ func (s *Shards) run(until Time) {
 		} else {
 			bound = keyAfter(until)
 		}
-		runGlobal := gok && gk.Less(bound)
+		runGlobal := g != nil && g.key.Less(bound)
 		if runGlobal {
 			// A global event splits the window: shards drain strictly
 			// below its key, then it runs alone at the barrier, seeing
 			// exactly the cross-shard state a serial run would.
-			bound = gk
+			bound = g.key
 		}
 		for i := range s.startCh {
 			s.startCh[i] <- bound

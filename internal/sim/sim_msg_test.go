@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -56,9 +57,9 @@ func TestRegisterNilDispatcherPanics(t *testing.T) {
 	New(1).RegisterDispatcher(nil)
 }
 
-// Message events interleave with closure events in strict (time, seq)
-// order — the pooled path must not disturb the FIFO tie-break.
-func TestMsgAndClosureEventInterleaving(t *testing.T) {
+// Message events interleave with timers in strict (time, seq) order, and a
+// canceled timer between them leaves the rest in place.
+func TestMsgAndTimerInterleaving(t *testing.T) {
 	e := New(1)
 	var order []int
 	target := e.RegisterDispatcher(&funcDispatcher{func(_ Time, m Message) {
@@ -66,14 +67,14 @@ func TestMsgAndClosureEventInterleaving(t *testing.T) {
 	}})
 	e.MustAt(1, func() { order = append(order, -1) })
 	e.MustAtMsg(1, target, Message{Index: 100})
+	dead := e.MustAt(1, func() { order = append(order, -3) })
 	e.MustAt(1, func() { order = append(order, -2) })
 	e.MustAtMsg(1, target, Message{Index: 101})
+	e.Cancel(dead)
 	e.RunAll(0)
 	want := []int{-1, 100, -2, 101}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 

@@ -72,27 +72,37 @@ func TestEngineSameTimeAllowed(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := New(1)
 	ran := false
-	ev := e.MustAt(1, func() { ran = true })
-	e.Cancel(ev)
-	e.RunAll(0)
-	if ran {
+	h := e.MustAt(1, func() { ran = true })
+	e.Cancel(h)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the only timer was canceled", e.Pending())
+	}
+	if e.Step() || ran {
 		t.Fatal("canceled event ran")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event not marked canceled")
+	if e.Processed() != 0 || e.LadderStats().Tombstones != 1 {
+		t.Fatalf("a tombstone was processed: Processed %d, stats %+v", e.Processed(), e.LadderStats())
 	}
-	if ev.Pending() {
-		t.Fatal("canceled event still pending")
+	// Double cancel and zero-handle cancel are no-ops, and so is a stale
+	// handle whose slot a later timer reuses.
+	e.Cancel(h)
+	e.Cancel(Timer{})
+	ran2 := false
+	h2 := e.MustAt(2, func() { ran2 = true })
+	if h2.slot != h.slot {
+		t.Fatalf("slot %d not reused (got %d)", h.slot, h2.slot)
 	}
-	// Double cancel and nil cancel are no-ops.
-	e.Cancel(ev)
-	e.Cancel(nil)
+	e.Cancel(h)
+	e.RunAll(0)
+	if !ran2 {
+		t.Fatal("canceling a stale handle canceled the timer reusing its slot")
+	}
 }
 
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
 	e := New(1)
 	var got []int
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 20; i++ {
 		i := i
 		evs = append(evs, e.MustAt(Time(i), func() { got = append(got, i) }))
@@ -271,7 +281,7 @@ func TestEngineCancelProperty(t *testing.T) {
 	f := func(raw []uint16, mask []bool) bool {
 		e := New(3)
 		type item struct {
-			ev       *Event
+			ev       Timer
 			canceled bool
 		}
 		items := make([]item, len(raw))
@@ -297,5 +307,27 @@ func TestEngineCancelProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(13))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimerRearmZeroAllocs: a protocol's round timer is armed, cancelled
+// and re-armed at every resync. Once the slab, its free list and the
+// ladder's arrays are warm, that cycle — and the firing that ends it —
+// allocates nothing: the handle is a value and the tombstone a ladder entry.
+func TestTimerRearmZeroAllocs(t *testing.T) {
+	e := New(1)
+	fired := 0
+	fn := func() { fired++ }
+	cycle := func() {
+		e.Cancel(e.MustAfter(1e-3, fn))
+		e.MustAfter(2e-3, fn)
+		e.RunAll(0)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state At -> Cancel -> At -> fire cycle allocates %.1f objects", allocs)
+	}
+	if fired != 102 || e.LadderStats().Tombstones != 102 {
+		t.Fatalf("%d timers fired, %d tombstones discarded; want 102 of each", fired, e.LadderStats().Tombstones)
 	}
 }
