@@ -33,7 +33,7 @@ func TestSilentSendsNothing(t *testing.T) {
 	c := newCluster(2, 0, func(i int) node.Protocol { return Silent{} })
 	c.Start()
 	c.Run(5)
-	if s := c.Net.Stats(); s.Sent != 0 {
+	if s := c.NetStats(); s.Sent != 0 {
 		t.Fatalf("Silent sent %d messages", s.Sent)
 	}
 }
@@ -48,12 +48,12 @@ func TestCrashAtStopsOutput(t *testing.T) {
 	})
 	c.Start()
 	c.Run(2.4)
-	sentBefore := c.Net.Stats().BySender[0]
+	sentBefore := c.NetStats().BySender[0]
 	if sentBefore == 0 {
 		t.Fatal("crashing node never sent before the deadline")
 	}
 	c.Run(10)
-	sentAfter := c.Net.Stats().BySender[0]
+	sentAfter := c.NetStats().BySender[0]
 	if sentAfter != sentBefore {
 		t.Fatalf("node sent %d messages after crashing", sentAfter-sentBefore)
 	}
@@ -74,20 +74,20 @@ func TestCrashAtMuzzlesDirectSends(t *testing.T) {
 	// Before the deadline, Send passes through.
 	env := c.Nodes[0]
 	c.Run(0.5)
-	before := c.Net.Stats().Sent
+	before := c.NetStats().Sent
 	c.Nodes[0].Protocol().(*CrashAt).Deliver(env, 1, network.Raw("poke"))
-	if got := c.Net.Stats().Sent; got != before+1 {
+	if got := c.NetStats().Sent; got != before+1 {
 		t.Fatalf("pre-crash deliver sent %d messages, want 1", got-before)
 	}
 	// After the deadline, both Deliver and Send are dead.
 	c.Run(2)
-	before = c.Net.Stats().Sent
+	before = c.NetStats().Sent
 	c.Nodes[0].Protocol().(*CrashAt).Deliver(env, 1, network.Raw("poke"))
-	if got := c.Net.Stats().Sent; got != before {
+	if got := c.NetStats().Sent; got != before {
 		t.Fatal("post-crash deliver produced output")
 	}
 	crashed.Start(env) // deadline 0: Start's sends are muzzled too
-	if got := c.Net.Stats().Sent; got != before {
+	if got := c.NetStats().Sent; got != before {
 		t.Fatal("post-crash start produced output")
 	}
 }

@@ -202,12 +202,16 @@ func New(engine *sim.Engine, n int, policy Policy, topo Topology) *Net {
 // registered on the owning shard's Net. The mailbox exchange is
 // registered as a coordinator barrier hook, so cross-shard deliveries
 // scheduled during a window reach their owner before the next window
-// opens — the dmin lookahead guarantees they are never late.
+// opens — the dmin lookahead guarantees they are never late. At k = 1 it
+// is one Net, with no owner map and no exchange: every recipient is local.
 func NewSharded(coord *sim.Shards, n int, policy Policy, topo Topology, owner []int32) []*Net {
 	if len(owner) != n {
 		panic(fmt.Sprintf("network: owner map covers %d of %d nodes", len(owner), n))
 	}
 	k := coord.K()
+	if k == 1 {
+		return []*Net{New(coord.Shard(0), n, policy, topo)}
+	}
 	nets := make([]*Net, k)
 	for i := range nets {
 		nt := New(coord.Shard(i), n, policy, topo)

@@ -105,10 +105,10 @@ type PulseRecord struct {
 type Node struct {
 	id      ID
 	cluster *Cluster
-	// eng, net, and probes are the node's execution home: the cluster's
-	// only engine/network in a serial run, the owning shard's in a
-	// sharded run. All node-side scheduling, transmission, and probe
-	// emission goes through them, never through the cluster directly.
+	// eng, net, and probes are the node's execution home: the owning
+	// shard's engine and network (at one shard, the cluster's Engine). All
+	// node-side scheduling, transmission, and probe emission goes through
+	// them, never through the cluster directly.
 	eng     *sim.Engine
 	net     *network.Net
 	probes  *probe.Bus
@@ -230,10 +230,10 @@ func (nd *Node) Pulse(round int) {
 		Logical: nd.logical.Read(now),
 	}
 	c := nd.cluster
-	if c.coord != nil {
-		// Sharded: buffer the record per shard, tagged with the executing
-		// event's key, and merge into c.Pulses in key order at the end of
-		// each Run — the exact order the serial engine appends in.
+	if len(c.shardPulses) > 1 {
+		// Buffer the record per shard, tagged with the executing event's
+		// key; each Run merges the buffers into c.Pulses in key order. One
+		// shard executes in that order, so it appends directly.
 		k, seq := nd.eng.ExecTag()
 		c.shardPulses[nd.shard] = append(c.shardPulses[nd.shard], taggedPulse{key: k, seq: seq, rec: rec})
 	} else {
@@ -286,15 +286,14 @@ type Config struct {
 	// units per local time unit, keeping logical clocks continuous and
 	// strictly monotone (the paper's amortization remark). Must be < 1.
 	SlewRate float64
-	// Shards, when > 1, partitions the nodes across that many parallel
-	// worker shards (conservative PDES — see sim.Shards). Requires a
-	// positive Lookahead; results are bit-identical to a serial run at
-	// any shard count. Values above N are clamped to N.
+	// Shards partitions the nodes across that many shard engines
+	// (conservative PDES — see sim.Shards); 0 and 1 run one engine with no
+	// worker goroutine. More than one needs a positive Lookahead; results
+	// are bit-identical at any shard count. Values above N are clamped to N.
 	Shards int
 	// Lookahead is the network's minimum delivery delay (the safe-window
-	// width). Obtain it with network.Lookahead(cfg.Delay); a sharded
-	// cluster with a non-positive lookahead falls back to serial
-	// execution.
+	// width). Obtain it with network.Lookahead(cfg.Delay); with a
+	// non-positive lookahead the cluster runs on one shard.
 	Lookahead float64
 }
 
@@ -307,19 +306,15 @@ type taggedPulse struct {
 	rec PulseRecord
 }
 
-// Cluster wires N nodes to an engine and network — one of each in a
-// serial run, one per shard plus a global pair in a sharded run.
+// Cluster wires N nodes to k shard engines, a network each, and a global
+// engine, which at k = 1 is the one engine.
 type Cluster struct {
-	// Engine is the cluster-level engine: the only engine of a serial
-	// run, the coordinator's global engine of a sharded one. Its clock is
-	// always the simulation frontier, its probe bus always carries the
-	// full merged observation stream, and cluster-level scheduling
-	// (samplers, markers) belongs on it.
+	// Engine is the cluster-level engine, the coordinator's global one.
+	// Its clock is always the simulation frontier, its probe bus always
+	// carries the full merged observation stream, and cluster-level
+	// scheduling (samplers, markers) belongs on it.
 	Engine *sim.Engine
-	// Net is the serial run's network; nil in a sharded run, where each
-	// shard owns one (use NetStats for merged counters).
-	Net   *network.Net
-	Nodes []*Node
+	Nodes  []*Node
 	// Pulses logs every accepted round in global event order. To observe
 	// pulses as they happen, subscribe a probe to probe.TypePulse on
 	// Engine.Probes().
@@ -328,11 +323,10 @@ type Cluster struct {
 	cfg    Config
 	probes *probe.Bus
 
-	// memos holds one signature memo per engine, so that each is touched
-	// by one goroutine only: one in a serial run, one per shard otherwise.
+	// memos holds one signature memo per shard engine, so that each is
+	// touched by one goroutine only.
 	memos []*sig.Memo
 
-	// Sharded-execution state (nil/empty in a serial run).
 	coord       *sim.Shards
 	nets        []*network.Net
 	owner       []int32
@@ -340,8 +334,7 @@ type Cluster struct {
 	pulseMerge  []taggedPulse // reused merge scratch
 }
 
-// NewCluster builds the cluster; call Start then Run (or Engine.Run for a
-// serial cluster).
+// NewCluster builds the cluster; call Start, then Run, then Close.
 func NewCluster(cfg Config) *Cluster {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("node: invalid N=%d", cfg.N))
@@ -355,47 +348,36 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Delay == nil {
 		cfg.Delay = network.Fixed{D: 0.001}
 	}
-	k := cfg.Shards
-	if k > cfg.N {
-		k = cfg.N
+	k := min(max(cfg.Shards, 1), cfg.N)
+	if !(cfg.Lookahead > 0) {
+		k = 1
 	}
-	c := &Cluster{cfg: cfg}
-	if k > 1 && cfg.Lookahead > 0 {
-		c.coord = sim.NewShards(cfg.Seed, k, cfg.Lookahead)
-		c.Engine = c.coord.Global()
-		// Contiguous balanced placement; every faulty node is co-located
-		// on the last shard, because adversarial protocol instances may
-		// share coordination state (a collusion pool) that they mutate at
-		// boot — one shard serializes those accesses. Placement affects
-		// only which worker runs a node, never the event order.
-		c.owner = make([]int32, cfg.N)
-		for i := range c.owner {
-			c.owner[i] = int32(i * k / cfg.N)
-		}
-		for id, f := range cfg.Faulty {
-			if f && id >= 0 && id < cfg.N {
-				c.owner[id] = int32(k - 1)
-			}
-		}
-		c.nets = network.NewSharded(c.coord, cfg.N, cfg.Delay, cfg.Topology, c.owner)
-		c.shardPulses = make([][]taggedPulse, k)
-	} else {
-		engine := sim.New(cfg.Seed)
-		c.Engine = engine
-		c.Net = network.New(engine, cfg.N, cfg.Delay, cfg.Topology)
+	c := &Cluster{cfg: cfg, coord: sim.NewShards(cfg.Seed, k, cfg.Lookahead)}
+	c.Engine = c.coord.Global()
+	// Contiguous balanced placement; every faulty node is co-located on
+	// the last shard, because adversarial protocol instances may share
+	// coordination state (a collusion pool) that they mutate at boot — one
+	// shard serializes those accesses. Placement affects only which worker
+	// runs a node, never the event order.
+	c.owner = make([]int32, cfg.N)
+	for i := range c.owner {
+		c.owner[i] = int32(i * k / cfg.N)
 	}
+	for id, f := range cfg.Faulty {
+		if f && id >= 0 && id < cfg.N {
+			c.owner[id] = int32(k - 1)
+		}
+	}
+	c.nets = network.NewSharded(c.coord, cfg.N, cfg.Delay, cfg.Topology, c.owner)
+	c.shardPulses = make([][]taggedPulse, k)
 	c.probes = c.Engine.Probes()
-	c.memos = make([]*sig.Memo, c.Shards())
+	c.memos = make([]*sig.Memo, k)
 	for i := range c.memos {
 		c.memos[i] = sig.NewMemo(cfg.Scheme, cfg.N)
 	}
 	for i := 0; i < cfg.N; i++ {
-		eng, net := c.Engine, c.Net
-		var shard int32
-		if c.coord != nil {
-			shard = c.owner[i]
-			eng, net = c.coord.Shard(int(shard)), c.nets[shard]
-		}
+		shard := c.owner[i]
+		eng, net := c.coord.Shard(int(shard)), c.nets[shard]
 		var hw *clock.Hardware
 		// Per-node stream derived from (seed, id) alone: node randomness
 		// is invariant under construction/boot reordering and under
@@ -457,36 +439,22 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Run starts the cluster (if not already) and runs until the horizon:
-// serially on the cluster engine, or across the shard workers with
-// window barriers. It may be called repeatedly with increasing horizons.
+// Run runs the cluster until the horizon across its shard engines, then
+// appends the pulses accepted on the way to Pulses. It may be called
+// repeatedly with increasing horizons.
 func (c *Cluster) Run(until float64) {
-	if c.coord != nil {
-		c.coord.Run(until)
-		c.mergePulses()
-		return
-	}
-	c.Engine.Run(until)
+	c.coord.Run(until)
+	c.mergePulses()
 }
 
-// Close releases the shard worker goroutines of a sharded cluster; the
-// cluster remains readable (clocks, pulses, stats) but cannot Run again.
-// Serial clusters need no Close (it is a no-op).
-func (c *Cluster) Close() {
-	if c.coord != nil {
-		c.coord.Close()
-	}
-}
+// Close releases the shard worker goroutines, of which one shard has none;
+// the cluster remains readable (clocks, pulses, stats) but cannot Run
+// again.
+func (c *Cluster) Close() { c.coord.Close() }
 
-// NetStats returns the run's traffic counters: the single network's in a
-// serial cluster, the deterministic sum of the per-shard networks' in a
-// sharded one.
-func (c *Cluster) NetStats() network.Stats {
-	if c.coord != nil {
-		return network.MergeStats(c.nets)
-	}
-	return c.Net.Stats()
-}
+// NetStats returns the run's traffic counters: the deterministic sum of
+// the per-shard networks'.
+func (c *Cluster) NetStats() network.Stats { return network.MergeStats(c.nets) }
 
 // RuntimeStats counts what the simulator did, as opposed to what it
 // simulated: payload arena and mailbox traffic, event-queue memory and
@@ -499,26 +467,20 @@ type RuntimeStats struct {
 }
 
 // RuntimeStats sums the per-engine and per-network counters — high-waters
-// too, as every shard owns its own arena and chunk pool. They are plain
+// too, as every shard owns its own arena and chunk pool — counting each
+// engine once: at one shard the global engine is shard 0's. They are plain
 // integers each owned by one shard: read them between Run calls.
 func (c *Cluster) RuntimeStats() RuntimeStats {
-	rs := RuntimeStats{Ladder: c.Engine.LadderStats()}
+	var rs RuntimeStats
 	for _, m := range c.memos {
 		s := m.Stats()
 		rs.Sig.Asked += s.Asked
 		rs.Sig.Computed += s.Computed
 		rs.Sig.Rejected += s.Rejected
 	}
-	if c.coord == nil {
-		rs.Arena = c.Net.RuntimeStats()
-		return rs
-	}
-	for i, nt := range c.nets {
-		a, l := nt.RuntimeStats(), c.coord.Shard(i).LadderStats()
-		rs.Arena.SlotsHigh += a.SlotsHigh
-		rs.Arena.Slots += a.Slots
-		rs.Arena.Refs += a.Refs
-		rs.Arena.Mailbox += a.Mailbox
+	add := func(l sim.LadderStats) {
+		rs.Ladder.Seals += l.Seals
+		rs.Ladder.Sealed += l.Sealed
 		rs.Ladder.Timers += l.Timers
 		rs.Ladder.Tombstones += l.Tombstones
 		rs.Ladder.Chunks += l.Chunks
@@ -529,16 +491,22 @@ func (c *Cluster) RuntimeStats() RuntimeStats {
 		rs.Ladder.Reanchors += l.Reanchors
 		rs.Ladder.Shifted += l.Shifted
 	}
+	if c.Engine != c.coord.Shard(0) {
+		add(c.Engine.LadderStats())
+	}
+	for i, nt := range c.nets {
+		a := nt.RuntimeStats()
+		rs.Arena.SlotsHigh += a.SlotsHigh
+		rs.Arena.Slots += a.Slots
+		rs.Arena.Refs += a.Refs
+		rs.Arena.Mailbox += a.Mailbox
+		add(c.coord.Shard(i).LadderStats())
+	}
 	return rs
 }
 
-// Shards reports the number of parallel worker shards (1 = serial).
-func (c *Cluster) Shards() int {
-	if c.coord != nil {
-		return c.coord.K()
-	}
-	return 1
-}
+// Shards reports the number of shard engines (1 = serial).
+func (c *Cluster) Shards() int { return c.coord.K() }
 
 // mergePulses drains the per-shard pulse buffers into c.Pulses in global
 // event order. Run horizons are increasing and every buffered pulse of a

@@ -236,6 +236,17 @@ func TestOneMemoPerEngine(t *testing.T) {
 	}
 }
 
+// TestRuntimeStatsCountOneEngineOnce: at one shard the cluster's Engine is
+// shard 0's, so its queue counters are summed once, not twice.
+func TestRuntimeStatsCountOneEngineOnce(t *testing.T) {
+	c, _ := newEchoCluster(3)
+	c.Start()
+	c.Run(1)
+	if l := c.Engine.LadderStats(); l.Timers == 0 || l.Seals == 0 || c.RuntimeStats().Ladder != l {
+		t.Fatalf("one-shard cluster: runtime ladder counters %+v, the engine's %+v", c.RuntimeStats().Ladder, l)
+	}
+}
+
 func TestSkewComputation(t *testing.T) {
 	c, _ := newEchoCluster(3)
 	c.Start()
@@ -285,7 +296,7 @@ func TestEnvAccessors(t *testing.T) {
 	}
 	// Direct send delivers.
 	got := false
-	c.Net.Register(2, func(from ID, msg Message) { got = from == 1 && msg.Payload == "direct" })
+	c.Nodes[2].net.Register(2, func(from ID, msg Message) { got = from == 1 && msg.Payload == "direct" })
 	nd.Send(2, network.Raw("direct"))
 	c.Run(1)
 	if !got {

@@ -50,35 +50,58 @@ func TestKeyCompareMatchesLess(t *testing.T) {
 }
 
 // TestSealSortsEitherSideOfCutOver: a bucket of n events drains in Key order
-// whichever of seal's two sorts the size selects, ties and sentinel-like
-// extremes included. The keys' instants all fall into one rung-0 bucket and
-// one rung-1 bucket, so each n is one seal of n events.
+// whichever of seal's sorts the size selects — insertion up to ladderBinMin,
+// distribution over bins up to a chunk, a comparison sort of a gathered
+// bucket beyond — ties and sentinel-like extremes included, over instants
+// that stress the bins: one instant (an unguarded scale is +Inf and the bin
+// NaN), two, a spread with its maximum repeated (the bin clamped to the
+// last), and instants one ulp apart. The instants all fall into one rung-0
+// bucket and one rung-1 bucket, so each n is one seal of n events.
 func TestSealSortsEitherSideOfCutOver(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for n := 1; n <= 3*ladderInsertionMax; n++ {
-		var l ladder
-		want := make([]Key, n)
-		for i := range want {
-			k := tieHeavyKey(rng)
-			k.At = 5*ladderDefaultWidth + k.At*1e-9
-			want[i] = k
-			l.push(0, msgEvent{key: k, msg: Message{Index: uint32(i)}})
-		}
-		sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		for i := range want {
-			// Equal keys cannot occur in a run ((Lane, Seq) is unique), so
-			// either sort may permute them: compare keys only.
-			ev := l.peek()
-			if ev == nil {
-				t.Fatalf("n=%d: ladder empty at position %d", n, i)
+	const base = 5.3 * ladderDefaultWidth
+	ulps := func(k int) Time { return math.Float64frombits(math.Float64bits(base) + uint64(k)) }
+	for _, c := range []struct {
+		name    string
+		instant func(rng *rand.Rand, i int) Time
+	}{
+		{"tie-heavy", func(rng *rand.Rand, _ int) Time { return base + Time(rng.Intn(3))*1e-9 }},
+		{"one-instant", func(*rand.Rand, int) Time { return base }},
+		{"two-instants", func(rng *rand.Rand, _ int) Time { return base + Time(rng.Intn(2))*1e-9 }},
+		{"max-instant", func(rng *rand.Rand, i int) Time {
+			if i%3 == 0 {
+				return base + 1e-9
 			}
-			k := ev.key
-			if got := l.pop(); got.key != k || k != want[i] {
-				t.Fatalf("n=%d: position %d holds %+v (peek %+v), want %+v", n, i, got.key, k, want[i])
+			return base + rng.Float64()*1e-9
+		}},
+		{"one-ulp-apart", func(rng *rand.Rand, _ int) Time { return ulps(rng.Intn(2)) }},
+		{"ulp-consecutive", func(_ *rand.Rand, i int) Time { return ulps(i) }},
+	} {
+		name, rng := c.name, rand.New(rand.NewSource(11))
+		for n := 1; n <= 2*ladderChunk+1; n++ {
+			var l ladder
+			want := make([]Key, n)
+			for i := range want {
+				k := tieHeavyKey(rng)
+				k.At = c.instant(rng, i)
+				want[i] = k
+				l.push(0, msgEvent{key: k, msg: Message{Index: uint32(i)}})
 			}
-		}
-		if l.peek() != nil {
-			t.Fatalf("n=%d: ladder not empty after %d pops", n, n)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
+			for i := range want {
+				// Equal keys cannot occur in a run ((Lane, Seq) is unique), so
+				// the sorts may permute them: compare keys only.
+				ev := l.peek()
+				if ev == nil {
+					t.Fatalf("%s n=%d: ladder empty at position %d", name, n, i)
+				}
+				k := ev.key
+				if got := *l.pop(); got.key != k || k != want[i] {
+					t.Fatalf("%s n=%d: position %d holds %+v (peek %+v), want %+v", name, n, i, got.key, k, want[i])
+				}
+			}
+			if l.peek() != nil || l.stats.Seals != 1 || l.stats.Sealed != uint64(n) {
+				t.Fatalf("%s n=%d: after %d pops the ladder is not one seal of n, now empty: %+v", name, n, n, l.stats)
+			}
 		}
 	}
 }

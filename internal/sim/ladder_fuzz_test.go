@@ -175,6 +175,17 @@ func TestLadderFuzzSeedsReachTheirPaths(t *testing.T) {
 		"sampler-between-bursts": func(_ fuzzRun, l *ladder) bool {
 			return l.stats.Timers >= 3 && l.stats.Reanchors >= 3 && l.stats.Spills == 0 && l.r0.width == ladderDefaultWidth
 		},
+		// One bucket of more than ladderBinMin events, all at one instant:
+		// the distribution path meets an infinite scale and leaves the
+		// bucket to insertion, never touching the own buffer.
+		"one-instant-bucket": func(_ fuzzRun, l *ladder) bool {
+			return l.stats.Seals == 1 && l.stats.Sealed > ladderBinMin && l.stats.Sealed <= ladderChunk && cap(l.own) == 0
+		},
+		// One bucket filling one chunk exactly at distinct instants: the
+		// largest bucket the bins take, scattered through the own buffer.
+		"full-chunk-bucket": func(_ fuzzRun, l *ladder) bool {
+			return l.stats.Seals == 1 && l.stats.Sealed == ladderChunk && cap(l.own) >= ladderChunk
+		},
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzLadderMatchesReferenceQueue")
 	for name, ok := range reached {

@@ -290,7 +290,7 @@ func TestLadderDrainOrderProperty(t *testing.T) {
 			if ev == nil {
 				t.Fatalf("seed %d: ladder empty after %d of %d", seed, k, n)
 			}
-			got := l.pop()
+			got := *l.pop()
 			if got.key != ev.key {
 				t.Fatalf("seed %d: pop returned %+v, peek said key %+v", seed, got, ev)
 			}
@@ -330,12 +330,12 @@ func sealedAheadBurst(rng *rand.Rand, l *ladder, n, burst int) (got, want []msgE
 			push(lo + rng.Float64()*(3*ladderDefaultWidth-lo))
 		}
 		l.peek()
-		ev := l.pop()
+		ev := *l.pop()
 		got, last = append(got, ev), ev.key
 	}
 	for l.count > 0 {
 		l.peek()
-		got = append(got, l.pop())
+		got = append(got, *l.pop())
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].key.Less(want[j].key) })
 	return got, want

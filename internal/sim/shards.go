@@ -38,6 +38,9 @@ import (
 // The workers persist for the life of the coordinator and park on
 // channels between windows: a steady-state window costs 2k channel
 // operations and no allocation.
+//
+// k = 1 is the serial engine: one Engine, both Global and Shard(0), with no
+// worker, recorder, mailbox, barrier or lookahead, drained by runBefore.
 type Shards struct {
 	k         int
 	lookahead Time
@@ -58,11 +61,15 @@ type Shards struct {
 // engines plus one global engine, all seeded identically (derived random
 // streams depend on (seed, id) alone, so every engine can answer for any
 // entity). lookahead is the network's minimum delivery delay: the width
-// of the safe window. It must be positive — a zero-lookahead model has no
-// safe window and must run serially.
+// of the safe window. Above k = 1 it must be positive — a zero-lookahead
+// model has no safe window and must run on one shard.
 func NewShards(seed int64, k int, lookahead Time) *Shards {
 	if k < 1 {
 		panic(fmt.Sprintf("sim: NewShards k=%d", k))
+	}
+	if k == 1 {
+		e := New(seed)
+		return &Shards{k: 1, global: e, engs: []*Engine{e}}
 	}
 	if !(lookahead > 0) { // rejects zero, negatives, and NaN
 		panic(fmt.Sprintf("sim: NewShards lookahead=%v (need > 0)", lookahead))
@@ -135,16 +142,25 @@ func (s *Shards) mirror() {
 // Run executes events until every queue is drained past until, then
 // advances all clocks to until — the sharded equivalent of Engine.Run.
 // It may be called repeatedly with increasing horizons.
-func (s *Shards) Run(until Time) { s.run(until) }
+func (s *Shards) Run(until Time) {
+	s.run(until)
+	for _, e := range s.engs {
+		e.advanceTo(until)
+	}
+	s.global.advanceTo(until)
+}
 
-// Drain executes until no pending events remain anywhere, leaving the
-// clocks at the frontier (the sharded equivalent of Engine.RunAll with no
-// limit).
+// Drain executes until no pending events remain anywhere, leaving each
+// clock at its last window's frontier (at k = 1, its last event), not +Inf.
 func (s *Shards) Drain() { s.run(math.Inf(1)) }
 
 func (s *Shards) run(until Time) {
 	if s.closed {
 		panic("sim: Shards.Run after Close")
+	}
+	if s.k == 1 {
+		s.global.runBefore(keyAfter(until))
+		return
 	}
 	s.mirror()
 	for {
@@ -205,12 +221,6 @@ func (s *Shards) run(until Time) {
 		} else {
 			s.global.advanceTo(frontier)
 		}
-	}
-	if !math.IsInf(until, 1) {
-		for _, e := range s.engs {
-			e.advanceTo(until)
-		}
-		s.global.advanceTo(until)
 	}
 }
 

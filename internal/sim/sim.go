@@ -3,14 +3,15 @@
 // The engine keeps a virtual "real time" clock (float64 seconds) and one
 // event queue, a ladder of value-inline events (ladder.go), in one global
 // Key order (key.go). Messages go to a registered Dispatcher; a timer's
-// callback waits in a slab, named by a cancellable Timer handle. The order
-// is locally computable, so one engine running every event and a Shards
-// coordinator spreading the lanes over worker goroutines (shards.go)
-// produce the same total order; with seeded per-entity random streams,
+// callback waits in a slab, named by a cancellable Timer handle. A Shards
+// coordinator (shards.go) spreads the lanes over k engines, at k = 1 one
+// engine with no worker; the order is locally computable, so every k
+// produces the same total order, and with seeded per-entity random streams
 // every simulation is reproducible bit-for-bit at any shard count.
 //
 // An engine is only ever driven by one goroutine at a time: concurrency is
-// modelled by event interleaving, and shards meet at window barriers.
+// modelled by event interleaving, and shards meet at window barriers. Every
+// drain goes through one loop, runBefore.
 package sim
 
 import (
@@ -360,7 +361,7 @@ func (e *Engine) Step() bool {
 //
 //syncsim:hotpath
 func (e *Engine) exec() {
-	m := e.ladder.pop()
+	m := *e.ladder.pop()
 	e.processed++
 	e.emitSeq = 0
 	e.now = m.key.At
@@ -375,8 +376,9 @@ func (e *Engine) exec() {
 }
 
 // runBefore executes every pending event ordering strictly before bound,
-// including events those events schedule, in key order. It is the shard
-// worker's inner loop: bound is the window's safe horizon.
+// including events those events schedule, in key order. It is the one drain
+// loop: Run's, one shard's, and a shard worker's, whose bound is the
+// window's safe horizon.
 func (e *Engine) runBefore(bound Key) {
 	for ev := e.ladder.peek(); ev != nil && ev.key.Less(bound); ev = e.ladder.peek() {
 		e.exec()
@@ -394,9 +396,7 @@ func (e *Engine) advanceTo(t Time) {
 // Run executes events until the queue is empty or the next event is
 // strictly after until, then advances virtual time to until.
 func (e *Engine) Run(until Time) {
-	for ev := e.ladder.peek(); ev != nil && ev.key.At <= until; ev = e.ladder.peek() {
-		e.exec()
-	}
+	e.runBefore(keyAfter(until))
 	e.advanceTo(until)
 }
 

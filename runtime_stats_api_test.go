@@ -15,7 +15,7 @@ import (
 
 // runtimeWords matches any name Result.Runtime or Store.Stats could
 // surface under.
-var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|timers|tombstones|mailbox|"sig|asked|computed|puts|batches|bytes_appended|"hits|misses|damaged|seals|recovered|torn`)
+var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|timers|tombstones|mailbox|"sig|asked|computed|puts|batches|bytes_appended|"hits|misses|damaged|seals|sealed|recovered|torn`)
 
 // TestRuntimeStatsStayOutOfEveryRecord: Result.Runtime describes the
 // execution, not the result — it may differ between shard counts — so it
@@ -31,7 +31,7 @@ func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rt := res.Runtime; rt.Arena.Slots == 0 || rt.Arena.Refs <= rt.Arena.Slots || rt.Sig.Asked == 0 || rt.Sig.Computed >= rt.Sig.Asked ||
-		rt.Ladder.Timers == 0 || rt.Ladder.Tombstones == 0 {
+		rt.Ladder.Timers == 0 || rt.Ladder.Tombstones == 0 || rt.Ladder.Seals == 0 || rt.Ladder.Sealed < rt.Ladder.Seals {
 		t.Fatalf("Result.Runtime not filled in: %+v", res.Runtime)
 	}
 	key, err := SpecKey(spec)
