@@ -83,7 +83,7 @@ func WithStore(s *Store) CampaignOption {
 }
 
 // WithCampaignWorkers bounds the worker pool for cell execution (<= 0:
-// the package default, see SetDefaultWorkers).
+// GOMAXPROCS).
 func WithCampaignWorkers(n int) CampaignOption {
 	return func(c *campaignConfig) { c.opts.Workers = n }
 }

@@ -236,8 +236,6 @@ func run(args []string) error {
 	if *csvOut && *jsonOut {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
-	optsync.SetDefaultWorkers(*workers)
-
 	if *list {
 		for _, s := range optsync.Scenarios() {
 			fmt.Printf("%-4s %s\n", s.ID, s.Title)
@@ -275,7 +273,7 @@ func run(args []string) error {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	for _, s := range scenarios {
-		tables, err := s.Run()
+		tables, err := s.Run(context.Background(), optsync.WithCampaignWorkers(*workers))
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", s.ID, err)
 		}

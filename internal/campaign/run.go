@@ -14,7 +14,7 @@ type Options struct {
 	// Store persists completed cells and answers repeats; nil runs the
 	// campaign unpersisted (every cell executes).
 	Store *Store
-	// Workers bounds the worker pool (<= 0: the harness default).
+	// Workers bounds the worker pool (<= 0: GOMAXPROCS).
 	Workers int
 	// Recompute ignores cached cells — they execute again; the store
 	// keeps the (identical, content-addressed) results it already holds.

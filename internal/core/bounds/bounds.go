@@ -2,7 +2,7 @@
 // optimal clock synchronization as executable formulas, so that every
 // simulated run can be checked against the theorems.
 //
-// Notation (matching DESIGN.md):
+// Notation:
 //
 //	rho   hardware drift bound; rates in [1/(1+rho), 1+rho]
 //	dmin, dmax   message delay bounds between correct processes

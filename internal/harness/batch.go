@@ -8,27 +8,8 @@ import (
 	"optsync/internal/probe"
 )
 
-// defaultWorkers is the worker count used when a batch is started with
-// workers <= 0 and by the scenario table generators. 0 means GOMAXPROCS.
-// It is set once at program start (CLI flag); batches themselves never
-// mutate it.
-var defaultWorkers int
-
-// SetWorkers sets the default worker-pool size for RunBatch and for the
-// scenario/ablation table generators. n <= 0 restores the GOMAXPROCS
-// default.
-func SetWorkers(n int) { defaultWorkers = n }
-
-// Workers returns the effective default worker-pool size.
-func Workers() int {
-	if defaultWorkers > 0 {
-		return defaultWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // RunBatch executes independent specs concurrently on a bounded pool of
-// workers goroutines (Workers() if workers <= 0) and returns the results
+// workers goroutines (GOMAXPROCS if workers <= 0) and returns the results
 // in input order. Each run is single-threaded and deterministic in its
 // spec, so the result slice is byte-identical for any worker count.
 //
@@ -55,7 +36,7 @@ func RunBatchObserved(ctx context.Context, specs []Spec, workers int, onResult f
 		return results, ctx.Err()
 	}
 	if workers <= 0 {
-		workers = Workers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(specs) {
 		workers = len(specs)
@@ -122,11 +103,4 @@ func RunBatchObserved(ctx context.Context, specs []Spec, workers int, onResult f
 		firstErr = ctx.Err()
 	}
 	return results, firstErr
-}
-
-// runAll is the scenario generators' batch entry point: it fans the specs
-// out over the default worker pool. Malformed specs surface as errors
-// through Scenario.Run rather than crashing the process.
-func runAll(specs []Spec) ([]Result, error) {
-	return RunBatch(context.Background(), specs, 0, nil)
 }

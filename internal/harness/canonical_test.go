@@ -19,7 +19,7 @@ func keyOf(t *testing.T, spec Spec) string {
 
 func TestSpecKeyStableAndDiscriminating(t *testing.T) {
 	base := Spec{
-		Algo: AlgoAuth, Params: defaultParams(5, bounds.Auth),
+		Algo: AlgoAuth, Params: goldenParams(5, bounds.Auth),
 		FaultyCount: 1, Attack: AttackSilent, Horizon: 8, Seed: 1,
 	}
 	key := keyOf(t, base)
@@ -73,7 +73,7 @@ func TestSpecKeyStableAndDiscriminating(t *testing.T) {
 // be addressed from either side.
 func TestSpecKeySurvivesRun(t *testing.T) {
 	spec := Spec{
-		Algo: AlgoAuth, Params: defaultParams(5, bounds.Auth),
+		Algo: AlgoAuth, Params: goldenParams(5, bounds.Auth),
 		FaultyCount: 1, Attack: AttackSilent, Horizon: 5, Seed: 3,
 	}
 	before := keyOf(t, spec)

@@ -3,9 +3,8 @@
 // skew / spread / pulse periods / envelope rates, and checks the results
 // against the analytic bounds.
 //
-// Every table and figure of EXPERIMENTS.md is generated through this
-// package (see scenarios.go), and the benchmark targets in the repository
-// root drive the same code.
+// The experiment suite (internal/experiment), campaigns, the fabric and
+// the benchmark all run simulations through this package.
 package harness
 
 import (
@@ -241,7 +240,7 @@ type Result struct {
 	DroppedLink    uint64
 
 	// Series and Pulses, if Spec.KeepSeries.
-	Series []metrics.Sample
+	Series []probe.Sample
 	Pulses []node.PulseRecord
 
 	// Runtime counts what the simulator did to produce the result (arena
@@ -321,7 +320,6 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 	} else {
 		sampler = metrics.NewSkewSampler(cluster, correct, spec.SampleEvery)
 	}
-	sampler.DiscardSeries() // collectors own retention now
 	for i := 1; i <= runChunks; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -635,15 +633,17 @@ func autoShards(n int) int {
 	return k
 }
 
-// startedCluster builds the cluster for an already-defaulted spec and
-// boots it — the entry point for scenario generators that introspect
-// cluster state directly instead of going through RunContext. Malformed
-// specs surface as errors, never panics.
-func startedCluster(spec Spec) (*node.Cluster, error) {
+// Boot builds and starts the cluster a spec describes and returns it with
+// the spec's correct node ids — the entry point for experiments that
+// inspect cluster state (clocks, protocols, pulse records) instead of a
+// Result. The caller drives it with Run and closes it. Malformed specs
+// surface as errors, never panics.
+func Boot(spec Spec) (*node.Cluster, []node.ID, error) {
+	spec = spec.withDefaults()
 	cluster, err := buildCluster(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cluster.Start()
-	return cluster, nil
+	return cluster, correctIDs(spec.Params.N, spec.FaultyCount), nil
 }

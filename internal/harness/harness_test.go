@@ -303,31 +303,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Fatal("FmtBool wrong")
 	}
 }
-
-func TestFindScenario(t *testing.T) {
-	if _, ok := FindScenario("T1"); !ok {
-		t.Fatal("T1 not found")
-	}
-	if _, ok := FindScenario("ZZ"); ok {
-		t.Fatal("ZZ found")
-	}
-	ids := map[string]bool{}
-	for _, s := range Scenarios() {
-		if ids[s.ID] {
-			t.Fatalf("duplicate scenario id %s", s.ID)
-		}
-		ids[s.ID] = true
-		if s.Run == nil || s.Title == "" {
-			t.Fatalf("scenario %s incomplete", s.ID)
-		}
-	}
-	for _, want := range []string{
-		"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8",
-		"F1", "F2", "F3", "F4", "F5", "F6", "F7",
-		"A1", "A2", "A3",
-	} {
-		if !ids[want] {
-			t.Fatalf("scenario %s missing", want)
-		}
-	}
-}

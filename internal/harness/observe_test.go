@@ -124,13 +124,15 @@ func TestPartitionMarkerEvents(t *testing.T) {
 	}
 }
 
-// TestScenarioErrorsSurface: a scenario hitting a malformed spec must
-// return an error, not panic (the batch path used to panic).
+// TestScenarioErrorsSurface: an experiment hitting a malformed spec must
+// return an error, not panic (the batch path used to panic), through
+// either entry it runs specs by.
 func TestScenarioErrorsSurface(t *testing.T) {
-	if _, err := runAll([]Spec{{Algo: "no-such-algo", Params: observeTestSpec().Params}}); err == nil {
-		t.Fatal("runAll swallowed a malformed spec")
+	bad := Spec{Algo: "no-such-algo", Params: observeTestSpec().Params}
+	if _, err := RunBatch(context.Background(), []Spec{bad}, 0, nil); err == nil {
+		t.Fatal("RunBatch swallowed a malformed spec")
 	}
-	if _, err := startedCluster(Spec{Algo: "no-such-algo", Params: observeTestSpec().Params}.withDefaults()); err == nil {
-		t.Fatal("startedCluster swallowed a malformed spec")
+	if _, _, err := Boot(bad); err == nil {
+		t.Fatal("Boot swallowed a malformed spec")
 	}
 }

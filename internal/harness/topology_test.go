@@ -9,7 +9,7 @@ import (
 )
 
 func topoSpec(topology string) Spec {
-	p := defaultParams(7, bounds.Auth)
+	p := goldenParams(7, bounds.Auth)
 	return Spec{
 		Algo: AlgoAuth, Params: p,
 		Attack: AttackNone, Topology: topology,

@@ -59,7 +59,9 @@ type hotFunc struct {
 // sharded, and replayed execution. internal/rt is deliberately absent —
 // it is the wall-clock runtime — as are the campaign/fabric layers,
 // which orchestrate whole runs and may use real time and crypto-seeded
-// jitter (see internal/fabric.NewWorker).
+// jitter (see internal/fabric.NewWorker), and the linter itself.
+// TestEveryInternalPackageIsClassified keeps a new package from falling
+// between the two lists.
 var DeterministicPaths = []string{
 	"internal/sim",
 	"internal/network",
@@ -69,10 +71,13 @@ var DeterministicPaths = []string{
 	"internal/baseline",
 	"internal/lockstep",
 	"internal/harness",
+	"internal/experiment",
 	"internal/metrics",
 	"internal/clock",
 	"internal/probe",
 	"internal/tracelake",
+	"internal/sig",
+	"internal/analysis",
 }
 
 // Deterministic reports whether the import path (under module path mod)

@@ -184,6 +184,37 @@ func TestRepoLintClean(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageIsClassified fails when a directory under
+// internal/ is neither in the deterministic core nor exempt from it for a
+// named reason, so a package added or moved does not silently drop out of
+// detrand's scope.
+func TestEveryInternalPackageIsClassified(t *testing.T) {
+	exempt := map[string]string{
+		"internal/campaign": "orchestrates whole runs: worker pools, store files and their fsyncs",
+		"internal/fabric":   "serves and leases cells over HTTP with real-time lease expiry and jittered backoff",
+		"internal/lint":     "static analysis of the code; it never runs a simulation",
+		"internal/rt":       "the wall-clock runtime: real timers and goroutines by design",
+	}
+	entries, err := os.ReadDir(filepath.Join(moduleRoot(t), "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		rel := "internal/" + e.Name()
+		det := lint.Deterministic("optsync", "optsync/"+rel)
+		_, isExempt := exempt[rel]
+		switch {
+		case det && isExempt:
+			t.Errorf("%s is both deterministic and exempt", rel)
+		case !det && !isExempt:
+			t.Errorf("%s is neither in lint.DeterministicPaths nor exempt with a reason", rel)
+		}
+	}
+}
+
 // TestHotRangesFloor pins the //syncsim:hotpath coverage contract that
 // scripts/check_hotpath_allocs.sh enforces dynamically: at least five
 // annotated functions across internal/sim and internal/network.

@@ -1,7 +1,7 @@
-// Package metrics turns raw simulation output (clock samples, pulse
-// records) into the quantities the experiments report: skew time series,
-// per-round acceptance spreads, per-node pulse periods, and clock-envelope
-// rates.
+// Package metrics turns raw simulation output (clock readings, pulse
+// records) into the quantities the experiments report: skew samples on
+// the probe bus, per-round acceptance spreads, per-node pulse periods, and
+// clock-envelope rates.
 package metrics
 
 import (
@@ -12,24 +12,17 @@ import (
 	"optsync/internal/probe"
 )
 
-// Sample is one skew observation. It is the probe-layer sample type: a
-// retained series and a replayed trace describe skew identically.
-type Sample = probe.Sample
-
 // SkewSampler periodically measures the skew among a fixed node set (or,
 // for staggered boots, among whichever correct nodes have booted by each
 // tick). Every tick emits a probe.TypeSkewSample event on the cluster
-// engine's bus; unless DiscardSeries is called the sample is also
-// appended to Series, the pre-probe in-memory surface.
+// engine's bus, and the sampler keeps nothing: collectors on the bus
+// (probe.SkewStats, probe.Series) own retention.
 type SkewSampler struct {
-	Series []Sample
-
 	cluster  *node.Cluster
 	ids      []node.ID
 	booted   bool
 	interval float64
 	stopped  bool
-	discard  bool
 	// tick is sample, bound once: every arm schedules the same func value
 	// instead of a fresh closure.
 	tick func()
@@ -73,9 +66,6 @@ func (s *SkewSampler) sample() {
 	}
 	now := s.cluster.Engine.Now()
 	skew := s.cluster.Skew(ids)
-	if !s.discard {
-		s.Series = append(s.Series, Sample{T: now, Skew: skew})
-	}
 	if bus := s.cluster.Engine.Probes(); bus.Active(probe.TypeSkewSample) {
 		bus.Emit(probe.Event{
 			Type: probe.TypeSkewSample, From: -1, To: -1,
@@ -87,32 +77,6 @@ func (s *SkewSampler) sample() {
 
 // Stop ends sampling.
 func (s *SkewSampler) Stop() { s.stopped = true }
-
-// DiscardSeries stops retaining samples in Series: the sampler becomes a
-// pure probe-event driver and its memory stays O(1) regardless of the
-// horizon. Collectors on the bus (probe.SkewStats, probe.Series) take
-// over retention policy — this is what the harness does.
-func (s *SkewSampler) DiscardSeries() { s.discard = true }
-
-// Max returns the maximum observed skew (0 if no samples).
-func (s *SkewSampler) Max() float64 {
-	max := 0.0
-	for _, smp := range s.Series {
-		if smp.Skew > max {
-			max = smp.Skew
-		}
-	}
-	return max
-}
-
-// Skews returns the raw skew values (for summaries).
-func (s *SkewSampler) Skews() []float64 {
-	out := make([]float64, len(s.Series))
-	for i, smp := range s.Series {
-		out[i] = smp.Skew
-	}
-	return out
-}
 
 // RoundStat describes one resynchronization round across correct nodes.
 type RoundStat struct {

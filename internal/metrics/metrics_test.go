@@ -22,43 +22,54 @@ func testCluster(n int) *node.Cluster {
 	return c
 }
 
+// attachSeries retains the skew samples the cluster's bus carries, the
+// way the harness does for Spec.KeepSeries.
+func attachSeries(c *node.Cluster) *probe.Series {
+	series := probe.NewSeries()
+	c.Engine.Probes().AttachCollector(series)
+	return series
+}
+
 func TestSkewSamplerRecordsSeries(t *testing.T) {
 	c := testCluster(2)
-	s := NewSkewSampler(c, []node.ID{0, 1}, 0.5)
+	series := attachSeries(c)
+	NewSkewSampler(c, []node.ID{0, 1}, 0.5)
 	c.Nodes[1].SetLogical(0.3) // static offset of 0.3 between perfect clocks
 	c.Run(2.6)
-	if len(s.Series) != 5 {
-		t.Fatalf("samples = %d, want 5", len(s.Series))
+	if len(series.Samples) != 5 {
+		t.Fatalf("samples = %d, want 5", len(series.Samples))
 	}
-	for _, smp := range s.Series {
-		if math.Abs(smp.Skew-0.3) > 1e-12 {
-			t.Fatalf("sample %+v, want skew 0.3", smp)
+	for i, smp := range series.Samples {
+		if math.Abs(smp.Skew-0.3) > 1e-12 || math.Abs(smp.T-0.5*float64(i+1)) > 1e-12 {
+			t.Fatalf("sample %d = %+v, want skew 0.3 at t=%v", i, smp, 0.5*float64(i+1))
 		}
-	}
-	if math.Abs(s.Max()-0.3) > 1e-12 {
-		t.Fatalf("Max = %v", s.Max())
-	}
-	if got := s.Skews(); len(got) != 5 || math.Abs(got[0]-0.3) > 1e-12 {
-		t.Fatalf("Skews = %v", got)
 	}
 }
 
 func TestSkewSamplerStop(t *testing.T) {
 	c := testCluster(2)
+	series := attachSeries(c)
 	s := NewSkewSampler(c, []node.ID{0, 1}, 0.5)
 	c.Run(1.1)
 	s.Stop()
 	c.Run(5)
-	if len(s.Series) != 2 {
-		t.Fatalf("samples after stop = %d, want 2", len(s.Series))
+	if len(series.Samples) != 2 {
+		t.Fatalf("samples after stop = %d, want 2", len(series.Samples))
 	}
 }
 
 func TestSkewSamplerEmptyMax(t *testing.T) {
 	c := testCluster(1)
-	s := NewSkewSampler(c, []node.ID{0}, 1)
-	if s.Max() != 0 {
-		t.Fatalf("Max with no samples = %v", s.Max())
+	series := attachSeries(c)
+	NewSkewSampler(c, []node.ID{0}, 1)
+	if len(series.Samples) != 0 {
+		t.Fatalf("samples before the engine ran = %v", series.Samples)
+	}
+	c.Run(3.5)
+	for _, smp := range series.Samples {
+		if smp.Skew != 0 {
+			t.Fatalf("one-node sample %+v, want zero skew", smp)
+		}
 	}
 }
 
@@ -161,20 +172,16 @@ func TestEnvelopeRatesErrors(t *testing.T) {
 // --- probe emission and edge cases ---
 
 // TestSkewSamplerEmitsProbeEvents: every tick goes to the engine bus with
-// the sampled node count and skew, whether or not the series is retained.
+// the sampled node count and skew.
 func TestSkewSamplerEmitsProbeEvents(t *testing.T) {
 	c := testCluster(2)
-	s := NewSkewSampler(c, []node.ID{0, 1}, 0.5)
-	s.DiscardSeries()
+	NewSkewSampler(c, []node.ID{0, 1}, 0.5)
 	var got []probe.Event
 	c.Engine.Probes().Attach(probe.Func(func(ev probe.Event) {
 		got = append(got, ev)
 	}), probe.TypeSkewSample)
 	c.Nodes[1].SetLogical(0.3)
 	c.Run(2.6)
-	if len(s.Series) != 0 {
-		t.Fatalf("DiscardSeries retained %d samples", len(s.Series))
-	}
 	if len(got) != 5 {
 		t.Fatalf("bus saw %d skew samples, want 5", len(got))
 	}
@@ -189,18 +196,16 @@ func TestSkewSamplerEmitsProbeEvents(t *testing.T) {
 // elapses must record nothing and leave no stray events firing.
 func TestSkewSamplerStopBeforeFirstTick(t *testing.T) {
 	c := testCluster(2)
+	series := attachSeries(c)
 	s := NewSkewSampler(c, []node.ID{0, 1}, 1.0)
 	events := 0
 	c.Engine.Probes().Attach(probe.Func(func(probe.Event) { events++ }), probe.TypeSkewSample)
 	c.Run(0.5)
 	s.Stop()
 	c.Run(10)
-	if len(s.Series) != 0 || events != 0 {
+	if len(series.Samples) != 0 || events != 0 {
 		t.Fatalf("stopped-before-first-tick sampler recorded %d samples, %d events",
-			len(s.Series), events)
-	}
-	if s.Max() != 0 {
-		t.Fatalf("Max = %v", s.Max())
+			len(series.Samples), events)
 	}
 }
 
@@ -214,18 +219,16 @@ func TestBootedSamplerZeroBootedNodes(t *testing.T) {
 		StartAt:   map[int]float64{0: 5, 1: 5},
 	})
 	c.Start()
-	s := NewBootedSkewSampler(c, 1.0)
+	series := attachSeries(c)
+	NewBootedSkewSampler(c, 1.0)
 	c.Run(3.5)
-	if len(s.Series) != 3 {
-		t.Fatalf("samples = %d, want 3", len(s.Series))
+	if len(series.Samples) != 3 {
+		t.Fatalf("samples = %d, want 3", len(series.Samples))
 	}
-	for _, smp := range s.Series {
+	for _, smp := range series.Samples {
 		if smp.Skew != 0 {
 			t.Fatalf("pre-boot sample %+v, want zero skew", smp)
 		}
-	}
-	if s.Max() != 0 {
-		t.Fatalf("Max = %v", s.Max())
 	}
 }
 
@@ -235,19 +238,20 @@ func TestBootedSamplerZeroBootedNodes(t *testing.T) {
 // must resume sampling without a gap.
 func TestSkewSamplerPastHorizon(t *testing.T) {
 	c := testCluster(2)
-	s := NewSkewSampler(c, []node.ID{0, 1}, 1.0)
+	series := attachSeries(c)
+	NewSkewSampler(c, []node.ID{0, 1}, 1.0)
 	c.Run(2.5) // ticks at 1.0 and 2.0; the 3.0 tick is pending
-	if len(s.Series) != 2 {
-		t.Fatalf("samples = %d, want 2", len(s.Series))
+	if len(series.Samples) != 2 {
+		t.Fatalf("samples = %d, want 2", len(series.Samples))
 	}
-	if last := s.Series[len(s.Series)-1].T; last > 2.5 {
+	if last := series.Samples[len(series.Samples)-1].T; last > 2.5 {
 		t.Fatalf("sample recorded at %v, past the horizon", last)
 	}
 	c.Run(4.5) // pending tick fires at 3.0, then 4.0
-	if len(s.Series) != 4 {
-		t.Fatalf("samples after resume = %d, want 4", len(s.Series))
+	if len(series.Samples) != 4 {
+		t.Fatalf("samples after resume = %d, want 4", len(series.Samples))
 	}
-	if got := s.Series[2].T; math.Abs(got-3.0) > 1e-12 {
+	if got := series.Samples[2].T; math.Abs(got-3.0) > 1e-12 {
 		t.Fatalf("resumed tick at %v, want 3.0 (no gap, no drift)", got)
 	}
 }

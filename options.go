@@ -91,7 +91,7 @@ func (c *config) synchronizedProbes() []probeReg {
 }
 
 // WithWorkers bounds the batch worker pool. n <= 0 (and the default)
-// means the package default (SetDefaultWorkers, else GOMAXPROCS).
+// means GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }

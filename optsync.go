@@ -45,8 +45,8 @@ import (
 	"optsync/internal/adversary"
 	"optsync/internal/clock"
 	"optsync/internal/core/bounds"
+	"optsync/internal/experiment"
 	"optsync/internal/harness"
-	"optsync/internal/metrics"
 	"optsync/internal/network"
 	"optsync/internal/node"
 	"optsync/internal/probe"
@@ -72,11 +72,9 @@ type (
 	// Variant selects the resilience regime (Auth: n > 2f, Primitive: n > 3f).
 	Variant = bounds.Variant
 	// Sample is one skew observation of a Result series.
-	Sample = metrics.Sample
+	Sample = probe.Sample
 	// Table is a renderable result table (also what scenarios produce).
 	Table = harness.Table
-	// Scenario is a registered experiment of the reproduction suite.
-	Scenario = harness.Scenario
 
 	// Protocol is the behaviour of one simulated process.
 	Protocol = node.Protocol
@@ -195,17 +193,38 @@ func Attacks() []Attack { return harness.Attacks() }
 // registry; attack builders that wrap correct behaviour use it.
 func NewProtocol(spec Spec) (Protocol, error) { return harness.NewProtocol(spec) }
 
-// SetDefaultWorkers sets the worker-pool size used when RunBatch is not
-// given WithWorkers, and by the reproduction scenario generators
-// (Scenarios). n <= 0 restores the GOMAXPROCS default.
-func SetDefaultWorkers(n int) { harness.SetWorkers(n) }
+// Scenario is a registered experiment of the reproduction suite.
+type Scenario struct {
+	ID    string
+	Title string
+	exp   experiment.Experiment
+}
 
-// Scenarios returns the full reproduction experiment suite (the tables
-// and figures of EXPERIMENTS.md) in presentation order.
-func Scenarios() []Scenario { return harness.Scenarios() }
+// Run settles the scenario's simulations and renders its tables.
+// WithCampaignWorkers bounds the worker pool, and WithStore lets the
+// scenarios that are campaigns (T1, T2, T4, T5, T7, T8, F2, F3, F6, W1,
+// W3) resume their cells from a store. The other campaign options do not
+// apply.
+func (s Scenario) Run(ctx context.Context, opts ...CampaignOption) ([]*Table, error) {
+	return s.exp.Run(ctx, newCampaignConfig(opts).opts)
+}
+
+// Scenarios returns the full reproduction experiment suite in
+// presentation order.
+func Scenarios() []Scenario {
+	all := experiment.All()
+	out := make([]Scenario, len(all))
+	for i, e := range all {
+		out[i] = Scenario{e.ID, e.Title, e}
+	}
+	return out
+}
 
 // FindScenario returns the scenario with the given id, or false.
-func FindScenario(id string) (Scenario, bool) { return harness.FindScenario(id) }
+func FindScenario(id string) (Scenario, bool) {
+	e, ok := experiment.Find(id)
+	return Scenario{e.ID, e.Title, e}, ok
+}
 
 // NewTable creates a renderable table with the given title and columns.
 func NewTable(title string, columns ...string) *Table { return harness.NewTable(title, columns...) }
