@@ -297,8 +297,8 @@ func run(args []string) error {
 // sink writes.
 func printRuntimeStats(w io.Writer, rs optsync.RuntimeStats) {
 	a, l, g := rs.Arena, rs.Ladder, rs.Sig
-	fmt.Fprintf(w, "runtime: arena slots %d (high-water %d), references %d, mailbox copies %d\n",
-		a.Slots, a.SlotsHigh, a.Refs, a.Mailbox)
+	fmt.Fprintf(w, "runtime: arena slots %d (high-water %d), references %d, mailbox copies %d, deaf %d\n",
+		a.Slots, a.SlotsHigh, a.Refs, a.Mailbox, a.Deaf)
 	fmt.Fprintf(w, "runtime: ladder chunks %d (free-list high-water %d), grow-copies %d, spills %d (un-seals %d), re-anchors %d, shifted %d, timers %d (tombstones %d), seals %d (%d events)\n",
 		l.Chunks, l.FreeHigh, l.GrowCopies, l.Spills, l.Unseals, l.Reanchors, l.Shifted, l.Timers, l.Tombstones, l.Seals, l.Sealed)
 	fmt.Fprintf(w, "runtime: sig verifications asked %d, computed %d, rejected %d\n",

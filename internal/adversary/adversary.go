@@ -35,13 +35,19 @@ import (
 // Silent never sends anything.
 type Silent struct{}
 
-var _ node.Protocol = Silent{}
+var (
+	_ node.Protocol = Silent{}
+	_ node.Deaf     = Silent{}
+)
 
 // Start implements node.Protocol.
 func (Silent) Start(node.Env) {}
 
 // Deliver implements node.Protocol.
 func (Silent) Deliver(node.Env, node.ID, node.Message) {}
+
+// DeafFrom implements node.Deaf: a silent node ignores every message.
+func (Silent) DeafFrom() float64 { return 0 }
 
 // CrashAt runs Inner until real time At, then suppresses all of the node's
 // output (timers keep firing but sends are dropped — the process is dead
@@ -51,7 +57,10 @@ type CrashAt struct {
 	At    float64
 }
 
-var _ node.Protocol = (*CrashAt)(nil)
+var (
+	_ node.Protocol = (*CrashAt)(nil)
+	_ node.Deaf     = (*CrashAt)(nil)
+)
 
 // Start implements node.Protocol.
 func (c *CrashAt) Start(env node.Env) { c.Inner.Start(&muzzledEnv{Env: env, at: c.At}) }
@@ -63,6 +72,9 @@ func (c *CrashAt) Deliver(env node.Env, from node.ID, msg node.Message) {
 	}
 	c.Inner.Deliver(&muzzledEnv{Env: env, at: c.At}, from, msg)
 }
+
+// DeafFrom implements node.Deaf: from At on, Deliver returns at once.
+func (c *CrashAt) DeafFrom() float64 { return c.At }
 
 // muzzledEnv passes everything through until the deadline, then drops
 // outbound traffic.

@@ -40,7 +40,10 @@ func runTraced(t *testing.T, spec Spec) (Result, []byte) {
 // neighbor-list broadcast paths, attacks exercise adversary state
 // co-location and payload (non-inline) messages, partitions exercise
 // global-lane marker events splitting windows, and the delay variants
-// exercise different lookahead derivations.
+// exercise different lookahead derivations. The silent and crash-mid specs
+// have deaf recipients, whose deliveries an unprobed run counts instead of
+// queueing; the last one's silent node boots late, so the deliveries before
+// its boot stay queued and are dropped offline.
 func shardPropertySpecs() []Spec {
 	params := func(n, f int, v bounds.Variant) bounds.Params {
 		return bounds.Params{
@@ -72,6 +75,9 @@ func shardPropertySpecs() []Spec {
 		{Algo: AlgoAuth, Params: params(6, 1, bounds.Auth),
 			FaultyCount: 0, Attack: AttackNone, Seed: 10, SlewRate: 0.05,
 			StartAt: map[int]float64{4: 2.5}},
+		{Algo: AlgoAuth, Params: params(5, 1, bounds.Auth),
+			FaultyCount: 1, Attack: AttackSilent, Seed: 1,
+			StartAt: map[int]float64{4: 2.5}},
 	}
 	for i := range specs {
 		specs[i].Horizon = 8
@@ -92,7 +98,10 @@ func shardInvariant(res Result) Result {
 // TestShardedMatchesSerial is the bit-exactness contract of the parallel
 // engine: for every spec in the property grid, shard counts 2 and 8 must
 // reproduce the serial engine's Result (including the full skew series
-// and pulse log) and its trace lake byte for byte. It runs under -race
+// and pulse log) and its trace lake byte for byte. The lake subscribes to
+// message_delivered, so a traced run queues every delivery; an unprobed run
+// at 1, 2 and 8 shards, which counts the deliveries to deaf recipients
+// instead, must reproduce the traced serial Result too. It runs under -race
 // in CI, so it doubles as the data-race witness for the worker pool,
 // cross-shard mailboxes, and barrier merges.
 func TestShardedMatchesSerial(t *testing.T) {
@@ -102,11 +111,32 @@ func TestShardedMatchesSerial(t *testing.T) {
 			serial := spec
 			serial.Shards = 1
 			wantRes, wantTrace := runTraced(t, serial)
+			if d := wantRes.Runtime.Arena.Deaf; d != 0 {
+				t.Errorf("traced serial run counted %d deaf deliveries, want every one queued", d)
+			}
+			if len(spec.StartAt) > 0 && wantRes.DroppedOffline == 0 {
+				t.Errorf("no delivery reached a node before its boot")
+			}
 			wantRes = shardInvariant(wantRes)
+			deaf := spec.FaultyCount > 0 && (spec.Attack == AttackSilent || spec.Attack == AttackCrashMid)
+			for _, k := range []int{1, 2, 8} {
+				unprobed := spec
+				unprobed.Shards = k
+				gotRes := mustRun(t, unprobed)
+				if d := gotRes.Runtime.Arena.Deaf; (d > 0) != deaf {
+					t.Errorf("unprobed shards=%d counted %d deaf deliveries", k, d)
+				}
+				if gotRes = shardInvariant(gotRes); !reflect.DeepEqual(wantRes, gotRes) {
+					t.Errorf("unprobed shards=%d result diverged from traced serial:\n traced   %+v\n unprobed %+v", k, wantRes, gotRes)
+				}
+			}
 			for _, k := range []int{2, 8} {
 				sharded := spec
 				sharded.Shards = k
 				gotRes, gotTrace := runTraced(t, sharded)
+				if d := gotRes.Runtime.Arena.Deaf; d != 0 {
+					t.Errorf("traced shards=%d run counted %d deaf deliveries", k, d)
+				}
 				gotRes = shardInvariant(gotRes)
 				if !reflect.DeepEqual(wantRes, gotRes) {
 					t.Errorf("shards=%d result diverged from serial:\n serial  %+v\n sharded %+v", k, wantRes, gotRes)

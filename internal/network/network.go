@@ -26,6 +26,16 @@
 // ownership is consulted in place alone. In steady state the path performs
 // no allocation.
 //
+// A delivery nobody can observe is not an event. When the cluster says a
+// recipient is deaf from some instant on (SetDeafFrom: its protocol ignores
+// every message from then, and its handler is registered by then) and no
+// probe subscribes to message_delivered, place counts a copy landing
+// strictly after that instant instead of scheduling it: the copy takes the
+// sender lane's sequence number as a scheduled one would, so every other
+// event keeps its key, and its instant waits in a tally that moves into
+// Stats.Delivered once the engine clock reaches it. It takes no arena
+// reference, mailbox copy, queued event or dispatch.
+//
 // Observation goes through the engine's probe bus: every send, delivery,
 // and drop emits a typed probe.Event behind a Bus.Active guard, so an
 // uninstrumented run pays one predictable branch per message and an
@@ -61,7 +71,8 @@ type Policy interface {
 // (such transmissions are not counted in Sent — nothing was put on a
 // wire), and DroppedOffline at delivery time when the destination has no
 // registered handler. Sent therefore equals Delivered + Dropped +
-// DroppedOffline + in-flight.
+// DroppedOffline + in-flight, where in-flight includes the deliveries to a
+// deaf recipient that were counted rather than queued and are not yet due.
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
@@ -123,6 +134,13 @@ type Net struct {
 	rt        RuntimeStats
 	nbrBuf    []NodeID // reused AppendNeighbors buffer
 
+	// deafFrom is the cluster's read-only per-recipient instant after which
+	// a delivery is counted, not queued (nil: every recipient listens), and
+	// deafDue holds the instants of the counted deliveries not yet settled
+	// into stats.Delivered.
+	deafFrom []sim.Time
+	deafDue  []sim.Time
+
 	// Sharded-execution context, zero in a serial run. Each shard of a
 	// parallel simulation owns one Net over its own shard engine; owner
 	// maps every node id to its shard, and sends to a node owned
@@ -153,6 +171,7 @@ type RuntimeStats struct {
 	Slots     uint64 // slots taken: one per payload sent with a local recipient, one per mailbox payload
 	Refs      uint64 // deliveries scheduled against a slot
 	Mailbox   uint64 // transmissions parked for another shard
+	Deaf      uint64 // deliveries to a deaf recipient, counted without an event
 }
 
 // outMsg is one cross-shard transmission parked in a mailbox until the
@@ -256,6 +275,7 @@ func MergeStats(nets []*Net) Stats {
 	}
 	out := Stats{BySender: make([]uint64, nets[0].n)}
 	for _, nt := range nets {
+		nt.settle()
 		out.Sent += nt.stats.Sent
 		out.Delivered += nt.stats.Delivered
 		out.Dropped += nt.stats.Dropped
@@ -274,13 +294,24 @@ func (nt *Net) N() int { return nt.n }
 // Topology returns the connectivity in force.
 func (nt *Net) Topology() Topology { return nt.topo }
 
-// Register installs the delivery handler for id. It must be called before
-// any message addressed to id is delivered; re-registering replaces the
-// handler (used when a node rejoins).
+// Register installs the delivery handler for id, once, when the node boots
+// (node.Cluster.Start's boot event is the only caller): a message reaching
+// id earlier is dropped offline, and none later is. SetDeafFrom relies on
+// that contract: a handler registered at boot is there for every later
+// delivery.
 func (nt *Net) Register(id NodeID, h Handler) {
 	nt.checkID(id)
 	nt.handlers[id] = h
 }
+
+// SetDeafFrom hands the network the cluster's per-recipient deafness: a
+// delivery to `to` strictly after deafFrom[to] is one the recipient's
+// protocol ignores, by a registered handler, so it is counted rather than
+// queued while no probe subscribes to message_delivered (+Inf: the node
+// listens; nil: every node does), one instant per node. The slice is
+// shared read-only by every shard's Net. Attach probes before the run: a
+// delivery already counted is not reported.
+func (nt *Net) SetDeafFrom(deafFrom []sim.Time) { nt.deafFrom = deafFrom }
 
 // Probes returns the observation bus messages are reported on (the
 // engine's). Traffic probes subscribe to probe.MessageTypes().
@@ -289,8 +320,11 @@ func (nt *Net) Probes() *probe.Bus { return nt.probes }
 // RuntimeStats returns the arena and mailbox counters so far.
 func (nt *Net) RuntimeStats() RuntimeStats { return nt.rt }
 
-// Stats returns a copy of the traffic counters.
+// Stats returns a copy of the traffic counters. Delivered includes the
+// counted deliveries due by the engine clock, so the counters are exact
+// between Run calls, when every event due by the clock has run.
 func (nt *Net) Stats() Stats {
+	nt.settle()
 	s := nt.stats
 	s.BySender = append([]uint64(nil), nt.stats.BySender...)
 	return s
@@ -371,6 +405,10 @@ func (nt *Net) transmit(from, to NodeID, now sim.Time, msg Message, cur *uint32)
 //
 //syncsim:hotpath
 func (nt *Net) place(from, to NodeID, at sim.Time, msg Message, cur *uint32) {
+	if nt.deafFrom != nil && at > nt.deafFrom[to] && !nt.probes.Active(probe.TypeMessageDelivered) {
+		nt.countDeaf(at)
+		return
+	}
 	if nt.owner != nil && nt.owner[to] != nt.shard {
 		nt.sendRemote(nt.owner[to], from, to, at, msg)
 		return
@@ -389,6 +427,50 @@ func (nt *Net) sendRemote(dst int32, from, to NodeID, at sim.Time, msg Message) 
 	nt.outbox[dst] = append(nt.outbox[dst], outMsg{
 		key: nt.engine.TakeKey(at), from: int32(from), to: int32(to), msg: msg,
 	})
+}
+
+// countDeaf accounts one delivery to a deaf recipient without an event. It
+// consumes the sender lane's next sequence number exactly as a scheduled
+// copy would, and keeps the instant until it is due.
+//
+//syncsim:hotpath
+func (nt *Net) countDeaf(at sim.Time) {
+	nt.engine.TakeKey(at)
+	nt.rt.Deaf++
+	if len(nt.deafDue) == cap(nt.deafDue) {
+		nt.makeDeafRoom()
+	}
+	nt.deafDue = append(nt.deafDue, at)
+}
+
+// makeDeafRoom settles a full tally and doubles it only when settling left
+// it more than half full, so the tally holds about what is in flight to
+// deaf recipients, a run that builds a fresh Net pays for no more, and each
+// slot is settled a bounded number of times between doublings. It is the
+// tally's slow path, run only when the tally is full, and stays out of
+// line like append's own growth.
+//
+//go:noinline
+func (nt *Net) makeDeafRoom() {
+	nt.settle()
+	if n := len(nt.deafDue); n > cap(nt.deafDue)/2 {
+		nt.deafDue = append(make([]sim.Time, 0, max(2*n, 16)), nt.deafDue...)
+	}
+}
+
+// settle moves the counted deliveries that are due by the engine clock into
+// stats.Delivered.
+func (nt *Net) settle() {
+	now := nt.engine.Now()
+	due := nt.deafDue[:0]
+	for _, at := range nt.deafDue {
+		if at <= now {
+			nt.stats.Delivered++
+		} else {
+			due = append(due, at)
+		}
+	}
+	nt.deafDue = due
 }
 
 // pack builds the sim event of one delivery on this engine: the scalars

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -485,5 +486,52 @@ func TestDeliveryWithinBoundsProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(31))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeafCopyKeepsTheSenderLanesKeys: a copy counted for a deaf recipient
+// takes the sender lane's sequence number as a queued copy does, so what
+// the sender schedules next carries the same key either way; it is settled
+// into Delivered when the clock reaches its instant, and a message_delivered
+// probe queues it again.
+func TestDeafCopyKeepsTheSenderLanesKeys(t *testing.T) {
+	run := func(deaf, probed bool) (sim.Key, Stats, RuntimeStats, int) {
+		e := sim.New(1)
+		nt := New(e, 3, Fixed{D: 0.5}, nil)
+		handed := 0
+		for i := 0; i < 3; i++ {
+			nt.Register(i, func(NodeID, Message) { handed++ })
+		}
+		if deaf {
+			nt.SetDeafFrom([]sim.Time{math.Inf(1), math.Inf(1), 0})
+		}
+		if probed {
+			e.Probes().Attach(probe.Func(func(probe.Event) {}), probe.TypeMessageDelivered)
+		}
+		var next sim.Key
+		e.MustAtLane(0, 0, func() {
+			nt.Broadcast(0, Message{Round: 1})
+			e.MustAt(0.75, func() { next, _ = e.ExecTag() })
+		})
+		e.Run(0.25)
+		if s := nt.Stats(); s.Delivered != 0 {
+			t.Errorf("deaf=%v: %d delivered before any copy is due", deaf, s.Delivered)
+		}
+		e.Run(1)
+		return next, nt.Stats(), nt.RuntimeStats(), handed
+	}
+	wantKey, wantStats, _, _ := run(false, false)
+	for _, probed := range []bool{false, true} {
+		key, stats, rt, handed := run(true, probed)
+		if key != wantKey || fmt.Sprint(stats) != fmt.Sprint(wantStats) {
+			t.Errorf("probed=%v: next key %+v and stats %+v, want %+v and %+v", probed, key, stats, wantKey, wantStats)
+		}
+		want := uint64(1) // node 2's copy, counted
+		if probed {
+			want = 0
+		}
+		if rt.Deaf != want || handed != 3-int(want) {
+			t.Errorf("probed=%v: %d copies counted deaf, %d handed over", probed, rt.Deaf, handed)
+		}
 	}
 }

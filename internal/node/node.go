@@ -11,6 +11,7 @@ package node
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -91,6 +92,16 @@ type Protocol interface {
 	Start(Env)
 	// Deliver runs when a message arrives.
 	Deliver(Env, ID, Message)
+}
+
+// Deaf is implemented by a protocol whose Deliver ignores every message
+// from a known real instant on: it neither changes state, nor sends, nor
+// schedules, nor verifies. DeafFrom returns that instant (+Inf: never).
+// The cluster then counts deliveries to the node after the later of its
+// boot and that instant instead of queueing them (network.Net.SetDeafFrom),
+// which changes no result.
+type Deaf interface {
+	DeafFrom() float64
 }
 
 // PulseRecord logs one accepted resynchronization round at one node.
@@ -408,7 +419,38 @@ func NewCluster(cfg Config) *Cluster {
 		}
 		c.Nodes = append(c.Nodes, nd)
 	}
+	if deafFrom := c.deafness(); deafFrom != nil {
+		for _, nt := range c.nets {
+			nt.SetDeafFrom(deafFrom)
+		}
+	}
 	return c
+}
+
+// deafness returns, per node, the instant after which a delivery to it is
+// unobservable — the later of its boot and its protocol's DeafFrom, +Inf
+// for a node that listens — or nil when every node listens. It runs before
+// any shard does; the shards' networks then share it read-only.
+func (c *Cluster) deafness() []sim.Time {
+	var deafFrom []sim.Time
+	for i, nd := range c.Nodes {
+		d, ok := nd.proto.(Deaf)
+		if !ok {
+			continue
+		}
+		from := max(c.cfg.StartAt[i], d.DeafFrom())
+		if !(from < math.Inf(1)) { // +Inf or NaN: the node listens
+			continue
+		}
+		if deafFrom == nil {
+			deafFrom = make([]sim.Time, len(c.Nodes))
+			for j := range deafFrom {
+				deafFrom[j] = math.Inf(1)
+			}
+		}
+		deafFrom[i] = from
+	}
+	return deafFrom
 }
 
 // Start boots every node at its configured start time. A node's delivery
@@ -500,6 +542,7 @@ func (c *Cluster) RuntimeStats() RuntimeStats {
 		rs.Arena.Slots += a.Slots
 		rs.Arena.Refs += a.Refs
 		rs.Arena.Mailbox += a.Mailbox
+		rs.Arena.Deaf += a.Deaf
 		add(c.coord.Shard(i).LadderStats())
 	}
 	return rs

@@ -402,3 +402,61 @@ func TestClusterProbeEvents(t *testing.T) {
 		t.Fatalf("cluster pulses = %+v", c.Pulses)
 	}
 }
+
+// deafProto broadcasts at boot and claims to ignore every message, yet
+// records what is dispatched to it: what a deaf node would be handed.
+type deafProto struct{ echoProto }
+
+func (*deafProto) DeafFrom() float64 { return 0 }
+
+// TestDeafDeliveriesAreCountedNotQueued: a delivery to a deaf node strictly
+// after its boot is counted, not dispatched, and the traffic counters are
+// those of the run that queues it (a message_delivered probe attached) at
+// every Run boundary. Nodes 1 and 2 are deaf, node 1 booting at 0.5, which
+// is exactly when the boot broadcasts of nodes 0 and 2 land: node 0's copy
+// orders before node 1's boot and is dropped offline, node 2's after it and
+// is delivered, both through the queue. The other four copies to a deaf
+// node are counted.
+func TestDeafDeliveriesAreCountedNotQueued(t *testing.T) {
+	build := func() (*Cluster, []*deafProto) {
+		protos := make([]*deafProto, 3)
+		c := NewCluster(Config{
+			N: 3, F: 0, Seed: 1,
+			Delay: network.Fixed{D: 0.5},
+			Protocols: func(i int) Protocol {
+				protos[i] = &deafProto{}
+				if i == 0 {
+					return &protos[i].echoProto
+				}
+				return protos[i]
+			},
+			StartAt: map[int]float64{1: 0.5},
+		})
+		return c, protos
+	}
+	counted, cp := build()
+	queued, qp := build()
+	var delivered int
+	queued.Engine.Probes().Attach(probe.Func(func(probe.Event) { delivered++ }), probe.TypeMessageDelivered)
+	counted.Start()
+	queued.Start()
+	for _, until := range []float64{0.25, 0.5, 0.75, 1, 2} {
+		counted.Run(until)
+		queued.Run(until)
+		if got, want := counted.NetStats(), queued.NetStats(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("t=%v: counted %+v, queued %+v", until, got, want)
+		}
+	}
+	if s := counted.NetStats(); s.Sent != 9 || s.Delivered != 8 || s.DroppedOffline != 1 || delivered != 8 {
+		t.Errorf("stats %+v and %d message_delivered events, want 9 sent, 8 delivered, 1 dropped offline", s, delivered)
+	}
+	if d, q := counted.RuntimeStats().Arena.Deaf, queued.RuntimeStats().Arena.Deaf; d != 4 || q != 0 {
+		t.Errorf("deaf counts %d counted, %d queued, want 4 and 0", d, q)
+	}
+	if got := cp[1].delivered; len(got) != 1 || got[0] != 2 || len(cp[2].delivered) != 0 {
+		t.Errorf("deaf nodes were handed %v and %v, want node 2's boot copy at node 1's boot instant only", got, cp[2].delivered)
+	}
+	if len(qp[1].delivered) != 2 || len(qp[2].delivered) != 3 {
+		t.Errorf("queued run handed the deaf nodes %v and %v", qp[1].delivered, qp[2].delivered)
+	}
+}

@@ -15,7 +15,7 @@ import (
 
 // runtimeWords matches any name Result.Runtime or Store.Stats could
 // surface under.
-var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|timers|tombstones|mailbox|"sig|asked|computed|puts|batches|bytes_appended|"hits|misses|damaged|seals|sealed|recovered|torn`)
+var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|timers|tombstones|mailbox|deaf|"sig|asked|computed|puts|batches|bytes_appended|"hits|misses|damaged|seals|sealed|recovered|torn`)
 
 // TestRuntimeStatsStayOutOfEveryRecord: Result.Runtime describes the
 // execution, not the result — it may differ between shard counts — so it
@@ -24,13 +24,13 @@ var runtimeWords = regexp.MustCompile(`(?i)runtime|arena|ladder|slots|chunks|tim
 // same holds for the store's own counters (StoreStats): they are on
 // /progress and nowhere else — not in a store file, not in a report.
 func TestRuntimeStatsStayOutOfEveryRecord(t *testing.T) {
-	spec := Spec{Algo: AlgoAuth, Params: testParams(t, 5, Auth), Attack: AttackSilent, Horizon: 4, Seed: 3}
+	spec := Spec{Algo: AlgoAuth, Params: testParams(t, 5, Auth), FaultyCount: 1, Attack: AttackSilent, Horizon: 4, Seed: 3}
 	var jsonOut, csvOut bytes.Buffer
 	res, err := Run(context.Background(), spec, WithSink(NewJSONSink(&jsonOut)), WithSink(NewCSVSink(&csvOut)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt := res.Runtime; rt.Arena.Slots == 0 || rt.Arena.Refs <= rt.Arena.Slots || rt.Sig.Asked == 0 || rt.Sig.Computed >= rt.Sig.Asked ||
+	if rt := res.Runtime; rt.Arena.Slots == 0 || rt.Arena.Refs <= rt.Arena.Slots || rt.Arena.Deaf == 0 || rt.Sig.Asked == 0 || rt.Sig.Computed >= rt.Sig.Asked ||
 		rt.Ladder.Timers == 0 || rt.Ladder.Tombstones == 0 || rt.Ladder.Seals == 0 || rt.Ladder.Sealed < rt.Ladder.Seals {
 		t.Fatalf("Result.Runtime not filled in: %+v", res.Runtime)
 	}
