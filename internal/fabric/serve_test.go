@@ -100,18 +100,23 @@ func TestServeGracefulCancel(t *testing.T) {
 	dir := t.TempDir() + "/store"
 	store := quietStore(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
+	wctx, wcancel := context.WithCancel(context.Background())
+	defer wcancel()
 	url, out := startServe(t, ctx, store, ServeOptions{
 		ServerOptions: ServerOptions{
 			LeaseBatch: 2,
 			Progress: func(done, total int) {
 				if done >= 4 {
-					cancel() // interrupt once a third of the campaign settled
+					// Interrupt once a third of the campaign settled. The
+					// worker stops too: on a loaded host it could otherwise
+					// lease and settle every remaining cell before Serve's
+					// goroutine gets to shut the listener down.
+					cancel()
+					wcancel()
 				}
 			},
 		},
 	})
-	wctx, wcancel := context.WithCancel(context.Background())
-	defer wcancel()
 	go NewWorker(url, WorkerOptions{Name: "w", Batch: 2,
 		PollInterval: 2 * time.Millisecond, BackoffBase: time.Millisecond}).Run(wctx)
 

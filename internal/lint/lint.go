@@ -56,10 +56,10 @@ type hotFunc struct {
 
 // DeterministicPaths lists the module-relative package paths (each
 // covering its subtree) whose code must be bit-exact across serial,
-// sharded, and replayed execution. internal/rt is deliberately absent —
-// it is the wall-clock runtime — as are the campaign/fabric layers,
-// which orchestrate whole runs and may use real time and crypto-seeded
-// jitter (see internal/fabric.NewWorker), and the linter itself.
+// sharded, and replayed execution. The campaign/fabric layers are
+// deliberately absent — they orchestrate whole runs and may use real time
+// and crypto-seeded jitter (see internal/fabric.NewWorker) — as is the
+// linter itself.
 // TestEveryInternalPackageIsClassified keeps a new package from falling
 // between the two lists.
 var DeterministicPaths = []string{

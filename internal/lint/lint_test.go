@@ -193,7 +193,6 @@ func TestEveryInternalPackageIsClassified(t *testing.T) {
 		"internal/campaign": "orchestrates whole runs: worker pools, store files and their fsyncs",
 		"internal/fabric":   "serves and leases cells over HTTP with real-time lease expiry and jittered backoff",
 		"internal/lint":     "static analysis of the code; it never runs a simulation",
-		"internal/rt":       "the wall-clock runtime: real timers and goroutines by design",
 	}
 	entries, err := os.ReadDir(filepath.Join(moduleRoot(t), "internal"))
 	if err != nil {

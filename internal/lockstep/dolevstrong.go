@@ -67,17 +67,6 @@ func dsPayload(dealer node.ID, value uint64) []byte {
 // Decided reports whether and what the process decided.
 func (d *DolevStrong) Decided() (uint64, bool) { return d.decision, d.decided }
 
-// NewDSMessage builds a round-1 Dolev-Strong message signed by env's key
-// in dealer's name (meaningful only when env.ID() == dealer, since
-// signatures are per-identity). Exported so adversarial dealers in
-// examples and tests can equivocate — the model lets a Byzantine process
-// sign whatever it likes with its own key.
-func NewDSMessage(env node.Env, dealer node.ID, value uint64) AppMessage {
-	return dsMessage{Value: value, Chain: []chainEntry{
-		{Signer: dealer, Sig: env.Sign(dsPayload(dealer, value))},
-	}}
-}
-
 // FirstRound implements App.
 func (d *DolevStrong) FirstRound(env node.Env) []Outgoing {
 	d.extracted = make(map[uint64][]chainEntry)

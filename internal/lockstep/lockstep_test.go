@@ -264,26 +264,6 @@ func TestDolevStrongSilentDealerDecidesDefault(t *testing.T) {
 	}
 }
 
-func TestNewDSMessage(t *testing.T) {
-	p := lockstepParams(4)
-	cfg := core.ConfigFromBounds(p)
-	c := buildCluster(t, p, func(i int) node.Protocol {
-		return New(cfg, &DolevStrong{Dealer: 0, Value: 1, F: p.F})
-	})
-	c.Start()
-	env := c.Nodes[0]
-	msg, ok := NewDSMessage(env, 0, 77).(dsMessage)
-	if !ok {
-		t.Fatal("NewDSMessage returned wrong type")
-	}
-	if msg.Value != 77 || len(msg.Chain) != 1 || msg.Chain[0].Signer != 0 {
-		t.Fatalf("message = %+v", msg)
-	}
-	if !env.Verify(0, dsPayload(0, 77), msg.Chain[0].Sig) {
-		t.Fatal("signature does not verify")
-	}
-}
-
 func TestNewCheckedRejectsInvalidResilience(t *testing.T) {
 	p := lockstepParams(5)
 	p.F = 3 // 2f >= n

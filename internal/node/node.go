@@ -33,9 +33,8 @@ type Message = network.Message
 
 // Timer is an opaque handle to a cancellable scheduled callback. The
 // simulation runtime backs it with a sim.Timer, an 8-byte value naming a
-// slot of the engine's timer slab; the real-time runtime (internal/rt)
-// with a *time.Timer. Protocols only store it and hand it back to
-// Env.Cancel.
+// slot of the engine's timer slab. Protocols only store it and hand it
+// back to Env.Cancel.
 type Timer any
 
 // Env is the world as seen by a protocol instance.

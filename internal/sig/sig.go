@@ -23,8 +23,7 @@
 //
 // HMAC and Ed25519 are immutable after construction: Sign and Verify read
 // the keys and write nothing, so one scheme is shared without locking by
-// the shard goroutines of a simulation and by the process goroutines of
-// rt.Cluster.
+// the shard goroutines of a simulation.
 //
 // A scheme's Verify does its full work on every call. Every process of a
 // signed run checks every other's round signature, so on a 25-node mesh
