@@ -179,7 +179,7 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 			return nil, fmt.Errorf("tracelake: footer entry %d (block at offset %d) has implausible row count %d",
 				i, m.offset, m.count)
 		}
-		if m.offset < uint64(len(Magic)) || m.offset+m.length > uint64(footerOff) || m.length < blockHeaderSize {
+		if m.offset < uint64(len(Magic)) || m.length < blockHeaderSize || m.length > uint64(footerOff) || m.offset > uint64(footerOff)-m.length {
 			return nil, fmt.Errorf("tracelake: footer entry %d places block at [%d, %d), outside the data region [%d, %d)",
 				i, m.offset, m.offset+m.length, len(Magic), footerOff)
 		}
