@@ -1,10 +1,11 @@
-// Parallel block decoding: the scan entry points in scan.go partition a
-// query's admitted blocks across a bounded pool of decode workers, each
-// owning its own blockReader scratch, and consume the decoded blocks in
-// a fixed order — so parallel scans are byte-identical to serial ones at
-// every worker count, the same bit-exactness contract sim.Shards set for
-// the engine. Readers recycle through a bounded free list: the feeder
-// can only run as many blocks ahead of the consumer as there are
+// Block decoding for every read in scan.go: a blockStream hands one
+// list of admitted blocks to its consumer in list order. At one worker it
+// decodes inline through one reader; otherwise it prefetches on a bounded
+// pool of decode workers, each block into a reader of its own, and still
+// delivers in list order — so parallel scans are byte-identical to serial
+// ones at every worker count, the same bit-exactness contract sim.Shards
+// set for the engine. Readers recycle through a bounded free list: the
+// feeder can only run as many blocks ahead of the consumer as there are
 // readers, which bounds memory and keeps the steady-state decode path
 // allocation-free per block.
 //
@@ -17,23 +18,7 @@
 
 package tracelake
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// resolveWorkers maps Query.Workers onto a concrete pool width: 0 means
-// one worker per core, 1 is the serial scanner, negatives are an error.
-func resolveWorkers(n int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("tracelake: negative worker count %d", n)
-	}
-	if n == 0 {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	return n, nil
-}
+import "sync"
 
 // decodeJob asks a worker to decode block stream.metas[pos] into br.
 type decodeJob struct {
@@ -42,30 +27,22 @@ type decodeJob struct {
 	br     *blockReader
 }
 
-// decodePool is one scan's worker set, shared by every stream of that
-// scan. Feeders enqueue jobs as readers free up; workers decode and
-// deliver to the job's stream. close stops everything and waits, so no
-// goroutine outlives the scan that spawned it — error paths included.
+// decodePool is one scan's decoding resources, shared by every stream of
+// that scan: the readers its streams borrowed from the lake and, past one
+// worker, the worker goroutines, started with the first stream. close
+// stops everything and waits, so no goroutine outlives the scan that
+// spawned it — error paths included.
 type decodePool struct {
-	lake *Lake
-	jobs chan decodeJob
-	done chan struct{}
-	wg   sync.WaitGroup
-	// readers are borrowed from the lake by the streams; close returns them.
-	readers []*blockReader
+	lake           *Lake
+	workers, queue int
+	jobs           chan decodeJob // nil until the workers start
+	done           chan struct{}
+	wg             sync.WaitGroup
+	readers        []*blockReader
 }
 
-func newDecodePool(l *Lake, workers, queue int) *decodePool {
-	p := &decodePool{
-		lake: l,
-		jobs: make(chan decodeJob, queue),
-		done: make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
+func (l *Lake) newDecodePool(workers, queue int) *decodePool {
+	return &decodePool{lake: l, workers: workers, queue: queue}
 }
 
 func (p *decodePool) worker() {
@@ -87,20 +64,33 @@ func (p *decodePool) worker() {
 // (deliver never blocks), and exits. Only then, with nothing decoding
 // into them or reading their rows, do the readers go back to the lake.
 func (p *decodePool) close() {
-	close(p.done)
-	p.wg.Wait()
+	if p.jobs != nil {
+		close(p.done)
+		p.wg.Wait()
+	}
 	p.lake.putReader(p.readers...)
 }
 
 // stream starts delivering the blocks of metas in list order, decoding
-// up to depth of them ahead of the consumer.
-func (p *decodePool) stream(metas []int, depth int) *blockStream {
-	depth = min(depth, len(metas))
-	s := &blockStream{
-		metas: metas,
-		free:  make(chan *blockReader, depth),
-		ring:  make([]streamSlot, depth),
+// up to depth of them ahead of the consumer when the pool has more than
+// one worker. Every block taken is counted into st.
+func (p *decodePool) stream(metas []int, depth int, st *ScanStats) *blockStream {
+	s := &blockStream{lake: p.lake, metas: metas, st: st}
+	if p.workers == 1 {
+		s.br = p.lake.getReader()
+		p.readers = append(p.readers, s.br)
+		return s
 	}
+	if p.jobs == nil {
+		p.jobs, p.done = make(chan decodeJob, p.queue), make(chan struct{})
+		for i := 0; i < p.workers; i++ {
+			p.wg.Add(1)
+			go p.worker()
+		}
+	}
+	depth = min(depth, len(metas))
+	s.free = make(chan *blockReader, depth)
+	s.ring = make([]streamSlot, depth)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < depth; i++ {
 		br := p.lake.getReader()
@@ -137,13 +127,16 @@ func (p *decodePool) feed(s *blockStream) {
 // delivery is what makes a parallel scan's output — and its error
 // reporting — indistinguishable from the serial scanner's.
 type blockStream struct {
+	lake  *Lake
 	metas []int
-	free  chan *blockReader
+	next  int          // next position take returns
+	br    *blockReader // the reader whose rows the consumer holds
+	st    *ScanStats
+	free  chan *blockReader // nil: decode inline into br
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	ring []streamSlot // the slot for position p is ring[p%len(ring)]
-	next int          // next position take returns
 }
 
 type streamSlot struct {
@@ -164,47 +157,37 @@ func (s *blockStream) deliver(pos int, br *blockReader, rows *Rows, err error) {
 	s.cond.Broadcast()
 }
 
-// take blocks until the next position has been decoded and returns it.
-// The Rows alias the returned reader's buffers: recycle the reader only
-// after the rows have been consumed.
-func (s *blockStream) take() (*Rows, *blockReader, error) {
-	s.mu.Lock()
-	slot := &s.ring[s.next%len(s.ring)]
-	for !slot.filled {
-		s.cond.Wait()
+// take returns the next block, nil after the last one. The Rows alias a
+// reader's buffers and stay valid until the following take. Pooled, it
+// first hands the previous block's reader back to the feeder (never
+// blocking: the free list's capacity is the reader count), then waits
+// for the next position to be decoded.
+func (s *blockStream) take() (*Rows, error) {
+	if s.next == len(s.metas) {
+		return nil, nil
 	}
-	rows, br, err := slot.rows, slot.br, slot.err
-	*slot = streamSlot{}
+	var rows *Rows
+	var err error
+	if s.free == nil {
+		rows, err = s.br.read(s.lake, s.metas[s.next])
+	} else {
+		if s.br != nil {
+			s.free <- s.br
+		}
+		s.mu.Lock()
+		slot := &s.ring[s.next%len(s.ring)]
+		for !slot.filled {
+			s.cond.Wait()
+		}
+		rows, s.br, err = slot.rows, slot.br, slot.err
+		*slot = streamSlot{}
+		s.mu.Unlock()
+	}
 	s.next++
-	s.mu.Unlock()
-	return rows, br, err
-}
-
-// recycle returns a consumed block's reader to the free list, letting
-// the feeder assign it the next position. Never blocks (the list's
-// capacity is the reader count).
-func (s *blockStream) recycle(br *blockReader) {
-	s.free <- br
-}
-
-// consume runs the blocks of metas through the pool and hands each to
-// visit, in metas order.
-func (p *decodePool) consume(metas []int, depth int, visit func(*Rows) error) error {
-	s := p.stream(metas, depth)
-	var held *blockReader
-	for range metas {
-		if held != nil {
-			s.recycle(held)
-			held = nil
-		}
-		rows, br, err := s.take()
-		held = br
-		if err != nil {
-			return err
-		}
-		if err := visit(rows); err != nil {
-			return err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	s.st.BlocksScanned++
+	s.st.RowsDecoded += uint64(rows.Len())
+	return rows, nil
 }

@@ -1,7 +1,9 @@
 package tracelake
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 
 	"optsync/internal/probe"
 )
@@ -31,8 +33,8 @@ type Query struct {
 	RoundMin, RoundMax int32
 	FilterRound        bool
 	// Workers bounds the scan's decode parallelism: 0 (the zero value)
-	// means one worker per core (runtime.GOMAXPROCS), 1 forces the
-	// serial scanner, higher values pin the pool width exactly. Output
+	// means one worker per core (runtime.GOMAXPROCS), 1 decodes inline
+	// on the calling goroutine, higher values pin the pool width. Output
 	// and error reporting are byte-identical at every worker count —
 	// parallel decode changes wall-clock time, nothing else. Negative
 	// values are an error.
@@ -154,6 +156,55 @@ type ScanStats struct {
 	RowsDecoded, EventsMatched uint64
 }
 
+// plan is the footer half of every read. It resolves q.Workers and sorts
+// the blocks on their footer entries alone: pruned (the bounds cannot
+// intersect q), answered (answer, when non-nil, accepts the block: it
+// counts as covered and all its rows as matched), or to be decoded —
+// returned in file order.
+func (l *Lake) plan(q *Query, answer func(*blockMeta) bool) (workers int, metas []int, st ScanStats, err error) {
+	switch workers = q.Workers; {
+	case workers < 0:
+		return 0, nil, st, fmt.Errorf("tracelake: negative worker count %d", workers)
+	case workers == 0:
+		workers = runtime.GOMAXPROCS(0)
+	}
+	mask := q.typeMask()
+	st.BlocksTotal = len(l.blocks)
+	for i := range l.blocks {
+		switch m := &l.blocks[i]; {
+		case !q.admitsBlock(&mask, m):
+			st.BlocksPruned++
+		case answer != nil && answer(m):
+			st.BlocksCovered++
+			st.EventsMatched += uint64(m.count)
+		default:
+			metas = append(metas, i)
+		}
+	}
+	return workers, metas, st, nil
+}
+
+// each decodes the blocks of metas and hands them to visit, in metas
+// order, on the calling goroutine. The Rows are valid until visit returns.
+func (l *Lake) each(workers int, metas []int, st *ScanStats, visit func(*Rows) error) error {
+	if len(metas) == 0 {
+		return nil
+	}
+	depth := min(workers+2, len(metas))
+	pool := l.newDecodePool(workers, depth)
+	defer pool.close()
+	s := pool.stream(metas, depth, st)
+	for {
+		rows, err := s.take()
+		if rows == nil || err != nil {
+			return err
+		}
+		if err := visit(rows); err != nil {
+			return err
+		}
+	}
+}
+
 // ScanRows visits every block q admits, in file order, decoded into
 // struct-of-arrays form. fn sees whole blocks: rows failing q's
 // row-level predicates are included (pruning is block-granular here);
@@ -163,67 +214,22 @@ type ScanStats struct {
 // worker pool; fn still sees them one at a time, in file order, on the
 // calling goroutine.
 func (l *Lake) ScanRows(q Query, fn func(*Rows) error) (ScanStats, error) {
-	workers, err := resolveWorkers(q.Workers)
+	workers, metas, st, err := l.plan(&q, nil)
 	if err != nil {
-		return ScanStats{}, err
+		return st, err
 	}
-	mask := q.typeMask()
-	st := ScanStats{BlocksTotal: len(l.blocks)}
-	var metas []int
-	for i := range l.blocks {
-		if !q.admitsBlock(&mask, &l.blocks[i]) {
-			st.BlocksPruned++
-			continue
-		}
-		metas = append(metas, i)
-	}
-	err = l.visitBlocks(workers, metas, func(rows *Rows) error {
-		st.BlocksScanned++
-		st.RowsDecoded += uint64(rows.Len())
-		return fn(rows)
-	})
+	err = l.each(workers, metas, &st, fn)
 	return st, err
-}
-
-// visitBlocks decodes the blocks of metas — on a worker pool when
-// workers > 1 — and hands each to visit, in metas order, on the calling
-// goroutine. The Rows are valid until visit returns.
-func (l *Lake) visitBlocks(workers int, metas []int, visit func(*Rows) error) error {
-	if workers > 1 && len(metas) > 0 {
-		depth := min(workers+2, len(metas))
-		pool := newDecodePool(l, workers, depth)
-		defer pool.close()
-		return pool.consume(metas, depth, visit)
-	}
-	br := l.getReader()
-	defer l.putReader(br)
-	for _, mi := range metas {
-		rows, err := br.read(l, mi)
-		if err != nil {
-			return err
-		}
-		if err := visit(rows); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cursor walks the admitted blocks of one event type in seq order,
 // positioned on the next row that passes the query's row predicates.
-// With a stream attached, block decode is prefetched on the scan's
-// worker pool; the per-row loop is the same either way.
 type cursor struct {
-	lake  *Lake
-	q     *Query
-	metas []int        // admitted block indices of this type, seq-sorted
-	next  int          // next position in metas
-	br    *blockReader // serial decode, borrowed from the lake
-	s     *blockStream // non-nil: parallel prefetch replaces br
-	held  *blockReader // the stream reader whose rows are in use
-	rows  *Rows
-	idx   int
-	st    *ScanStats
+	q    *Query
+	s    *blockStream // the type's admitted blocks, seq-sorted
+	rows *Rows
+	idx  int
+	st   *ScanStats
 }
 
 // advance moves to the next admitted row, loading blocks as needed.
@@ -238,28 +244,11 @@ func (c *cursor) advance() (bool, error) {
 					return true, nil
 				}
 			}
-			c.rows = nil
 		}
-		if c.next >= len(c.metas) {
-			return false, nil
-		}
-		var rows *Rows
-		var err error
-		if c.s != nil {
-			if c.held != nil {
-				c.s.recycle(c.held)
-				c.held = nil
-			}
-			rows, c.held, err = c.s.take()
-		} else {
-			rows, err = c.br.read(c.lake, c.metas[c.next])
-		}
-		if err != nil {
+		rows, err := c.s.take()
+		if rows == nil || err != nil {
 			return false, err
 		}
-		c.next++
-		c.st.BlocksScanned++
-		c.st.RowsDecoded += uint64(rows.Len())
 		c.rows, c.idx = rows, -1
 	}
 }
@@ -296,61 +285,41 @@ func (c *cursor) emitRun(limit uint64, fn func(probe.Event) error) error {
 // the calling goroutine — the merged stream (and its error reporting)
 // is byte-identical to the serial scan at every worker count.
 func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
-	workers, err := resolveWorkers(q.Workers)
+	workers, metas, st, err := l.plan(&q, nil)
 	if err != nil {
-		return ScanStats{}, err
+		return st, err
 	}
-	mask := q.typeMask()
-	st := ScanStats{BlocksTotal: len(l.blocks)}
-
 	perType := make([][]int, probe.NumTypes)
 	active := 0
-	for i := range l.blocks {
-		m := &l.blocks[i]
-		if !q.admitsBlock(&mask, m) {
-			st.BlocksPruned++
-			continue
-		}
-		if len(perType[m.typ]) == 0 {
+	for _, mi := range metas {
+		typ := l.blocks[mi].typ
+		if len(perType[typ]) == 0 {
 			active++
 		}
-		perType[m.typ] = append(perType[m.typ], i)
+		perType[typ] = append(perType[typ], mi)
 	}
 
 	// The merge consumes one type at a time, so per-type prefetch past
 	// a couple of blocks buys nothing — except when a single type holds
 	// every admitted block, where the stream degenerates to ScanRows
 	// and the full pool width pays off.
-	var pool *decodePool
 	depth := 2
-	if workers > 1 && active > 0 {
-		if active == 1 {
-			depth = workers + 2
-		}
-		queue := 0
-		for _, metas := range perType {
-			if len(metas) > 0 {
-				queue += min(depth, len(metas))
-			}
-		}
-		pool = newDecodePool(l, workers, queue)
-		defer pool.close()
+	if active == 1 {
+		depth = workers + 2
 	}
+	queue := 0
+	for _, metas := range perType {
+		queue += min(depth, len(metas))
+	}
+	pool := l.newDecodePool(workers, queue)
+	defer pool.close()
 
-	cursors := make([]*cursor, 0, probe.NumTypes)
-	var serial []*blockReader
-	defer func() { l.putReader(serial...) }()
+	cursors := make([]*cursor, 0, active)
 	for _, metas := range perType {
 		if len(metas) == 0 {
 			continue
 		}
-		c := &cursor{lake: l, q: &q, metas: metas, st: &st, idx: -1}
-		if pool != nil {
-			c.s = pool.stream(metas, depth)
-		} else {
-			c.br = l.getReader()
-			serial = append(serial, c.br)
-		}
+		c := &cursor{q: &q, s: pool.stream(metas, depth, &st), st: &st, idx: -1}
 		ok, err := c.advance()
 		if err != nil {
 			return st, err
@@ -417,50 +386,15 @@ func (l *Lake) ScanUnordered(q Query, fn func(probe.Event) error) (ScanStats, er
 	return st, err
 }
 
-// Stats reports what q would match without streaming any events. Blocks
-// are classified from the footer index alone: pruned (bounds cannot
-// intersect q), covered (bounds prove every row matches — the count
-// comes straight from the footer entry), or partial. Only partial
-// blocks are decoded and row-counted, so a whole-lake count — or any
-// query whose predicates align with block bounds — answers in O(footer)
-// with zero blocks decoded.
+// Stats reports what q would match without streaming any events: it is
+// Replay with nothing subscribed. Blocks are classified from the footer
+// index alone: pruned (bounds cannot intersect q), covered (bounds prove
+// every row matches — the count comes straight from the footer entry),
+// or partial. Only partial blocks are decoded and row-counted, so a
+// whole-lake count — or any query whose predicates align with block
+// bounds — answers in O(footer) with zero blocks decoded.
 func (l *Lake) Stats(q Query) (ScanStats, error) {
-	workers, err := resolveWorkers(q.Workers)
-	if err != nil {
-		return ScanStats{}, err
-	}
-	mask := q.typeMask()
-	st := ScanStats{BlocksTotal: len(l.blocks)}
-	var partial []int
-	for i := range l.blocks {
-		m := &l.blocks[i]
-		if !q.admitsBlock(&mask, m) {
-			st.BlocksPruned++
-			continue
-		}
-		if q.coversBlock(m) {
-			st.BlocksCovered++
-			st.EventsMatched += uint64(m.count)
-			continue
-		}
-		partial = append(partial, i)
-	}
-	if len(partial) == 0 {
-		return st, nil
-	}
-	// Assigned, not returned beside st: the callback mutates st, and Go
-	// leaves a variable read unordered against a call in one statement.
-	err = l.visitBlocks(workers, partial, func(rows *Rows) error {
-		st.BlocksScanned++
-		st.RowsDecoded += uint64(rows.Len())
-		for i := 0; i < rows.Len(); i++ {
-			if q.admitsRow(rows, i) {
-				st.EventsMatched++
-			}
-		}
-		return nil
-	})
-	return st, err
+	return l.fold(q, &probe.Bus{})
 }
 
 // Replay streams the events q admits through the given probes
@@ -488,32 +422,26 @@ func (l *Lake) Replay(q Query, probes ...probe.Probe) (int, error) {
 			return n, err
 		}
 	}
-	return l.replayFold(q, &bus)
+	st, err := l.fold(q, &bus)
+	return int(st.EventsMatched), err
 }
 
-// replayFold is Replay below the merge: a block the footer proves fully
-// matching folds whole, any other as its maximal runs of admitted rows.
-// Unsubscribed types only count — from the footer if they can.
-func (l *Lake) replayFold(q Query, bus *probe.Bus) (int, error) {
-	workers, err := resolveWorkers(q.Workers)
+// fold is Stats and Replay below the merge: a block of a type nobody
+// subscribes to that the footer proves fully matching is only counted; a
+// decoded block folds into bus whole when the footer proves it, else as
+// its maximal runs of admitted rows.
+func (l *Lake) fold(q Query, bus *probe.Bus) (ScanStats, error) {
+	workers, metas, st, err := l.plan(&q, func(m *blockMeta) bool {
+		return !bus.Active(m.typ) && q.coversBlock(m)
+	})
 	if err != nil {
-		return 0, err
-	}
-	mask := q.typeMask()
-	n := 0
-	var metas []int
-	for i := range l.blocks {
-		switch m := &l.blocks[i]; {
-		case !q.admitsBlock(&mask, m): // pruned
-		case !bus.Active(m.typ) && q.coversBlock(m):
-			n += int(m.count)
-		default:
-			metas = append(metas, i)
-		}
+		return st, err
 	}
 	next := 0
 	var b probe.Batch
-	err = l.visitBlocks(workers, metas, func(rows *Rows) error {
+	// Assigned, not returned beside st: the callback mutates st, and Go
+	// leaves a variable read unordered against a call in one statement.
+	err = l.each(workers, metas, &st, func(rows *Rows) error {
 		covered := q.coversBlock(&l.blocks[metas[next]])
 		next++
 		for i := 0; i < rows.Len(); i++ {
@@ -525,7 +453,7 @@ func (l *Lake) replayFold(q Query, bus *probe.Bus) (int, error) {
 				for j = i + 1; j < rows.Len() && q.admitsRow(rows, j); j++ {
 				}
 			}
-			n += j - i
+			st.EventsMatched += uint64(j - i)
 			if bus.Active(rows.Type) {
 				b = rows.batch(i, j)
 				bus.Fold(&b)
@@ -534,5 +462,5 @@ func (l *Lake) replayFold(q Query, bus *probe.Bus) (int, error) {
 		}
 		return nil
 	})
-	return n, err
+	return st, err
 }
