@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -14,20 +13,6 @@ import (
 
 	"optsync"
 )
-
-// queryRecord is the JSONL projection of a matched event — the same
-// field names the JSONL trace format uses, so query output pipes back
-// into `syncsim trace -in -`.
-type queryRecord struct {
-	Type  string  `json:"type"`
-	T     float64 `json:"t"`
-	From  int32   `json:"from"`
-	To    int32   `json:"to"`
-	Kind  uint16  `json:"kind"`
-	Round int32   `json:"round"`
-	Value float64 `json:"value"`
-	Aux   float64 `json:"aux"`
-}
 
 // runQueryCmd implements `syncsim query`: predicate-pushdown queries
 // against a columnar trace lake. Events stream out as JSONL (default)
@@ -76,7 +61,19 @@ func runQueryCmd(args []string) (err error) {
 		}
 	}
 	if set["node"] {
-		q = q.WithNode(int32(*node))
+		id, err := int32Flag("node", *node)
+		if err != nil {
+			return err
+		}
+		q = q.WithNode(id)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"from", *from}, {"to", *to}} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("query: -%s NaN is not a simulated time", f.name)
+		}
 	}
 	if set["from"] || set["to"] {
 		lo, hi := math.Inf(-1), math.Inf(1)
@@ -89,7 +86,11 @@ func runQueryCmd(args []string) (err error) {
 		q = q.WithTimeRange(lo, hi)
 	}
 	if set["round"] {
-		q = q.WithRound(int32(*round))
+		k, err := int32Flag("round", *round)
+		if err != nil {
+			return err
+		}
+		q = q.WithRound(k)
 	}
 
 	l, err := openLakeArg(*in)
@@ -125,9 +126,22 @@ func runQueryCmd(args []string) (err error) {
 		fmt.Fprintln(w, t.Render())
 		return nil
 	}
-	emit := jsonlEmitter(w)
+	var emit func(optsync.Event) error
 	if *csv {
 		emit = csvEmitter(w)
+	} else {
+		// JSONL output is the trace format itself, so it pipes back into
+		// `syncsim trace -in -`.
+		tw := optsync.NewTraceWriter(w)
+		defer func() {
+			if ferr := tw.Flush(); ferr != nil && err == nil {
+				err = ferr
+			}
+		}()
+		emit = func(ev optsync.Event) error {
+			tw.OnEvent(ev)
+			return tw.Err()
+		}
 	}
 	scan := l.ScanUnordered
 	if *ordered {
@@ -164,16 +178,13 @@ func openLakeArg(in string) (*optsync.Lake, error) {
 	return optsync.OpenLake(in)
 }
 
-func jsonlEmitter(w io.Writer) func(optsync.Event) error {
-	enc := json.NewEncoder(w)
-	return func(ev optsync.Event) error {
-		return enc.Encode(queryRecord{
-			Type: ev.Type.String(), T: ev.T,
-			From: ev.From, To: ev.To,
-			Kind: ev.Kind, Round: ev.Round,
-			Value: ev.Value, Aux: ev.Aux,
-		})
+// int32Flag narrows an int flag that names a node id or a round,
+// refusing a value int32 cannot hold instead of letting it wrap.
+func int32Flag(name string, v int) (int32, error) {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("query: -%s %d is outside the int32 range of node ids and rounds", name, v)
 	}
+	return int32(v), nil
 }
 
 func csvEmitter(w io.Writer) func(optsync.Event) error {

@@ -11,6 +11,13 @@ import (
 	"optsync"
 )
 
+// traceLine is the part of a JSONL trace line these tests check.
+type traceLine struct {
+	Type string `json:"type"`
+	From int32  `json:"from"`
+	To   int32  `json:"to"`
+}
+
 // recordLake records the canonical test run as a lake and returns its
 // path.
 func recordLake(t *testing.T) string {
@@ -46,7 +53,7 @@ func TestQuerySubcommandJSONL(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	for _, line := range lines {
-		var rec queryRecord
+		var rec traceLine
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("query line not JSON: %v\n%s", err, line)
 		}
@@ -107,7 +114,7 @@ func TestQuerySubcommandNodeFilter(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	for _, line := range lines {
-		var rec queryRecord
+		var rec traceLine
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatal(err)
 		}
@@ -253,5 +260,35 @@ func TestQuerySubcommandErrors(t *testing.T) {
 	if err := run([]string{"query", "-in", rows}); err == nil ||
 		!strings.Contains(err.Error(), "not a trace lake") || !strings.Contains(err.Error(), "-out") {
 		t.Fatalf("row trace not rejected with recipe: %v", err)
+	}
+}
+
+// TestQueryRejectsBadFlagValues: a node id or round int32 cannot hold
+// would wrap to another id (-node 4294967297 answered for node 1), and a
+// NaN bound would match everything. Each is an error naming its flag.
+func TestQueryRejectsBadFlagValues(t *testing.T) {
+	path := recordLake(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-node", "4294967297"}, "-node 4294967297"},
+		{[]string{"-node", "-2147483649"}, "-node -2147483649"},
+		{[]string{"-round", "4294967298"}, "-round 4294967298"},
+		{[]string{"-round", "2147483648"}, "-round 2147483648"},
+		{[]string{"-from", "NaN"}, "-from NaN"},
+		{[]string{"-to", "nan"}, "-to NaN"},
+		{[]string{"-from", "1", "-to", "NaN", "-stats"}, "-to NaN"},
+	} {
+		err := run(append([]string{"query", "-in", path}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("query %v: got %v, want an error naming %q", tc.args, err, tc.want)
+		}
+	}
+	// The int32 edges themselves are ids, not errors.
+	for _, args := range [][]string{{"-node", "2147483647"}, {"-round", "-2147483648"}, {"-from", "-Inf"}} {
+		if _, err := capture(t, func() error { return run(append([]string{"query", "-in", path, "-stats"}, args...)) }); err != nil {
+			t.Errorf("query %v: %v", args, err)
+		}
 	}
 }
