@@ -125,9 +125,12 @@ func SynchronizedProbe(p Probe) Probe { return probe.Synchronized(p) }
 // stream front to back.
 type (
 	// Lake is an open container. Scan (merged event order), ScanUnordered
-	// (block order, cheapest), ScanRows, Stats (footer-only counting),
-	// and Replay are its methods; Close releases the underlying file or
-	// mapping.
+	// (block order, cheapest), ScanRows, Stats and Replay are its methods;
+	// Close releases the underlying file or mapping. Every read sorts the
+	// blocks on the footer alone — pruned, answered from the footer, or
+	// decoded — and decodes inline at one worker, on a pool otherwise.
+	// Stats is Replay with nothing subscribed: it decodes only the blocks
+	// the query cuts.
 	Lake = tracelake.Lake
 	// LakeQuery selects events. The zero value selects everything; chain
 	// WithTypes / WithNode / WithTimeRange / WithRounds to restrict it
