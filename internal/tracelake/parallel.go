@@ -41,10 +41,6 @@ type decodePool struct {
 	readers        []*blockReader
 }
 
-func (l *Lake) newDecodePool(workers, queue int) *decodePool {
-	return &decodePool{lake: l, workers: workers, queue: queue}
-}
-
 func (p *decodePool) worker() {
 	defer p.wg.Done()
 	for {

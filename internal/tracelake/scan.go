@@ -191,7 +191,7 @@ func (l *Lake) each(workers int, metas []int, st *ScanStats, visit func(*Rows) e
 		return nil
 	}
 	depth := min(workers+2, len(metas))
-	pool := l.newDecodePool(workers, depth)
+	pool := &decodePool{lake: l, workers: workers, queue: depth}
 	defer pool.close()
 	s := pool.stream(metas, depth, st)
 	for {
@@ -311,7 +311,7 @@ func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
 	for _, metas := range perType {
 		queue += min(depth, len(metas))
 	}
-	pool := l.newDecodePool(workers, queue)
+	pool := &decodePool{lake: l, workers: workers, queue: queue}
 	defer pool.close()
 
 	cursors := make([]*cursor, 0, active)
