@@ -153,9 +153,10 @@ func TestAuthRushWithinResilienceHarmless(t *testing.T) {
 		return core.NewAuth(cfg)
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(0.95) // before any correct clock reaches P
-	if len(c.Pulses) != 0 {
-		t.Fatalf("%d pulses before any correct clock was due", len(c.Pulses))
+	if len(pulseLog.Records) != 0 {
+		t.Fatalf("%d pulses before any correct clock was due", len(pulseLog.Records))
 	}
 }
 
@@ -170,8 +171,9 @@ func TestAuthRushBeyondResilienceForcesEarlyRounds(t *testing.T) {
 		return core.NewAuth(cfg)
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(0.95)
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("forged quorum did not trigger early acceptance")
 	}
 }
@@ -190,8 +192,9 @@ func TestPrimRushBeyondResilienceForcesEarlyRounds(t *testing.T) {
 		return core.NewPrimitive(cfg)
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(0.95)
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("ready flood did not trigger early acceptance")
 	}
 }
@@ -210,9 +213,10 @@ func TestPrimRushWithinResilienceHarmless(t *testing.T) {
 		return core.NewPrimitive(cfg)
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(0.95)
-	if len(c.Pulses) != 0 {
-		t.Fatalf("%d pulses before any correct clock was due", len(c.Pulses))
+	if len(pulseLog.Records) != 0 {
+		t.Fatalf("%d pulses before any correct clock was due", len(pulseLog.Records))
 	}
 }
 
@@ -272,10 +276,11 @@ func TestSelectiveSignerForcesRelayPathSkew(t *testing.T) {
 		},
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(8)
 	first := make(map[int]float64)
 	last := make(map[int]float64)
-	for _, rec := range c.Pulses {
+	for _, rec := range pulseLog.Records {
 		if rec.Node >= 3 {
 			continue
 		}
@@ -314,12 +319,13 @@ func TestEquivocatorDoesNotBreakAgreement(t *testing.T) {
 		return core.NewAuth(cfg)
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(10)
 	ids := []node.ID{0, 1, 2}
 	if skew := c.Skew(ids); skew > 0.03 {
 		t.Fatalf("equivocation broke agreement: skew %v", skew)
 	}
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("no liveness under equivocation")
 	}
 }

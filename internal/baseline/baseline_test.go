@@ -166,12 +166,13 @@ func TestCNVConverges(t *testing.T) {
 func TestFTMConverges(t *testing.T) {
 	c := buildCluster(t, 5, func() *Protocol { return NewFTM(testConfig()) })
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(20)
 	ids := []node.ID{0, 1, 2, 3, 4}
 	if skew := c.Skew(ids); skew > 0.02 {
 		t.Fatalf("FTM did not converge: skew %v", skew)
 	}
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("no pulses recorded")
 	}
 }

@@ -41,6 +41,7 @@ func TestColdStartSynchronizesArbitraryClocks(t *testing.T) {
 	// Hardware clocks up to 100 s wrong — no initial synchrony whatsoever.
 	c := coldCluster(t, p, 100, nil, 21)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(10)
 	ids := c.CorrectIDs()
 	for _, id := range ids {
@@ -52,7 +53,7 @@ func TestColdStartSynchronizesArbitraryClocks(t *testing.T) {
 	if skew := c.Skew(ids); skew > p.Dmax() {
 		t.Fatalf("post-cold-start skew %v > %v", skew, p.Dmax())
 	}
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("no rounds after cold start")
 	}
 }
@@ -86,9 +87,10 @@ func TestColdStartNoQuorumNoProgress(t *testing.T) {
 	startAt := map[int]float64{2: 1000} // third correct node boots far away
 	c := coldCluster(t, p, 10, startAt, 23)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(50)
-	if len(c.Pulses) != 0 {
-		t.Fatalf("%d pulses with only f correct nodes up", len(c.Pulses))
+	if len(pulseLog.Records) != 0 {
+		t.Fatalf("%d pulses with only f correct nodes up", len(pulseLog.Records))
 	}
 	for _, id := range []node.ID{0, 1} {
 		if c.Nodes[id].Protocol().(*AuthProtocol).Synchronized() {
@@ -197,6 +199,7 @@ func TestDisableRelayWidensSpread(t *testing.T) {
 			Faulty: faultySet(p.N, p.F),
 		})
 		c.Start()
+		pulseLog := c.LogPulses()
 		maxSkew := 0.0
 		for tt := 0.05; tt <= 20; tt += 0.05 {
 			c.Run(tt)
@@ -207,7 +210,7 @@ func TestDisableRelayWidensSpread(t *testing.T) {
 		first := make(map[int]float64)
 		last := make(map[int]float64)
 		count := make(map[int]int)
-		for _, rec := range c.Pulses {
+		for _, rec := range pulseLog.Records {
 			if v, ok := first[rec.Round]; !ok || rec.Real < v {
 				first[rec.Round] = rec.Real
 			}

@@ -115,12 +115,13 @@ func TestAuthLivenessAllRoundsAllNodes(t *testing.T) {
 	p := authParams()
 	c := testCluster(t, p, 3)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(20.5)
 	// Every correct node must have accepted every round 1..19ish; count
 	// pulses per round.
 	perRound := make(map[int]int)
 	maxRound := 0
-	for _, r := range c.Pulses {
+	for _, r := range pulseLog.Records {
 		perRound[r.Round]++
 		if r.Round > maxRound {
 			maxRound = r.Round
@@ -148,10 +149,11 @@ func TestAcceptanceSpreadWithinBeta(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCluster(t, tc.p, 4)
 			c.Start()
+			pulseLog := c.LogPulses()
 			c.Run(15)
 			first := make(map[int]float64)
 			last := make(map[int]float64)
-			for _, r := range c.Pulses {
+			for _, r := range pulseLog.Records {
 				if v, ok := first[r.Round]; !ok || r.Real < v {
 					first[r.Round] = r.Real
 				}
@@ -173,10 +175,11 @@ func TestPulsePeriodsWithinBounds(t *testing.T) {
 	p := authParams()
 	c := testCluster(t, p, 5)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(25)
 	// Per-node consecutive pulse separation in [Pmin, Pmax].
 	byNode := make(map[node.ID][]float64)
-	for _, r := range c.Pulses {
+	for _, r := range pulseLog.Records {
 		byNode[r.Node] = append(byNode[r.Node], r.Real)
 	}
 	pmin, pmax := p.Pmin(), p.Pmax()
@@ -196,8 +199,9 @@ func TestUnforgeabilityTiming(t *testing.T) {
 	p := authParams()
 	c := testCluster(t, p, 6)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(15)
-	for _, r := range c.Pulses {
+	for _, r := range pulseLog.Records {
 		// At acceptance the new value is k*P+alpha; the old clock of the
 		// first-ready correct node read k*P at least DMin before any
 		// acceptance (evidence needs one hop).
@@ -217,8 +221,9 @@ func TestAuthToleratesMaxFaults(t *testing.T) {
 	p.F = bounds.Auth.MaxFaults(p.N)
 	c := testCluster(t, p, 7)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(10)
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("no pulses with maximum tolerated faults")
 	}
 }
@@ -228,8 +233,9 @@ func TestPrimitiveToleratesMaxFaults(t *testing.T) {
 	p.F = bounds.Primitive.MaxFaults(p.N)
 	c := testCluster(t, p, 8)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(10)
-	if len(c.Pulses) == 0 {
+	if len(pulseLog.Records) == 0 {
 		t.Fatal("no pulses with maximum tolerated faults")
 	}
 }
@@ -255,9 +261,10 @@ func TestPrimitiveStallsBeyondResilience(t *testing.T) {
 		Faulty: faultySet(p.N, 3),
 	})
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(10)
-	if len(c.Pulses) != 0 {
-		t.Fatalf("pulses fired with only 4 correct of quorum 5: %d", len(c.Pulses))
+	if len(pulseLog.Records) != 0 {
+		t.Fatalf("pulses fired with only 4 correct of quorum 5: %d", len(pulseLog.Records))
 	}
 }
 
@@ -281,8 +288,9 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []node.PulseRecord {
 		c := testCluster(t, p, 77)
 		c.Start()
+		pulseLog := c.LogPulses()
 		c.Run(10)
-		return c.Pulses
+		return pulseLog.Records
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -389,8 +397,9 @@ func TestSchemeIndependence(t *testing.T) {
 			Faulty: faultySet(p.N, p.F),
 		})
 		c.Start()
+		pulseLog := c.LogPulses()
 		c.Run(10)
-		return c.Pulses
+		return pulseLog.Records
 	}
 	hm := run(sig.NewHMAC(p.N, 55))
 	ed := run(sig.NewEd25519(p.N, 55))

@@ -14,7 +14,6 @@ import (
 	"optsync/internal/core/bounds"
 	"optsync/internal/core/stcast"
 	"optsync/internal/harness"
-	"optsync/internal/metrics"
 	"optsync/internal/network"
 	"optsync/internal/node"
 )
@@ -161,11 +160,12 @@ func f5Envelope(_ context.Context, _ campaign.Options) ([]*harness.Table, error)
 		return nil, err
 	}
 	defer cluster.Close()
+	pulses := cluster.LogPulses()
 	cluster.Run(spec.Horizon)
 
 	xs := make(map[node.ID][]float64)
 	ys := make(map[node.ID][]float64)
-	for _, rec := range cluster.Pulses {
+	for _, rec := range pulses.Records {
 		xs[rec.Node] = append(xs[rec.Node], rec.Real)
 		ys[rec.Node] = append(ys[rec.Node], rec.Logical)
 	}
@@ -332,6 +332,7 @@ func a3SlewAblation(_ context.Context, _ campaign.Options) ([]*harness.Table, er
 		if err != nil {
 			return nil, err
 		}
+		pulses := cluster.LogPulses()
 		maxSkew := 0.0
 		for tt := 0.01; tt <= spec.Horizon; tt += 0.01 {
 			cluster.Run(tt)
@@ -350,9 +351,14 @@ func a3SlewAblation(_ context.Context, _ campaign.Options) ([]*harness.Table, er
 		} else {
 			mode = fmt.Sprintf("slew sigma=%g", slew)
 		}
-		rounds := len(metrics.NewPulseReport(cluster.Pulses, correct).Rounds)
+		rounds := make(map[int]bool)
+		for _, rec := range pulses.Records {
+			if rec.Node < len(correct) { // the correct ids are the lowest
+				rounds[rec.Round] = true
+			}
+		}
 		cluster.Close()
-		t.AddRow(mode, harness.F(maxSkew), harness.F(p.DmaxWithStart()), fmt.Sprint(backSteps), fmt.Sprint(rounds))
+		t.AddRow(mode, harness.F(maxSkew), harness.F(p.DmaxWithStart()), fmt.Sprint(backSteps), fmt.Sprint(len(rounds)))
 	}
 	t.AddNote("jump mode can step a clock backward at resynchronization; slewing (the paper's")
 	t.AddNote("amortization remark) is strictly monotone with a modest skew premium")

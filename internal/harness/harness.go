@@ -19,7 +19,6 @@ import (
 	"optsync/internal/adversary"
 	"optsync/internal/clock"
 	"optsync/internal/core/bounds"
-	"optsync/internal/metrics"
 	"optsync/internal/network"
 	"optsync/internal/node"
 	"optsync/internal/probe"
@@ -289,16 +288,22 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 	}
 	defer cluster.Close()
 
-	// The observation pipeline: the sampler drives skew-sample events;
-	// bounded-memory collectors fold them into the Result; the full
-	// series is retained only on request, by a collector like any other.
+	// The observation pipeline: the sampler drives skew-sample events, the
+	// nodes pulse events; bounded-memory folds turn them into the Result;
+	// the full series and pulse log are retained only on request, by
+	// collectors like any other.
 	bus := cluster.Engine.Probes()
+	correct := correctIDs(p.N, spec.FaultyCount)
+	pulses := newPulseFold(len(correct))
+	bus.Attach(pulses, probe.TypePulse)
 	skewStats := probe.NewSkewStats()
 	bus.AttachCollector(skewStats)
 	var series *probe.Series
+	var pulseLog *node.PulseLog
 	if spec.KeepSeries {
 		series = probe.NewSeries()
 		bus.AttachCollector(series)
+		pulseLog = cluster.LogPulses()
 	}
 	if attach != nil {
 		attach(spec, bus)
@@ -307,8 +312,7 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 
 	cluster.Start()
 
-	correct := correctIDs(p.N, spec.FaultyCount)
-	var sampler *metrics.SkewSampler
+	sampled := correct
 	if len(spec.StartAt) > 0 {
 		// Staggered boots: sample only nodes that have booted by each
 		// tick — an offline joiner's clock is not yet comparable. Note
@@ -316,10 +320,9 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 		// until its first accepted round), so WithinSkew is about the
 		// whole run, not just steady state; integration experiments read
 		// Series/Pulses.
-		sampler = metrics.NewBootedSkewSampler(cluster, spec.SampleEvery)
-	} else {
-		sampler = metrics.NewSkewSampler(cluster, correct, spec.SampleEvery)
+		sampled = nil
 	}
+	sampler := newSkewSampler(cluster, sampled, spec.SampleEvery)
 	for i := 1; i <= runChunks; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -330,49 +333,47 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 		}
 		cluster.Run(until)
 	}
-	sampler.Stop()
+	sampler.stop()
 
-	rep := metrics.NewPulseReport(cluster.Pulses, correct)
+	res := measure(spec, pulses, skewStats, cluster.NetStats())
+	if spec.KeepSeries {
+		res.Series = series.Samples
+		res.Pulses = pulseLog.Records
+	}
+	res.Runtime = cluster.RuntimeStats()
+	return res, nil
+}
+
+// measure assembles the Result of a defaulted spec from the folds that
+// observed its run and the run's traffic counters.
+func measure(spec Spec, pulses *pulseFold, skew *probe.SkewStats, stats network.Stats) Result {
+	p := spec.Params
+	correct := len(pulses.xs)
 	res := Result{
-		Spec:        spec,
-		MaxSkew:     skewStats.Max(),
-		SkewBound:   p.DmaxWithStart(),
-		SkewSamples: skewStats.Count(),
-		SkewP50:     skewStats.P50(),
-		SkewP95:     skewStats.P95(),
-		SkewP99:     skewStats.P99(),
-		SpreadBound: p.Beta(),
-		MaxSpread:   rep.MaxSpread(len(correct)),
-		PulseCount:  len(cluster.Pulses),
-		PminBound:   p.Pmin(),
-		PmaxBound:   p.Pmax(),
+		Spec:           spec,
+		MaxSkew:        skew.Max(),
+		SkewBound:      p.DmaxWithStart(),
+		SkewSamples:    skew.Count(),
+		SkewP50:        skew.P50(),
+		SkewP95:        skew.P95(),
+		SkewP99:        skew.P99(),
+		SpreadBound:    p.Beta(),
+		MaxSpread:      pulses.spread.MaxSpread(correct),
+		CompleteRounds: pulses.spread.CompleteRounds(correct),
+		PulseCount:     pulses.count,
+		MinPeriod:      pulses.minGap,
+		MaxPeriod:      pulses.maxGap,
+		PminBound:      p.Pmin(),
+		PmaxBound:      p.Pmax(),
 	}
 	res.WithinSkew = res.MaxSkew <= res.SkewBound
-	res.CompleteRounds = rep.CompleteRounds(len(correct))
-
-	if periods := rep.Periods(); len(periods) > 0 {
-		res.MinPeriod, res.MaxPeriod = periods[0], periods[0]
-		for _, d := range periods {
-			if d < res.MinPeriod {
-				res.MinPeriod = d
-			}
-			if d > res.MaxPeriod {
-				res.MaxPeriod = d
-			}
-		}
-	}
-
-	if lo, hi, err := metrics.EnvelopeRates(cluster.Pulses, correct); err == nil {
-		res.EnvLo, res.EnvHi = lo, hi
-		res.EnvelopeOK = true
-	}
+	res.EnvLo, res.EnvHi, res.EnvelopeOK = pulses.envelope()
 	// Envelope bounds are evaluated over the actual measurement span, where
 	// bounded per-round phase noise averages out (see bounds.EnvelopeSlackOver).
 	res.EnvBoundLo, res.EnvBoundHi = envelopeBounds(spec, spec.Horizon-p.Period)
 	res.WithinEnvelope = res.EnvelopeOK &&
 		res.EnvLo >= res.EnvBoundLo && res.EnvHi <= res.EnvBoundHi
 
-	stats := cluster.NetStats()
 	res.TotalMsgs = stats.Sent
 	res.Delivered = stats.Delivered
 	res.Dropped = stats.Dropped
@@ -381,12 +382,7 @@ func RunObserved(ctx context.Context, spec Spec, attach Observe) (Result, error)
 	if res.CompleteRounds > 0 {
 		res.MsgsPerRound = float64(stats.Sent) / float64(res.CompleteRounds)
 	}
-	if spec.KeepSeries {
-		res.Series = series.Samples
-		res.Pulses = cluster.Pulses
-	}
-	res.Runtime = cluster.RuntimeStats()
-	return res, nil
+	return res
 }
 
 // schedulePartitionMarkers places inert marker events at every scheduled
@@ -635,7 +631,7 @@ func autoShards(n int) int {
 
 // Boot builds and starts the cluster a spec describes and returns it with
 // the spec's correct node ids — the entry point for experiments that
-// inspect cluster state (clocks, protocols, pulse records) instead of a
+// inspect cluster state (clocks, protocols, a LogPulses log) instead of a
 // Result. The caller drives it with Run and closes it. Malformed specs
 // surface as errors, never panics.
 func Boot(spec Spec) (*node.Cluster, []node.ID, error) {

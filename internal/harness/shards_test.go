@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"optsync/internal/core/bounds"
+	"optsync/internal/network"
 	"optsync/internal/node"
 	"optsync/internal/probe"
 	"optsync/internal/tracelake"
@@ -147,6 +148,44 @@ func TestShardedMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLakeRederivesResult: a run's trace lake carries everything its
+// Result is made of. Replaying the lake of every property spec, at 1, 2
+// and 8 shards, into fresh folds — the pulse fold, the skew and traffic
+// collectors, a series and a pulse log — must give back the live Result
+// bit for bit, all but Runtime, which no event describes.
+func TestLakeRederivesResult(t *testing.T) {
+	for _, spec := range shardPropertySpecs() {
+		for _, k := range []int{1, 2, 8} {
+			spec := spec
+			spec.Shards = k
+			t.Run(fmt.Sprintf("%s/shards=%d", spec.Name, k), func(t *testing.T) {
+				live, data := runTraced(t, spec)
+				l, err := tracelake.OpenBytes(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pulses := newPulseFold(live.Spec.Params.N - live.Spec.FaultyCount)
+				skew, msgs, series, pulseLog := probe.NewSkewStats(), probe.NewMsgStats(), probe.NewSeries(), &node.PulseLog{}
+				if _, err := l.Replay(tracelake.Query{}, pulses, skew, msgs, series, pulseLog); err != nil {
+					t.Fatal(err)
+				}
+				traffic := make(map[string]uint64)
+				for _, s := range msgs.Aggregate() {
+					traffic[s.Key] = uint64(s.Value)
+				}
+				got := measure(live.Spec, pulses, skew, network.Stats{
+					Sent: msgs.Sent(), Delivered: msgs.Delivered(), Dropped: traffic["drop_policy"],
+					DroppedOffline: traffic["drop_offline"], DroppedLink: traffic["drop_link"],
+				})
+				got.Series, got.Pulses, got.Runtime = series.Samples, pulseLog.Records, live.Runtime
+				if !reflect.DeepEqual(live, got) {
+					t.Errorf("the lake re-derived a different result:\n live %+v\n lake %+v", live, got)
+				}
+			})
+		}
 	}
 }
 

@@ -72,7 +72,6 @@ var DeterministicPaths = []string{
 	"internal/lockstep",
 	"internal/harness",
 	"internal/experiment",
-	"internal/metrics",
 	"internal/clock",
 	"internal/probe",
 	"internal/tracelake",

@@ -9,11 +9,9 @@
 package node
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"optsync/internal/clock"
 	"optsync/internal/network"
@@ -73,7 +71,7 @@ type Env interface {
 	Verify(signer ID, payload []byte, s sig.Signature) bool
 
 	// Pulse reports that this process accepted resynchronization round
-	// r (used by the metrics pipeline; semantically "clock hit kP+alpha").
+	// r (a TypePulse event; semantically "clock hit kP+alpha").
 	Pulse(round int)
 
 	// Rand returns this process's deterministic randomness source.
@@ -109,6 +107,21 @@ type PulseRecord struct {
 	Round   int
 	Real    float64
 	Logical float64
+}
+
+// PulseLog is a probe that keeps one PulseRecord per TypePulse event, in
+// stream order: the global event order on a cluster's Engine bus.
+type PulseLog struct {
+	Records []PulseRecord
+}
+
+// OnEvent implements probe.Probe.
+func (l *PulseLog) OnEvent(ev probe.Event) {
+	if ev.Type == probe.TypePulse {
+		l.Records = append(l.Records, PulseRecord{
+			Node: ID(ev.From), Round: int(ev.Round), Real: ev.T, Logical: ev.Value,
+		})
+	}
 }
 
 // Node is one simulated process.
@@ -230,29 +243,14 @@ func (nd *Node) Verify(signer ID, payload []byte, s sig.Signature) bool {
 	return nd.cluster.memos[nd.shard].Verify(signer, payload, s)
 }
 
-// Pulse implements Env.
+// Pulse implements Env: it emits TypePulse, the one channel pulses are
+// observed through (a PulseLog, the harness's folds, a trace).
 func (nd *Node) Pulse(round int) {
-	now := nd.eng.Now()
-	rec := PulseRecord{
-		Node:    nd.id,
-		Round:   round,
-		Real:    now,
-		Logical: nd.logical.Read(now),
-	}
-	c := nd.cluster
-	if len(c.shardPulses) > 1 {
-		// Buffer the record per shard, tagged with the executing event's
-		// key; each Run merges the buffers into c.Pulses in key order. One
-		// shard executes in that order, so it appends directly.
-		k, seq := nd.eng.ExecTag()
-		c.shardPulses[nd.shard] = append(c.shardPulses[nd.shard], taggedPulse{key: k, seq: seq, rec: rec})
-	} else {
-		c.Pulses = append(c.Pulses, rec)
-	}
 	if bus := nd.probes; bus.Active(probe.TypePulse) {
+		now := nd.eng.Now()
 		bus.Emit(probe.Event{
 			Type: probe.TypePulse, From: int32(nd.id), To: -1,
-			Round: int32(round), T: now, Value: rec.Logical,
+			Round: int32(round), T: now, Value: nd.logical.Read(now),
 		})
 	}
 }
@@ -307,15 +305,6 @@ type Config struct {
 	Lookahead float64
 }
 
-// taggedPulse is one pulse buffered during a sharded window, ordered for
-// the deterministic merge by the executing event's key plus the emission
-// index within it.
-type taggedPulse struct {
-	key sim.Key
-	seq uint32
-	rec PulseRecord
-}
-
 // Cluster wires N nodes to k shard engines, a network each, and a global
 // engine, which at k = 1 is the one engine.
 type Cluster struct {
@@ -325,10 +314,6 @@ type Cluster struct {
 	// scheduling (samplers, markers) belongs on it.
 	Engine *sim.Engine
 	Nodes  []*Node
-	// Pulses logs every accepted round in global event order. To observe
-	// pulses as they happen, subscribe a probe to probe.TypePulse on
-	// Engine.Probes().
-	Pulses []PulseRecord
 
 	cfg    Config
 	probes *probe.Bus
@@ -337,11 +322,9 @@ type Cluster struct {
 	// touched by one goroutine only.
 	memos []*sig.Memo
 
-	coord       *sim.Shards
-	nets        []*network.Net
-	owner       []int32
-	shardPulses [][]taggedPulse
-	pulseMerge  []taggedPulse // reused merge scratch
+	coord *sim.Shards
+	nets  []*network.Net
+	owner []int32
 }
 
 // NewCluster builds the cluster; call Start, then Run, then Close.
@@ -379,7 +362,6 @@ func NewCluster(cfg Config) *Cluster {
 		}
 	}
 	c.nets = network.NewSharded(c.coord, cfg.N, cfg.Delay, cfg.Topology, c.owner)
-	c.shardPulses = make([][]taggedPulse, k)
 	c.probes = c.Engine.Probes()
 	c.memos = make([]*sig.Memo, k)
 	for i := range c.memos {
@@ -480,17 +462,20 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Run runs the cluster until the horizon across its shard engines, then
-// appends the pulses accepted on the way to Pulses. It may be called
-// repeatedly with increasing horizons.
-func (c *Cluster) Run(until float64) {
-	c.coord.Run(until)
-	c.mergePulses()
+// LogPulses attaches a PulseLog to the cluster's bus and returns it. Call
+// it before Run: the log holds the pulses of the runs that follow.
+func (c *Cluster) LogPulses() *PulseLog {
+	l := &PulseLog{}
+	c.probes.Attach(l, probe.TypePulse)
+	return l
 }
 
+// Run runs the cluster until the horizon across its shard engines. It may
+// be called repeatedly with increasing horizons.
+func (c *Cluster) Run(until float64) { c.coord.Run(until) }
+
 // Close releases the shard worker goroutines, of which one shard has none;
-// the cluster remains readable (clocks, pulses, stats) but cannot Run
-// again.
+// the cluster remains readable (clocks, stats) but cannot Run again.
 func (c *Cluster) Close() { c.coord.Close() }
 
 // NetStats returns the run's traffic counters: the deterministic sum of
@@ -549,28 +534,6 @@ func (c *Cluster) RuntimeStats() RuntimeStats {
 
 // Shards reports the number of shard engines (1 = serial).
 func (c *Cluster) Shards() int { return c.coord.K() }
-
-// mergePulses drains the per-shard pulse buffers into c.Pulses in global
-// event order. Run horizons are increasing and every buffered pulse of a
-// Run call was executed within it, so per-call merges append in order.
-func (c *Cluster) mergePulses() {
-	buf := c.pulseMerge[:0]
-	for i, b := range c.shardPulses {
-		buf = append(buf, b...)
-		c.shardPulses[i] = b[:0]
-	}
-	slices.SortFunc(buf, func(a, b taggedPulse) int {
-		if o := a.key.Compare(b.key); o != 0 {
-			return o
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	c.Pulses = slices.Grow(c.Pulses, len(buf))
-	for i := range buf {
-		c.Pulses = append(c.Pulses, buf[i].rec)
-	}
-	c.pulseMerge = buf[:0]
-}
 
 // CorrectIDs returns the IDs of non-faulty nodes that have booted by now.
 func (c *Cluster) CorrectIDs() []ID {

@@ -173,15 +173,16 @@ func TestDelayedStartDropsEarlyTraffic(t *testing.T) {
 func TestPulseRecording(t *testing.T) {
 	c, _ := newEchoCluster(2)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(1)
 	var observed []probe.Event
 	c.Engine.Probes().Attach(probe.Func(func(ev probe.Event) { observed = append(observed, ev) }), probe.TypePulse)
 	c.Nodes[0].Pulse(3)
 	c.Nodes[1].Pulse(3)
-	if len(c.Pulses) != 2 || len(observed) != 2 {
-		t.Fatalf("pulses = %d observed = %d", len(c.Pulses), len(observed))
+	if len(pulseLog.Records) != 2 || len(observed) != 2 {
+		t.Fatalf("pulses = %d observed = %d", len(pulseLog.Records), len(observed))
 	}
-	r := c.Pulses[0]
+	r := pulseLog.Records[0]
 	if r.Node != 0 || r.Round != 3 || r.Real != 1 {
 		t.Fatalf("record = %+v", r)
 	}
@@ -380,6 +381,7 @@ func TestClusterProbeEvents(t *testing.T) {
 		}
 	}), probe.TypeNodeBoot, probe.TypePulse, probe.TypeResync)
 	c.Start()
+	pulseLog := c.LogPulses()
 	c.Run(1)
 	c.Nodes[0].Pulse(3)
 	c.Nodes[0].SetLogical(7.5)
@@ -398,8 +400,8 @@ func TestClusterProbeEvents(t *testing.T) {
 		t.Fatalf("resync events = %+v", resyncs)
 	}
 	// The cluster log and the event stream must agree.
-	if len(c.Pulses) != 1 || c.Pulses[0].Round != 3 {
-		t.Fatalf("cluster pulses = %+v", c.Pulses)
+	if len(pulseLog.Records) != 1 || pulseLog.Records[0].Round != 3 {
+		t.Fatalf("cluster pulses = %+v", pulseLog.Records)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package probe is the observation layer of the simulator: one typed
 // event stream shared by the engine, the network, the node runtime, and
-// the metrics pipeline.
+// the harness, whose Result is a fold over it.
 //
 // Every observable moment of a run — a message put on a wire, a delivery,
 // a drop, an accepted resynchronization pulse, a clock adjustment, a node
