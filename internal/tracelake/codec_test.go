@@ -20,13 +20,13 @@ func encodeColumn(e *colEncoder, col any) []byte {
 	var frame []byte
 	switch v := col.(type) {
 	case []uint64:
-		frame, _, _ = e.u64(nil, v)
+		frame, _, _ = ints(e, nil, v, 0)
 	case []float64:
 		frame, _, _ = e.f64(nil, v)
 	case []int32:
-		frame, _, _ = e.i32(nil, v)
+		frame, _, _ = ints(e, nil, v, i32Bias)
 	case []uint16:
-		frame, _, _ = e.u16(nil, v)
+		frame, _, _ = ints(e, nil, v, 0)
 	}
 	return frame
 }

@@ -34,12 +34,12 @@ func refBounds(c *colBuf) blockMeta {
 		roundMin: math.MaxInt32, roundMax: math.MinInt32,
 	}
 	for i := 0; i < c.n; i++ {
-		meta.tMin = math.Min(meta.tMin, c.t[i])
-		meta.tMax = math.Max(meta.tMax, c.t[i])
-		meta.nodeMin = min(meta.nodeMin, min(c.from[i], c.to[i]))
-		meta.nodeMax = max(meta.nodeMax, max(c.from[i], c.to[i]))
-		meta.roundMin = min(meta.roundMin, c.round[i])
-		meta.roundMax = max(meta.roundMax, c.round[i])
+		meta.tMin = math.Min(meta.tMin, c.T[i])
+		meta.tMax = math.Max(meta.tMax, c.T[i])
+		meta.nodeMin = min(meta.nodeMin, min(c.From[i], c.To[i]))
+		meta.nodeMax = max(meta.nodeMax, max(c.From[i], c.To[i]))
+		meta.roundMin = min(meta.roundMin, c.Round[i])
+		meta.roundMax = max(meta.roundMax, c.Round[i])
 	}
 	return meta
 }

@@ -53,7 +53,7 @@ func (d *colDiff) check(got, want []byte, col any) []byte {
 func (d *colDiff) u64(v []uint64) []byte {
 	d.t.Helper()
 	want := d.ref.appendU64Col([]byte{1, 2, 3}, v)
-	got, _, _ := d.enc.u64(d.dst(), v)
+	got, _, _ := ints(&d.enc, d.dst(), v, 0)
 	return d.check(got, want, v)
 }
 
@@ -67,14 +67,14 @@ func (d *colDiff) f64(v []float64) []byte {
 func (d *colDiff) i32(v []int32) []byte {
 	d.t.Helper()
 	want := d.ref.appendI32Col([]byte{1, 2, 3}, v)
-	got, _, _ := d.enc.i32(d.dst(), v)
+	got, _, _ := ints(&d.enc, d.dst(), v, i32Bias)
 	return d.check(got, want, v)
 }
 
 func (d *colDiff) u16(v []uint16) []byte {
 	d.t.Helper()
 	want := d.ref.appendU16Col([]byte{1, 2, 3}, v)
-	got, _, _ := d.enc.u16(d.dst(), v)
+	got, _, _ := ints(&d.enc, d.dst(), v, 0)
 	return d.check(got, want, v)
 }
 
@@ -385,22 +385,22 @@ func TestBlockBoundsMatchReference(t *testing.T) {
 		c.n = n
 		mode := rng.Intn(4)
 		for i := 0; i < n; i++ {
-			c.seq[i] = uint64(i)
+			c.Seq[i] = uint64(i)
 			switch mode {
 			case 0: // what a run writes
-				c.t[i] = rng.Float64() * 100
+				c.T[i] = rng.Float64() * 100
 			case 1:
-				c.t[i] = rng.NormFloat64()
+				c.T[i] = rng.NormFloat64()
 			default:
-				c.t[i] = odd[rng.Intn(len(odd))]
+				c.T[i] = odd[rng.Intn(len(odd))]
 				if mode == 3 && rng.Intn(2) == 0 {
-					c.t[i] = rng.Float64()
+					c.T[i] = rng.Float64()
 				}
 			}
-			c.from[i], c.to[i], c.round[i] = int32(rng.Uint32())>>uint(rng.Intn(32)), int32(rng.Intn(64))-1, int32(rng.Uint32())
+			c.From[i], c.To[i], c.Round[i] = int32(rng.Uint32())>>uint(rng.Intn(32)), int32(rng.Intn(64))-1, int32(rng.Uint32())
 		}
 		if trial%7 == 0 {
-			c.from[0], c.round[n-1] = math.MinInt32, math.MaxInt32
+			c.From[0], c.Round[n-1] = math.MinInt32, math.MaxInt32
 		}
 		e := blockEncoder{out: io.Discard}
 		if err := e.block(&c); err != nil {
@@ -409,7 +409,7 @@ func TestBlockBoundsMatchReference(t *testing.T) {
 		got, want := e.blocks[0], refBounds(&c)
 		if math.Float64bits(got.tMin) != math.Float64bits(want.tMin) || math.Float64bits(got.tMax) != math.Float64bits(want.tMax) ||
 			got.nodeMin != want.nodeMin || got.nodeMax != want.nodeMax || got.roundMin != want.roundMin || got.roundMax != want.roundMax {
-			t.Fatalf("footer bounds diverge on t=%v from=%v to=%v round=%v:\n got %+v\nwant %+v", c.t, c.from, c.to, c.round, got, want)
+			t.Fatalf("footer bounds diverge on t=%v from=%v to=%v round=%v:\n got %+v\nwant %+v", c.T, c.From, c.To, c.Round, got, want)
 		}
 	}
 }

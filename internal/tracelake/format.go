@@ -155,9 +155,6 @@ const dictMaxEntries = 64
 // zigzag folds signed deltas into unsigned varint space.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
-// unzigzag is its inverse.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // appendPV appends v as a prefix varint: low nibble of the first byte is
 // the count of following bytes (0..8), high nibble the low 4 bits of v,
 // following bytes the rest little-endian. Values below 16 cost one byte.
@@ -217,6 +214,10 @@ func unbias(image, bias uint64) uint64 {
 	return image
 }
 
+// intCol is the integer column types: u64 (seq), i32 (from, to, round)
+// and u16 (kind).
+type intCol interface{ uint64 | int32 | uint16 }
+
 // colEncoder is the scratch of one column encode at a time.
 type colEncoder struct {
 	img  []uint64 // the image of the column being encoded
@@ -232,16 +233,19 @@ func (e *colEncoder) image(n int) []uint64 {
 	return e.img[:n]
 }
 
-// The four typed entry points take the image and its bounds in one pass,
-// append the column's frame, and return the bounds (as images) for the
-// block's footer entry.
-
-func (e *colEncoder) u64(dst []byte, vals []uint64) (_ []byte, lo, hi uint64) {
-	lo, hi = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		lo, hi = min(lo, v), max(hi, v)
+// ints and f64 take the image and its bounds in one pass, append the
+// column's frame, and return the bounds (as images) for the block's
+// footer entry. An integer's image is uint64(int64(v)) + bias, with bias
+// i32Bias for int32 columns and 0 otherwise.
+func ints[T intCol](e *colEncoder, dst []byte, vals []T, bias uint64) (_ []byte, lo, hi uint64) {
+	img := e.image(len(vals))
+	lo, hi = ^uint64(0), 0
+	for i, v := range vals {
+		b := uint64(int64(v)) + bias
+		img[i] = b
+		lo, hi = min(lo, b), max(hi, b)
 	}
-	return e.encode(dst, vals, lo, hi, 0, false), lo, hi
+	return e.encode(dst, img, lo, hi, bias, false), lo, hi
 }
 
 func (e *colEncoder) f64(dst []byte, vals []float64) (_ []byte, lo, hi uint64) {
@@ -253,28 +257,6 @@ func (e *colEncoder) f64(dst []byte, vals []float64) (_ []byte, lo, hi uint64) {
 		lo, hi = min(lo, b), max(hi, b)
 	}
 	return e.encode(dst, img, lo, hi, 0, true), lo, hi
-}
-
-func (e *colEncoder) i32(dst []byte, vals []int32) (_ []byte, lo, hi uint64) {
-	img := e.image(len(vals))
-	lo, hi = ^uint64(0), 0
-	for i, v := range vals {
-		b := uint64(int64(v) + i32Bias)
-		img[i] = b
-		lo, hi = min(lo, b), max(hi, b)
-	}
-	return e.encode(dst, img, lo, hi, i32Bias, false), lo, hi
-}
-
-func (e *colEncoder) u16(dst []byte, vals []uint16) (_ []byte, lo, hi uint64) {
-	img := e.image(len(vals))
-	lo, hi = ^uint64(0), 0
-	for i, v := range vals {
-		b := uint64(v)
-		img[i] = b
-		lo, hi = min(lo, b), max(hi, b)
-	}
-	return e.encode(dst, img, lo, hi, 0, false), lo, hi
 }
 
 // encode frames one column (codec + length + bytes) from its image and
@@ -404,23 +386,32 @@ func packImages(dst []byte, img []uint64, base uint64, width int) []byte {
 // inside the declared region — which the per-iteration guard enforces.
 // Decoders return the consumed byte count, or -1 when a corrupt varint
 // walks outside the declared region: validation fails, nothing faults.
+//
+// Integer columns share one generic decoder per codec: the arithmetic
+// runs on the uint64 image and each row stores T(image). An i32 or u16
+// frame holds the value's own low bits (the writer unbiases i32), and the
+// image arithmetic is modulo 2^64, so the truncation is the row's value.
+// Float columns keep decoders of their own, one per codec, because a row
+// is math.Float64frombits(image): sharing the integer loops would take
+// unsafe or a second pass over the column.
 
 // Both non-const codec frames open with the column's first value as a
 // raw 8-byte image; the encoded deltas cover rows 1..n-1 only.
 //
-// The varint loops below hand-inline pvAt and unzigzag, and re-slice
-// src to exactly declared+8 bytes up front: the guard `off >= len(src)-8`
-// then doubles as the corruption check AND the fact the bounds-check
-// eliminator needs to drop the per-value slice checks on the 8-byte
-// load. Callers guarantee at least 8 padding bytes past declared.
+// The varint loops below inline pvAt and the zigzag inverse, and
+// re-slice src to exactly declared+8 bytes up front: the guard
+// `off >= len(src)-8` then doubles as the corruption check AND the fact
+// the bounds-check eliminator needs to drop the per-value slice checks on
+// the 8-byte load. Callers guarantee at least 8 padding bytes past
+// declared.
 
-func decodeU64Delta(dst []uint64, src []byte, declared int) int {
+func decodeDelta[T intCol](dst []T, src []byte, declared int) int {
 	if declared < 8 || len(dst) == 0 {
 		return -1
 	}
 	src = src[:declared+8]
 	prev := binary.LittleEndian.Uint64(src)
-	dst[0] = prev
+	dst[0] = T(prev)
 	off := 8
 	for i := 1; i < len(dst); i++ {
 		if off >= len(src)-8 {
@@ -430,7 +421,7 @@ func decodeU64Delta(dst []uint64, src []byte, declared int) int {
 		w := binary.LittleEndian.Uint64(src[off+1:]) & pvMask[b0&0x0f]
 		u := uint64(b0>>4) | w<<4
 		prev += uint64(int64(u>>1) ^ -int64(u&1))
-		dst[i] = prev
+		dst[i] = T(prev)
 		off += int(b0&0x0f) + 1
 	}
 	return off
@@ -453,50 +444,6 @@ func decodeF64Delta(dst []float64, src []byte, declared int) int {
 		u := uint64(b0>>4) | w<<4
 		prev += uint64(int64(u>>1) ^ -int64(u&1))
 		dst[i] = math.Float64frombits(prev)
-		off += int(b0&0x0f) + 1
-	}
-	return off
-}
-
-func decodeI32Delta(dst []int32, src []byte, declared int) int {
-	if declared < 8 || len(dst) == 0 {
-		return -1
-	}
-	src = src[:declared+8]
-	prev := int64(int32(uint32(binary.LittleEndian.Uint64(src))))
-	dst[0] = int32(prev)
-	off := 8
-	for i := 1; i < len(dst); i++ {
-		if off >= len(src)-8 {
-			return -1
-		}
-		b0 := src[off]
-		w := binary.LittleEndian.Uint64(src[off+1:]) & pvMask[b0&0x0f]
-		u := uint64(b0>>4) | w<<4
-		prev += int64(u>>1) ^ -int64(u&1)
-		dst[i] = int32(prev)
-		off += int(b0&0x0f) + 1
-	}
-	return off
-}
-
-func decodeU16Delta(dst []uint16, src []byte, declared int) int {
-	if declared < 8 || len(dst) == 0 {
-		return -1
-	}
-	src = src[:declared+8]
-	prev := int64(uint16(binary.LittleEndian.Uint64(src)))
-	dst[0] = uint16(prev)
-	off := 8
-	for i := 1; i < len(dst); i++ {
-		if off >= len(src)-8 {
-			return -1
-		}
-		b0 := src[off]
-		w := binary.LittleEndian.Uint64(src[off+1:]) & pvMask[b0&0x0f]
-		u := uint64(b0>>4) | w<<4
-		prev += int64(u>>1) ^ -int64(u&1)
-		dst[i] = uint16(prev)
 		off += int(b0&0x0f) + 1
 	}
 	return off
@@ -527,7 +474,7 @@ func checkPacked(n int, src []byte, clen int) int {
 	return width
 }
 
-func decodeU64Packed(dst []uint64, src []byte, clen int) bool {
+func decodePacked[T intCol](dst []T, src []byte, clen int) bool {
 	width := checkPacked(len(dst), src, clen)
 	if width < 0 {
 		return false
@@ -536,33 +483,35 @@ func decodeU64Packed(dst []uint64, src []byte, clen int) bool {
 	data := src[9:]
 	if width == 64 {
 		for i := range dst {
-			dst[i] = base + binary.LittleEndian.Uint64(data[i*8:])
+			dst[i] = T(base + binary.LittleEndian.Uint64(data[i*8:]))
 		}
 		return true
 	}
 	mask := uint64(1)<<uint(width) - 1
 	w1, w2, w3 := uint(width), uint(2*width), uint(3*width)
 	bitpos, i, n := 0, 0, len(dst)
+	// Narrow widths unpack several values per 64-bit load: 7 shift bits
+	// + 4 (or 2) values must fit in 64.
 	if width <= 14 {
 		for ; i+4 <= n; i += 4 {
 			lw := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7)
-			dst[i] = base + lw&mask
-			dst[i+1] = base + lw>>w1&mask
-			dst[i+2] = base + lw>>w2&mask
-			dst[i+3] = base + lw>>w3&mask
+			dst[i] = T(base + lw&mask)
+			dst[i+1] = T(base + lw>>w1&mask)
+			dst[i+2] = T(base + lw>>w2&mask)
+			dst[i+3] = T(base + lw>>w3&mask)
 			bitpos += 4 * width
 		}
 	} else if width <= 28 {
 		for ; i+2 <= n; i += 2 {
 			lw := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7)
-			dst[i] = base + lw&mask
-			dst[i+1] = base + lw>>w1&mask
+			dst[i] = T(base + lw&mask)
+			dst[i+1] = T(base + lw>>w1&mask)
 			bitpos += 2 * width
 		}
 	}
 	for ; i < n; i++ {
 		u := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7) & mask
-		dst[i] = base + u
+		dst[i] = T(base + u)
 		bitpos += width
 	}
 	return true
@@ -586,72 +535,6 @@ func decodeF64Packed(dst []float64, src []byte, clen int) bool {
 	for i := range dst {
 		u := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7) & mask
 		dst[i] = math.Float64frombits(base + u)
-		bitpos += width
-	}
-	return true
-}
-
-func decodeI32Packed(dst []int32, src []byte, clen int) bool {
-	width := checkPacked(len(dst), src, clen)
-	if width < 0 {
-		return false
-	}
-	base := int64(int32(uint32(binary.LittleEndian.Uint64(src))))
-	data := src[9:]
-	if width == 64 {
-		for i := range dst {
-			dst[i] = int32(base + int64(binary.LittleEndian.Uint64(data[i*8:])))
-		}
-		return true
-	}
-	mask := uint64(1)<<uint(width) - 1
-	w1, w2, w3 := uint(width), uint(2*width), uint(3*width)
-	bitpos, i, n := 0, 0, len(dst)
-	// Narrow widths unpack several values per 64-bit load: 7 shift bits
-	// + 4 (or 2) values must fit in 64.
-	if width <= 14 {
-		for ; i+4 <= n; i += 4 {
-			lw := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7)
-			dst[i] = int32(base + int64(lw&mask))
-			dst[i+1] = int32(base + int64(lw>>w1&mask))
-			dst[i+2] = int32(base + int64(lw>>w2&mask))
-			dst[i+3] = int32(base + int64(lw>>w3&mask))
-			bitpos += 4 * width
-		}
-	} else if width <= 28 {
-		for ; i+2 <= n; i += 2 {
-			lw := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7)
-			dst[i] = int32(base + int64(lw&mask))
-			dst[i+1] = int32(base + int64(lw>>w1&mask))
-			bitpos += 2 * width
-		}
-	}
-	for ; i < n; i++ {
-		u := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7) & mask
-		dst[i] = int32(base + int64(u))
-		bitpos += width
-	}
-	return true
-}
-
-func decodeU16Packed(dst []uint16, src []byte, clen int) bool {
-	width := checkPacked(len(dst), src, clen)
-	if width < 0 {
-		return false
-	}
-	base := uint64(uint16(binary.LittleEndian.Uint64(src)))
-	data := src[9:]
-	if width == 64 {
-		for i := range dst {
-			dst[i] = uint16(base + binary.LittleEndian.Uint64(data[i*8:]))
-		}
-		return true
-	}
-	mask := uint64(1)<<uint(width) - 1
-	bitpos := 0
-	for i := range dst {
-		u := binary.LittleEndian.Uint64(data[bitpos>>3:]) >> (bitpos & 7) & mask
-		dst[i] = uint16(base + u)
 		bitpos += width
 	}
 	return true

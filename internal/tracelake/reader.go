@@ -230,20 +230,14 @@ func (l *Lake) Events() uint64 { return l.total }
 func (l *Lake) BlockCount() int { return len(l.blocks) }
 
 // Rows is one decoded column block: the struct-of-arrays view of up to
-// blockRows events of a single type. All slices have equal length; Seq
-// is strictly increasing (the events' positions in the recorded stream).
-// The slices alias the decoder's reusable buffers — they are valid until
-// the next block is decoded into the same cursor.
+// blockRows events of a single type — Seq beside the probe.Batch columns
+// a Folder folds. All slices have equal length; Seq is strictly
+// increasing (the events' positions in the recorded stream). The slices
+// alias the decoder's reusable buffers — they are valid until the next
+// block is decoded into the same cursor.
 type Rows struct {
-	Type  probe.Type
-	Seq   []uint64
-	T     []float64
-	From  []int32
-	To    []int32
-	Kind  []uint16
-	Round []int32
-	Value []float64
-	Aux   []float64
+	Seq []uint64
+	probe.Batch
 }
 
 // Len returns the row count.
@@ -326,18 +320,9 @@ func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 	n := int(m.count)
 	r := &b.rows
 	r.Type = m.typ
-	if cap(r.Seq) < n || cap(r.T) < n || cap(r.From) < n || cap(r.To) < n ||
-		cap(r.Kind) < n || cap(r.Round) < n || cap(r.Value) < n || cap(r.Aux) < n {
-		b.constN = [numCols]int{} // buffers reallocate: cached fills are gone
+	if r.resize(n) {
+		b.constN = [numCols]int{} // buffers reallocated: cached fills are gone
 	}
-	r.Seq = growU64(r.Seq, n)
-	r.T = growF64(r.T, n)
-	r.From = growI32(r.From, n)
-	r.To = growI32(r.To, n)
-	r.Kind = growU16(r.Kind, n)
-	r.Round = growI32(r.Round, n)
-	r.Value = growF64(r.Value, n)
-	r.Aux = growF64(r.Aux, n)
 
 	// cols spans from the end of the block header through the 8 zeroed
 	// pad bytes past the payload, so pvAt's unconditional 8-byte loads
@@ -368,9 +353,33 @@ func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 	return r, nil
 }
 
+// resize gives every column n rows, reallocating those with less
+// capacity, and reports whether any was reallocated.
+func (r *Rows) resize(n int) (grew bool) {
+	grew = cap(r.Seq) < n || cap(r.T) < n || cap(r.From) < n || cap(r.To) < n ||
+		cap(r.Kind) < n || cap(r.Round) < n || cap(r.Value) < n || cap(r.Aux) < n
+	r.Seq, r.T, r.Value, r.Aux = grow(r.Seq, n), grow(r.T, n), grow(r.Value, n), grow(r.Aux, n)
+	r.From, r.To, r.Round, r.Kind = grow(r.From, n), grow(r.To, n), grow(r.Round, n), grow(r.Kind, n)
+	return grew
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // decodeCol decodes one column (ci indexes seq,t,from,to,kind,round,
 // value,aux) from data, whose declared length is clen; data extends past
-// clen into the padded tail.
+// clen into the padded tail. A const column whose image the buffer
+// already holds is not filled again.
 func (b *blockReader) decodeCol(r *Rows, ci int, codec byte, data []byte, clen int) error {
 	switch codec {
 	case codecConst:
@@ -383,145 +392,70 @@ func (b *blockReader) decodeCol(r *Rows, ci int, codec byte, data []byte, clen i
 			return nil // buffer already holds this image
 		}
 		b.constImage[ci], b.constN[ci] = image, n
-		switch ci {
-		case 0:
-			fillU64(r.Seq, image)
-		case 1:
-			fillF64(r.T, math.Float64frombits(image))
-		case 2:
-			fillI32(r.From, int32(uint32(image)))
-		case 3:
-			fillI32(r.To, int32(uint32(image)))
-		case 4:
-			fillU16(r.Kind, uint16(image))
-		case 5:
-			fillI32(r.Round, int32(uint32(image)))
-		case 6:
-			fillF64(r.Value, math.Float64frombits(image))
-		case 7:
-			fillF64(r.Aux, math.Float64frombits(image))
-		}
-		return nil
-	case codecDelta:
+	case codecDelta, codecPacked, codecDict:
 		b.constN[ci] = 0
-		var used int
-		switch ci {
-		case 0:
-			used = decodeU64Delta(r.Seq, data, clen)
-		case 1:
-			used = decodeF64Delta(r.T, data, clen)
-		case 2:
-			used = decodeI32Delta(r.From, data, clen)
-		case 3:
-			used = decodeI32Delta(r.To, data, clen)
-		case 4:
-			used = decodeU16Delta(r.Kind, data, clen)
-		case 5:
-			used = decodeI32Delta(r.Round, data, clen)
-		case 6:
-			used = decodeF64Delta(r.Value, data, clen)
-		case 7:
-			used = decodeF64Delta(r.Aux, data, clen)
-		}
-		if used != clen {
-			return fmt.Errorf("delta column decodes to %d of its declared %d bytes", used, clen)
-		}
-		return nil
-	case codecPacked:
-		b.constN[ci] = 0
-		var ok bool
-		switch ci {
-		case 0:
-			ok = decodeU64Packed(r.Seq, data, clen)
-		case 1:
-			ok = decodeF64Packed(r.T, data, clen)
-		case 2:
-			ok = decodeI32Packed(r.From, data, clen)
-		case 3:
-			ok = decodeI32Packed(r.To, data, clen)
-		case 4:
-			ok = decodeU16Packed(r.Kind, data, clen)
-		case 5:
-			ok = decodeI32Packed(r.Round, data, clen)
-		case 6:
-			ok = decodeF64Packed(r.Value, data, clen)
-		case 7:
-			ok = decodeF64Packed(r.Aux, data, clen)
-		}
-		if !ok {
-			return fmt.Errorf("packed column frame is inconsistent with its declared %d bytes", clen)
-		}
-		return nil
-	case codecDict:
-		b.constN[ci] = 0
-		var ok bool
-		switch ci {
-		case 1:
-			ok = decodeF64Dict(r.T, data, clen)
-		case 6:
-			ok = decodeF64Dict(r.Value, data, clen)
-		case 7:
-			ok = decodeF64Dict(r.Aux, data, clen)
-		default:
-			return fmt.Errorf("dictionary codec on non-float column")
-		}
-		if !ok {
-			return fmt.Errorf("dictionary column frame is inconsistent with its declared %d bytes", clen)
-		}
-		return nil
 	default:
 		return fmt.Errorf("unknown codec 0x%02x", codec)
 	}
+	switch ci {
+	case 0:
+		return decodeInts(r.Seq, codec, data, clen)
+	case 1:
+		return decodeFloats(r.T, codec, data, clen)
+	case 2:
+		return decodeInts(r.From, codec, data, clen)
+	case 3:
+		return decodeInts(r.To, codec, data, clen)
+	case 4:
+		return decodeInts(r.Kind, codec, data, clen)
+	case 5:
+		return decodeInts(r.Round, codec, data, clen)
+	case 6:
+		return decodeFloats(r.Value, codec, data, clen)
+	}
+	return decodeFloats(r.Aux, codec, data, clen)
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
+// decodeInts decodes an integer column under a known codec.
+func decodeInts[T intCol](dst []T, codec byte, data []byte, clen int) error {
+	switch codec {
+	case codecConst:
+		fill(dst, T(binary.LittleEndian.Uint64(data)))
+		return nil
+	case codecDelta:
+		return checkUsed(decodeDelta(dst, data, clen), clen)
+	case codecPacked:
+		return checkFrame(decodePacked(dst, data, clen), "packed", clen)
 	}
-	return s[:n]
+	return fmt.Errorf("dictionary codec on non-float column")
 }
 
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// decodeFloats decodes a float column under a known codec.
+func decodeFloats(dst []float64, codec byte, data []byte, clen int) error {
+	switch codec {
+	case codecConst:
+		fill(dst, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		return nil
+	case codecDelta:
+		return checkUsed(decodeF64Delta(dst, data, clen), clen)
+	case codecPacked:
+		return checkFrame(decodeF64Packed(dst, data, clen), "packed", clen)
 	}
-	return s[:n]
+	return checkFrame(decodeF64Dict(dst, data, clen), "dictionary", clen)
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// checkUsed and checkFrame turn a decoder's verdict into decodeCol's
+// error.
+func checkUsed(used, clen int) error {
+	if used != clen {
+		return fmt.Errorf("delta column decodes to %d of its declared %d bytes", used, clen)
 	}
-	return s[:n]
+	return nil
 }
 
-func growU16(s []uint16, n int) []uint16 {
-	if cap(s) < n {
-		return make([]uint16, n)
+func checkFrame(ok bool, frame string, clen int) error {
+	if !ok {
+		return fmt.Errorf("%s column frame is inconsistent with its declared %d bytes", frame, clen)
 	}
-	return s[:n]
-}
-
-func fillU64(s []uint64, v uint64) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
-func fillF64(s []float64, v float64) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
-func fillI32(s []int32, v int32) {
-	for i := range s {
-		s[i] = v
-	}
-}
-
-func fillU16(s []uint16, v uint16) {
-	for i := range s {
-		s[i] = v
-	}
+	return nil
 }

@@ -29,34 +29,19 @@ const (
 	maxInFlight = 4
 )
 
-// colBuf accumulates the pending rows of one event type as plain
-// struct-of-arrays columns until a block flush. Every column has the
-// same length — the buffer's capacity in rows — and n rows are filled.
+// colBuf accumulates the pending rows of one event type in a block's
+// shape until a block flush. Every column has the same length — the
+// buffer's capacity in rows — and n rows are filled.
 type colBuf struct {
-	typ   probe.Type
-	n     int
-	seq   []uint64
-	t     []float64
-	from  []int32
-	to    []int32
-	kind  []uint16
-	round []int32
-	value []float64
-	aux   []float64
+	n int
+	Rows
 }
 
 func newColBuf(typ probe.Type, rows int) colBuf {
-	return colBuf{
-		typ:   typ,
-		seq:   make([]uint64, rows),
-		t:     make([]float64, rows),
-		from:  make([]int32, rows),
-		to:    make([]int32, rows),
-		kind:  make([]uint16, rows),
-		round: make([]int32, rows),
-		value: make([]float64, rows),
-		aux:   make([]float64, rows),
-	}
+	var c colBuf
+	c.Type = typ
+	c.resize(rows)
+	return c
 }
 
 // Writer streams probe events into a lake container. It implements
@@ -138,18 +123,18 @@ func (w *Writer) OnEvent(ev probe.Event) {
 		return
 	}
 	c := &w.pend[ti]
-	if c.n == len(c.seq) {
+	if c.n == len(c.Seq) {
 		w.grow(c, ev.Type)
 	}
 	i := c.n
-	c.seq[i] = w.seq
-	c.t[i] = ev.T
-	c.from[i] = ev.From
-	c.to[i] = ev.To
-	c.kind[i] = ev.Kind
-	c.round[i] = ev.Round
-	c.value[i] = ev.Value
-	c.aux[i] = ev.Aux
+	c.Seq[i] = w.seq
+	c.T[i] = ev.T
+	c.From[i] = ev.From
+	c.To[i] = ev.To
+	c.Kind[i] = ev.Kind
+	c.Round[i] = ev.Round
+	c.Value[i] = ev.Value
+	c.Aux[i] = ev.Aux
 	c.n = i + 1
 	w.seq++
 	if c.n == blockRows {
@@ -176,7 +161,7 @@ func (w *Writer) reject(ev probe.Event) {
 // two sizes: append's growth steps would allocate several times the
 // final block on the way there.
 func (w *Writer) grow(c *colBuf, typ probe.Type) {
-	if len(c.seq) == 0 {
+	if len(c.Seq) == 0 {
 		*c = newColBuf(typ, firstRows)
 		return
 	}
@@ -186,15 +171,15 @@ func (w *Writer) grow(c *colBuf, typ probe.Type) {
 	if !ok {
 		big = newColBuf(typ, blockRows)
 	}
-	big.typ, big.n = typ, c.n
-	copy(big.seq, c.seq)
-	copy(big.t, c.t)
-	copy(big.from, c.from)
-	copy(big.to, c.to)
-	copy(big.kind, c.kind)
-	copy(big.round, c.round)
-	copy(big.value, c.value)
-	copy(big.aux, c.aux)
+	big.Type, big.n = typ, c.n
+	copy(big.Seq, c.Seq)
+	copy(big.T, c.T)
+	copy(big.From, c.From)
+	copy(big.To, c.To)
+	copy(big.Kind, c.Kind)
+	copy(big.Round, c.Round)
+	copy(big.Value, c.Value)
+	copy(big.Aux, c.Aux)
 	*c = big
 }
 
@@ -214,7 +199,7 @@ func (w *Writer) takeSpare() (colBuf, bool) {
 // while maxInFlight buffers are out — the only place the producer blocks
 // — and picks up the encoder's error, if it has one by now.
 func (w *Writer) handOff(c *colBuf) {
-	typ := c.typ
+	typ := c.Type
 	w.mu.Lock()
 	for w.inFlight == maxInFlight {
 		w.cond.Wait()
@@ -234,7 +219,7 @@ func (w *Writer) handOff(c *colBuf) {
 		// are ever allocated, the rest of the run recycles them.
 		next = newColBuf(typ, blockRows)
 	}
-	next.typ, next.n = typ, 0
+	next.Type, next.n = typ, 0
 	*c = next
 }
 
@@ -347,32 +332,32 @@ func (e *blockEncoder) block(c *colBuf) error {
 	// Payload: type, count, then the eight columns. 16 bytes a row covers
 	// the usual block; the column encoders grow the buffer past it.
 	buf, crcAt := e.begin(16 * n)
-	buf = append(buf, byte(c.typ))
+	buf = append(buf, byte(c.Type))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf, _, _ = e.cols.u64(buf, c.seq[:n])
-	buf, tLo, tHi := e.cols.f64(buf, c.t[:n])
-	buf, fromLo, fromHi := e.cols.i32(buf, c.from[:n])
-	buf, toLo, toHi := e.cols.i32(buf, c.to[:n])
-	buf, _, _ = e.cols.u16(buf, c.kind[:n])
-	buf, roundLo, roundHi := e.cols.i32(buf, c.round[:n])
-	buf, _, _ = e.cols.f64(buf, c.value[:n])
-	buf, _, _ = e.cols.f64(buf, c.aux[:n])
+	buf, _, _ = ints(&e.cols, buf, c.Seq[:n], 0)
+	buf, tLo, tHi := e.cols.f64(buf, c.T[:n])
+	buf, fromLo, fromHi := ints(&e.cols, buf, c.From[:n], i32Bias)
+	buf, toLo, toHi := ints(&e.cols, buf, c.To[:n], i32Bias)
+	buf, _, _ = ints(&e.cols, buf, c.Kind[:n], 0)
+	buf, roundLo, roundHi := ints(&e.cols, buf, c.Round[:n], i32Bias)
+	buf, _, _ = e.cols.f64(buf, c.Value[:n])
+	buf, _, _ = e.cols.f64(buf, c.Aux[:n])
 	seal(buf, crcAt)
 
 	// The footer entry's bounds fall out of the columns' image bounds: the
 	// i32 image order is the int32 order.
 	meta := blockMeta{
-		typ:      c.typ,
+		typ:      c.Type,
 		count:    uint32(n),
 		offset:   e.off + uint64(crcAt),
 		length:   uint64(len(buf) - crcAt),
-		seqMin:   c.seq[0],
+		seqMin:   c.Seq[0],
 		nodeMin:  int32(min(fromLo, toLo) - i32Bias),
 		nodeMax:  int32(max(fromHi, toHi) - i32Bias),
 		roundMin: int32(roundLo - i32Bias),
 		roundMax: int32(roundHi - i32Bias),
 	}
-	meta.tMin, meta.tMax = timeBounds(c.t[:n], tLo, tHi)
+	meta.tMin, meta.tMax = timeBounds(c.T[:n], tLo, tHi)
 	e.blocks = append(e.blocks, meta)
 	return e.write(buf)
 }
