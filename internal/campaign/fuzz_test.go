@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"optsync/internal/harness"
@@ -83,6 +84,38 @@ func FuzzStoreOpen(f *testing.F) {
 		for _, key := range append(held, fresh...) {
 			if _, ok, err := third.Get(key); err != nil || !ok {
 				t.Fatalf("cell %s lost across seal, kill and reopen: ok=%v err=%v", key, ok, err)
+			}
+		}
+	})
+}
+
+// FuzzCampaignCells expands a campaign of two fuzzer-chosen axes over
+// testSpec's base: a field name and comma-separated values each, at most
+// eight values an axis, so the grid stays within 64 cells. The values
+// reach every axis parser, ParsePartition through "partitions" among
+// them (seeds under testdata/fuzz/FuzzCampaignCells). Cells must return
+// an error or cells without panicking, and every cell's Key must be the
+// SpecKey of its Spec.
+//
+//	go test -run xxx -fuzz FuzzCampaignCells -fuzztime 10s -fuzzminimizetime 1s ./internal/campaign
+func FuzzCampaignCells(f *testing.F) {
+	f.Fuzz(func(t *testing.T, field1, values1, field2, values2 string) {
+		axis := func(field, values string) Axis {
+			v := strings.Split(values, ",")
+			return Axis{Field: field, Values: v[:min(len(v), 8)]}
+		}
+		c := Campaign{Name: "fuzz", Base: testSpec(1), Axes: []Axis{axis(field1, values1), axis(field2, values2)}}
+		cells, err := c.Cells()
+		if err != nil {
+			return
+		}
+		if len(cells) == 0 || len(cells) > 64 {
+			t.Fatalf("%d cells from a grid of %d", len(cells), c.gridSize())
+		}
+		for _, cell := range cells {
+			key, err := harness.SpecKey(cell.Spec)
+			if err != nil || key != cell.Key {
+				t.Fatalf("cell %d (%v): Key %s, SpecKey gives %s, %v", cell.Index, cell.Values, cell.Key, key, err)
 			}
 		}
 	})
