@@ -225,21 +225,6 @@ func codecCases() []colCase {
 	return cases
 }
 
-// colLen is the row count of a column.
-func colLen(col any) int {
-	switch v := col.(type) {
-	case []uint64:
-		return len(v)
-	case []float64:
-		return len(v)
-	case []int32:
-		return len(v)
-	case []uint16:
-		return len(v)
-	}
-	return 0
-}
-
 // TestColumnCodecsRoundTrip: every column type, under every codec the
 // encoder picks for it, decodes through decodeCol into every column of
 // that type, bit for bit.
@@ -259,7 +244,7 @@ func TestColumnCodecsRoundTrip(t *testing.T) {
 			if typ != tc.typ {
 				continue
 			}
-			got, err := decodeColumn(frame, ci, colLen(tc.col))
+			got, err := decodeColumn(frame, ci, reflect.ValueOf(tc.col).Len())
 			if err != nil {
 				t.Fatalf("%s %s: column %d: %v", tc.typ, tc.name, ci, err)
 			}
