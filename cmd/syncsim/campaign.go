@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,41 +24,63 @@ func parseAxes(specs []string) ([]optsync.Axis, error) {
 	return out, nil
 }
 
-// deriveSpecDefaults builds the per-cell finisher that keeps campaign
-// cells consistent with the equivalent single -run invocation. The base
-// spec bakes the CLI's derived conventions against the *base* flags
-// (alpha and initial skew from -dmax, the fault bound from -n and
-// -algo); when an axis sweeps one of the inputs, the stale derivations
-// must be recomputed per cell — silently simulating `-axis dmax=0.018`
-// with the alpha of dmax 0.01 is exactly the bug this prevents. Values
-// the user pinned explicitly (a -f flag, a swept axis) are left alone.
-func deriveSpecDefaults(fs *flag.FlagSet, axes []optsync.Axis) func(*optsync.Spec) error {
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+// campaignFlags is the flag family campaign and serve share: the sweep,
+// its store, its output format and the base spec.
+type campaignFlags struct {
+	name            *string
+	seeds, samples  *int
+	sampleSeed      *int64
+	store           *string
+	csvOut, jsonOut *bool
+	axes            stringList
+	spec            *specFlags
+}
+
+func addCampaignFlags(fs *flag.FlagSet, storeUsage string) *campaignFlags {
+	cf := &campaignFlags{
+		name:       fs.String("name", "", "campaign name (labels output rows)"),
+		seeds:      fs.Int("seeds", 1, "seed replicates per grid point"),
+		samples:    fs.Int("samples", 0, "random-sample this many grid points instead of the full grid (0 = full grid)"),
+		sampleSeed: fs.Int64("sample-seed", 1, "seed for -samples point selection"),
+		store:      fs.String("store", "", storeUsage),
+		csvOut:     fs.Bool("csv", false, "emit CSV instead of aligned tables"),
+		jsonOut:    fs.Bool("json", false, "emit JSON instead of aligned tables"),
+		spec:       addSpecFlags(fs),
+	}
+	fs.Var(&cf.axes, "axis", "sweep axis field=v1,v2,... (repeatable; fields: "+
+		strings.Join(optsync.AxisFields(), " ")+")")
+	return cf
+}
+
+// campaign checks the parsed flags and assembles the campaign they
+// describe; cmd names the subcommand in errors. Every cell is finished
+// by the same derivation as the base spec, so it simulates what the
+// equivalent single -run does.
+func (cf *campaignFlags) campaign(cmd string) (optsync.Campaign, error) {
+	if *cf.csvOut && *cf.jsonOut {
+		return optsync.Campaign{}, fmt.Errorf("-csv and -json are mutually exclusive")
+	}
+	if len(cf.axes) == 0 {
+		return optsync.Campaign{}, fmt.Errorf("%s needs at least one -axis (fields: %s)",
+			cmd, strings.Join(optsync.AxisFields(), " "))
+	}
+	base, err := cf.spec.spec()
+	if err != nil {
+		return optsync.Campaign{}, err
+	}
+	axes, err := parseAxes(cf.axes)
+	if err != nil {
+		return optsync.Campaign{}, err
+	}
 	swept := make(map[string]bool, len(axes))
 	for _, ax := range axes {
 		swept[ax.Field] = true
 	}
-	return func(s *optsync.Spec) error {
-		variant := optsync.Auth
-		if s.Algo != optsync.AlgoAuth {
-			variant = optsync.Primitive
-		}
-		s.Params.Variant = variant
-		if !explicit["f"] && !swept["f"] {
-			s.Params.F = variant.MaxFaults(s.Params.N)
-		}
-		if !explicit["faulty"] && !swept["faulty"] {
-			s.FaultyCount = s.Params.F
-		}
-		if !swept["initial-skew"] {
-			s.Params.InitialSkew = s.Params.DMax / 2
-		}
-		// Always re-derive alpha ((1+rho)*dmax): the CLI has no -alpha
-		// flag, so the baked base value is never a user choice.
-		s.Params.Alpha = 0
-		return nil
-	}
+	return optsync.Campaign{
+		Name: *cf.name, Base: base, Axes: axes,
+		Seeds: *cf.seeds, Samples: *cf.samples, SampleSeed: *cf.sampleSeed,
+		Finish: func(s *optsync.Spec) error { cf.spec.derive(s, swept); return nil },
+	}, nil
 }
 
 // runCampaignCmd implements "syncsim campaign": declarative sweeps with
@@ -69,55 +90,24 @@ func deriveSpecDefaults(fs *flag.FlagSet, axes []optsync.Axis) func(*optsync.Spe
 func runCampaignCmd(args []string) (err error) {
 	fs := flag.NewFlagSet("syncsim campaign", flag.ContinueOnError)
 	var (
-		axes stringList
+		resume   = fs.Bool("resume", true, "serve already-completed cells from the store; -resume=false recomputes every cell")
+		search   = fs.String("search", "", "bisect this axis per group for the last passing value instead of running the full grid")
+		cellsOut = fs.Bool("cells", false, "emit per-cell results instead of per-group aggregates")
+		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
 
-		name       = fs.String("name", "", "campaign name (labels output rows)")
-		seeds      = fs.Int("seeds", 1, "seed replicates per grid point")
-		samples    = fs.Int("samples", 0, "random-sample this many grid points instead of the full grid (0 = full grid)")
-		sampleSeed = fs.Int64("sample-seed", 1, "seed for -samples point selection")
-		storeDir   = fs.String("store", "", "result store directory (empty = run unpersisted)")
-		resume     = fs.Bool("resume", true, "serve already-completed cells from the store; -resume=false recomputes every cell")
-		search     = fs.String("search", "", "bisect this axis per group for the last passing value instead of running the full grid")
-		cellsOut   = fs.Bool("cells", false, "emit per-cell results instead of per-group aggregates")
-		csvOut     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut    = fs.Bool("json", false, "emit JSON instead of aligned tables")
-		workers    = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-
-		sf = addSpecFlags(fs)
+		cf = addCampaignFlags(fs, "result store directory (empty = run unpersisted)")
 	)
-	fs.Var(&axes, "axis", "sweep axis field=v1,v2,... (repeatable; fields: "+
-		strings.Join(optsync.AxisFields(), " ")+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *csvOut && *jsonOut {
-		return fmt.Errorf("-csv and -json are mutually exclusive")
-	}
-	if len(axes) == 0 {
-		return fmt.Errorf("campaign needs at least one -axis (fields: %s)",
-			strings.Join(optsync.AxisFields(), " "))
-	}
-
-	base, err := sf.spec()
+	c, err := cf.campaign("campaign")
 	if err != nil {
 		return err
-	}
-	parsedAxes, err := parseAxes(axes)
-	if err != nil {
-		return err
-	}
-	c := optsync.Campaign{
-		Name:    *name,
-		Base:    base,
-		Axes:    parsedAxes,
-		Seeds:   *seeds,
-		Samples: *samples, SampleSeed: *sampleSeed,
-		Finish: deriveSpecDefaults(fs, parsedAxes),
 	}
 
 	opts := []optsync.CampaignOption{optsync.WithCampaignWorkers(*workers)}
-	if *storeDir != "" {
-		store, oerr := optsync.OpenStore(*storeDir)
+	if *cf.store != "" {
+		store, oerr := optsync.OpenStore(*cf.store)
 		if oerr != nil {
 			return oerr
 		}
@@ -145,27 +135,16 @@ func runCampaignCmd(args []string) (err error) {
 		}
 		fmt.Fprintf(os.Stderr, "%d executed, %d cached (exhaustive grid: %d cells)\n",
 			report.Executed, report.CacheHits, report.ExhaustiveCells)
-		switch {
-		case *jsonOut:
-			return json.NewEncoder(os.Stdout).Encode(report)
-		case *csvOut:
-			_, err := fmt.Print(report.Table().CSV())
-			return err
-		default:
-			_, err := fmt.Println(report.Table().Render())
-			return err
-		}
+		return printReport(*cf.jsonOut, *cf.csvOut, report, report.Table())
 	}
 
 	if *cellsOut {
-		var sink optsync.Sink
+		var sink optsync.Sink = optsync.NewTableSink(os.Stdout)
 		switch {
-		case *jsonOut:
+		case *cf.jsonOut:
 			sink = optsync.NewJSONSink(os.Stdout)
-		case *csvOut:
+		case *cf.csvOut:
 			sink = optsync.NewCSVSink(os.Stdout)
-		default:
-			sink = optsync.NewTableSink(os.Stdout)
 		}
 		opts = append(opts, optsync.WithCampaignSink(sink))
 	}
@@ -177,14 +156,5 @@ func runCampaignCmd(args []string) (err error) {
 	if *cellsOut {
 		return nil // the sink already streamed the cells
 	}
-	switch {
-	case *jsonOut:
-		return json.NewEncoder(os.Stdout).Encode(report)
-	case *csvOut:
-		_, err := fmt.Print(report.Table().CSV())
-		return err
-	default:
-		_, err := fmt.Println(report.Table().Render())
-		return err
-	}
+	return printReport(*cf.jsonOut, *cf.csvOut, report, report.Table())
 }

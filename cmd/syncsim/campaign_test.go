@@ -137,6 +137,35 @@ func TestCampaignCLIRederivesFaultBound(t *testing.T) {
 	}
 }
 
+// -f -1 and -faulty -1 are the flags' defaults, "maximum for the
+// algorithm" and "same as -f": typing them must change nothing, so a
+// swept n still derives both per cell rather than from the base -n.
+func TestCampaignCLISentinelsDerivePerCell(t *testing.T) {
+	args := []string{"campaign", "-axis", "n=5,9", "-horizon", "3", "-cells", "-json"}
+	typed, err := capture(t, func() error { return run(append(args, "-f", "-1", "-faulty", "-1")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typed != plain {
+		t.Fatalf("typed sentinels changed the cells:\n%s\nvs\n%s", typed, plain)
+	}
+	var rec struct {
+		N      int `json:"n"`
+		F      int `json:"f"`
+		Faulty int `json:"faulty"`
+	}
+	if err := json.Unmarshal([]byte(strings.SplitN(typed, "\n", 2)[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.N != 5 || rec.F != 2 || rec.Faulty != 2 {
+		t.Fatalf("first cell = %+v, want n=5 f=2 faulty=2", rec)
+	}
+}
+
 func TestCampaignCLISearch(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run(campaignArgs("", "-search", "faulty"))

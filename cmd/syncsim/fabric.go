@@ -2,13 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -24,57 +22,26 @@ import (
 func runServeCmd(args []string) error {
 	fs := flag.NewFlagSet("syncsim serve", flag.ContinueOnError)
 	var (
-		axes stringList
-
-		name         = fs.String("name", "", "campaign name (labels output rows)")
-		seeds        = fs.Int("seeds", 1, "seed replicates per grid point")
-		samples      = fs.Int("samples", 0, "random-sample this many grid points instead of the full grid (0 = full grid)")
-		sampleSeed   = fs.Int64("sample-seed", 1, "seed for -samples point selection")
-		storeDir     = fs.String("store", "", "result store directory (required: the fabric's shared state)")
 		addr         = fs.String("addr", "127.0.0.1:9190", "TCP listen address for the coordinator API")
 		leaseTTL     = fs.Duration("lease-ttl", 0, "lease TTL; a worker silent this long forfeits its cells (0 = default 60s)")
 		leaseBatch   = fs.Int("lease-batch", 0, "max cells per lease response (0 = default 64)")
 		compactEvery = fs.Int("compact-every", 0, "seal the store (fsync, move the segment under segments/, republish index.json) every N settled cells (0 = only on exit)")
 		noCompact    = fs.Bool("no-compact", false, "leave the store unsealed on exit (the next open re-indexes cells/; nothing is lost, nothing was fsynced)")
 		linger       = fs.Duration("linger", 2*time.Second, "keep answering after completion so polling workers hear 'complete'")
-		csvOut       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut      = fs.Bool("json", false, "emit JSON instead of aligned tables")
 
-		sf = addSpecFlags(fs)
+		cf = addCampaignFlags(fs, "result store directory (required: the fabric's shared state)")
 	)
-	fs.Var(&axes, "axis", "sweep axis field=v1,v2,... (repeatable; fields: "+
-		strings.Join(optsync.AxisFields(), " ")+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *csvOut && *jsonOut {
-		return fmt.Errorf("-csv and -json are mutually exclusive")
+	c, err := cf.campaign("serve")
+	if err != nil {
+		return err
 	}
-	if len(axes) == 0 {
-		return fmt.Errorf("serve needs at least one -axis (fields: %s)",
-			strings.Join(optsync.AxisFields(), " "))
-	}
-	if *storeDir == "" {
+	if *cf.store == "" {
 		return fmt.Errorf("serve needs -store: the store is how settled work survives restarts")
 	}
-
-	base, err := sf.spec()
-	if err != nil {
-		return err
-	}
-	parsedAxes, err := parseAxes(axes)
-	if err != nil {
-		return err
-	}
-	c := optsync.Campaign{
-		Name:    *name,
-		Base:    base,
-		Axes:    parsedAxes,
-		Seeds:   *seeds,
-		Samples: *samples, SampleSeed: *sampleSeed,
-		Finish: deriveSpecDefaults(fs, parsedAxes),
-	}
-	store, err := optsync.OpenStore(*storeDir)
+	store, err := optsync.OpenStore(*cf.store)
 	if err != nil {
 		return err
 	}
@@ -100,23 +67,14 @@ func runServeCmd(args []string) error {
 		// Graceful interrupt: the settled prefix is durable; tell the
 		// operator how to continue rather than failing the process.
 		fmt.Fprintf(os.Stderr, "interrupted: %d/%d cells settled in %s; re-run serve (or `syncsim campaign -store %s`) to finish\n",
-			len(report.Cells), report.Total, *storeDir, *storeDir)
+			len(report.Cells), report.Total, *cf.store, *cf.store)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, report.Summary())
-	switch {
-	case *jsonOut:
-		return json.NewEncoder(os.Stdout).Encode(report)
-	case *csvOut:
-		_, err := fmt.Print(report.Table().CSV())
-		return err
-	default:
-		_, err := fmt.Println(report.Table().Render())
-		return err
-	}
+	return printReport(*cf.jsonOut, *cf.csvOut, report, report.Table())
 }
 
 // runWorkCmd implements "syncsim work": a stateless worker that pulls

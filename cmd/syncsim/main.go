@@ -163,42 +163,70 @@ func addSpecFlags(fs *flag.FlagSet) *specFlags {
 
 // spec assembles and validates the flag values into a runnable Spec.
 func (sf *specFlags) spec() (optsync.Spec, error) {
-	variant := optsync.Auth
-	if *sf.algo != string(optsync.AlgoAuth) {
-		variant = optsync.Primitive
+	s := optsync.Spec{
+		Algo: optsync.Algorithm(*sf.algo),
+		Params: optsync.Params{
+			N: *sf.n, F: *sf.f,
+			Rho:  optsync.Rho(*sf.rho),
+			DMin: *sf.dmin, DMax: *sf.dmax,
+			Period: *sf.period,
+		},
+		FaultyCount: *sf.faulty, Attack: optsync.Attack(*sf.attack),
+		Horizon: *sf.horizon, Seed: *sf.seed,
+		Topology: *sf.topology, Shards: *sf.shards,
 	}
-	f := *sf.f
-	if f < 0 {
-		f = variant.MaxFaults(*sf.n)
-	}
-	faulty := *sf.faulty
-	if faulty < 0 {
-		faulty = f
-	}
-	p := optsync.Params{
-		N: *sf.n, F: f, Variant: variant,
-		Rho:  optsync.Rho(*sf.rho),
-		DMin: *sf.dmin, DMax: *sf.dmax,
-		Period:      *sf.period,
-		InitialSkew: *sf.dmax / 2,
-	}.WithDefaults()
-	if err := p.Validate(); err != nil {
+	sf.derive(&s, nil)
+	s.Params = s.Params.WithDefaults()
+	if err := s.Params.Validate(); err != nil {
 		return optsync.Spec{}, err
 	}
-	windows, err := parsePartitions(sf.partitions)
-	if err != nil {
+	var err error
+	if s.Partitions, err = parsePartitions(sf.partitions); err != nil {
 		return optsync.Spec{}, err
 	}
 	if *sf.shards < 0 {
 		return optsync.Spec{}, fmt.Errorf("-shards %d invalid (0 auto-picks, 1 forces serial, k>1 runs k shard workers)", *sf.shards)
 	}
-	return optsync.Spec{
-		Algo: optsync.Algorithm(*sf.algo), Params: p,
-		FaultyCount: faulty, Attack: optsync.Attack(*sf.attack),
-		Horizon: *sf.horizon, Seed: *sf.seed,
-		Topology: *sf.topology, Partitions: windows,
-		Shards: *sf.shards,
-	}, nil
+	return s, nil
+}
+
+// derive applies the CLI's derived conventions to s: -f -1 means the
+// variant's maximum for n, -faulty -1 means the fault bound, the initial
+// skew is dmax/2, and alpha is left for WithDefaults to derive from rho
+// and dmax (there is no -alpha flag). spec applies it to the base flags
+// and a campaign to every cell, where a field an axis sweeps keeps its
+// value: a swept n or dmax must not run with the fault bound or alpha of
+// the base flags.
+func (sf *specFlags) derive(s *optsync.Spec, swept map[string]bool) {
+	variant := optsync.Auth
+	if s.Algo != optsync.AlgoAuth {
+		variant = optsync.Primitive
+	}
+	s.Params.Variant = variant
+	if *sf.f < 0 && !swept["f"] {
+		s.Params.F = variant.MaxFaults(s.Params.N)
+	}
+	if *sf.faulty < 0 && !swept["faulty"] {
+		s.FaultyCount = s.Params.F
+	}
+	if !swept["initial-skew"] {
+		s.Params.InitialSkew = s.Params.DMax / 2
+	}
+	s.Params.Alpha = 0
+}
+
+// printReport writes v as one line of JSON, or its table t as CSV or
+// aligned text.
+func printReport(jsonOut, csvOut bool, v any, t *optsync.Table) (err error) {
+	switch {
+	case jsonOut:
+		return json.NewEncoder(os.Stdout).Encode(v)
+	case csvOut:
+		_, err = fmt.Print(t.CSV())
+	default:
+		_, err = fmt.Println(t.Render())
+	}
+	return err
 }
 
 func run(args []string) error {
@@ -271,22 +299,14 @@ func run(args []string) error {
 		}
 		scenarios = []optsync.Scenario{s}
 	}
-	enc := json.NewEncoder(os.Stdout)
 	for _, s := range scenarios {
 		tables, err := s.Run(context.Background(), optsync.WithCampaignWorkers(*workers))
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", s.ID, err)
 		}
 		for _, t := range tables {
-			switch {
-			case *jsonOut:
-				if err := enc.Encode(t); err != nil {
-					return err
-				}
-			case *csvOut:
-				fmt.Print(t.CSV())
-			default:
-				fmt.Println(t.Render())
+			if err := printReport(*jsonOut, *csvOut, t, t); err != nil {
+				return err
 			}
 		}
 	}

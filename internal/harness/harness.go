@@ -112,7 +112,7 @@ type Spec struct {
 	// fresh from repair, adversarially placed clocks).
 	ClockOffset map[int]float64
 	// Topology selects the network connectivity by registered name
-	// ("mesh", "wan:R", "ring", "sparse:D", ...). Empty means the default
+	// ("mesh", "wan:R", "ring:D", ...). Empty means the default
 	// full mesh, whose results are pinned by the golden tests.
 	Topology string
 	// Shards selects the execution strategy, never the result: every
@@ -455,10 +455,10 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 
 	// Validate all names up front so a misspelled spec fails loudly even
 	// when no faulty node would have exercised the attack builder.
-	if _, err := lookupProtocol(spec.Algo); err != nil {
+	if _, err := protocols.lookup(spec.Algo); err != nil {
 		return nil, err
 	}
-	if _, err := lookupAttack(spec.Attack); err != nil {
+	if _, err := attacks.lookup(spec.Attack); err != nil {
 		return nil, err
 	}
 	if err := wellFormed(spec); err != nil {

@@ -54,13 +54,64 @@ func WithEnvelope(fn EnvelopeFunc) ProtocolOption {
 	return func(e *protocolEntry) { e.envelope = fn }
 }
 
-var registry = struct {
-	mu        sync.RWMutex
-	protocols map[Algorithm]*protocolEntry
-	attacks   map[Attack]AttackBuilder
-}{
-	protocols: make(map[Algorithm]*protocolEntry),
-	attacks:   make(map[Attack]AttackBuilder),
+// registry is a name table filled at program initialization and read by
+// every run.
+type registry[K ~string, V any] struct {
+	kind    string // "algorithm", "attack", "topology": names it in errors
+	mu      sync.RWMutex
+	entries map[K]V
+}
+
+func newRegistry[K ~string, V any](kind string) *registry[K, V] {
+	return &registry[K, V]{kind: kind, entries: make(map[K]V)}
+}
+
+var (
+	protocols  = newRegistry[Algorithm, *protocolEntry]("algorithm")
+	attacks    = newRegistry[Attack, AttackBuilder]("attack")
+	topologies = newRegistry[string, TopologyBuilder]("topology")
+)
+
+// add registers v under name. It panics if the name is empty, the
+// builder is nil or the name is already taken.
+func (r *registry[K, V]) add(name K, v V, nilBuilder bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var why string
+	switch _, dup := r.entries[name]; {
+	case name == "":
+		why = "empty name"
+	case nilBuilder:
+		why = "nil builder"
+	case dup:
+		why = "registered twice"
+	default:
+		r.entries[name] = v
+		return
+	}
+	panic(fmt.Sprintf("harness: %s %q: %s", r.kind, name, why))
+}
+
+func (r *registry[K, V]) lookup(name K) (V, error) {
+	r.mu.RLock()
+	v, ok := r.entries[name]
+	r.mu.RUnlock()
+	if !ok {
+		return v, fmt.Errorf("harness: unknown %s %q (registered: %v)", r.kind, name, r.names())
+	}
+	return v, nil
+}
+
+// names returns the registered names, sorted.
+func (r *registry[K, V]) names() []K {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]K, 0, len(r.entries))
+	for name := range r.entries {
+		out = append(out, name)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // RegisterProtocol makes an algorithm constructible by name through Spec.
@@ -68,99 +119,28 @@ var registry = struct {
 // already taken — registration is a program-initialization step, like
 // database/sql driver registration.
 func RegisterProtocol(name Algorithm, build ProtocolBuilder, opts ...ProtocolOption) {
-	if name == "" {
-		panic("harness: RegisterProtocol with empty name")
-	}
-	if build == nil {
-		panic("harness: RegisterProtocol with nil builder")
-	}
 	entry := &protocolEntry{build: build}
 	for _, opt := range opts {
 		opt(entry)
 	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if _, dup := registry.protocols[name]; dup {
-		panic(fmt.Sprintf("harness: protocol %q registered twice", name))
-	}
-	registry.protocols[name] = entry
+	protocols.add(name, entry, build == nil)
 }
 
 // RegisterAttack makes a faulty-node behaviour constructible by name
 // through Spec. Same registration contract as RegisterProtocol.
-func RegisterAttack(name Attack, build AttackBuilder) {
-	if name == "" {
-		panic("harness: RegisterAttack with empty name")
-	}
-	if build == nil {
-		panic("harness: RegisterAttack with nil builder")
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if _, dup := registry.attacks[name]; dup {
-		panic(fmt.Sprintf("harness: attack %q registered twice", name))
-	}
-	registry.attacks[name] = build
-}
+func RegisterAttack(name Attack, build AttackBuilder) { attacks.add(name, build, build == nil) }
 
 // Protocols returns the registered algorithm names, sorted.
-func Protocols() []Algorithm {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return protocolNamesLocked()
-}
+func Protocols() []Algorithm { return protocols.names() }
 
 // Attacks returns the registered attack names, sorted.
-func Attacks() []Attack {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return attackNamesLocked()
-}
-
-func lookupProtocol(name Algorithm) (*protocolEntry, error) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	entry, ok := registry.protocols[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown algorithm %q (registered: %v)", name, protocolNamesLocked())
-	}
-	return entry, nil
-}
-
-func lookupAttack(name Attack) (AttackBuilder, error) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	build, ok := registry.attacks[name]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown attack %q (registered: %v)", name, attackNamesLocked())
-	}
-	return build, nil
-}
-
-// protocolNamesLocked and attackNamesLocked assume registry.mu is held.
-func protocolNamesLocked() []Algorithm {
-	out := make([]Algorithm, 0, len(registry.protocols))
-	for name := range registry.protocols {
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func attackNamesLocked() []Attack {
-	out := make([]Attack, 0, len(registry.attacks))
-	for name := range registry.attacks {
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func Attacks() []Attack { return attacks.names() }
 
 // NewProtocol builds the correct-node protocol for the spec via the
 // registry. Attack builders that wrap correct behaviour (crash-mid, bias)
 // use it to obtain their inner protocol.
 func NewProtocol(spec Spec) (node.Protocol, error) {
-	entry, err := lookupProtocol(spec.Algo)
+	entry, err := protocols.lookup(spec.Algo)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +149,7 @@ func NewProtocol(spec Spec) (node.Protocol, error) {
 
 // newAttack builds the faulty-node protocol for the spec via the registry.
 func newAttack(spec Spec, env AttackEnv) (node.Protocol, error) {
-	build, err := lookupAttack(spec.Attack)
+	build, err := attacks.lookup(spec.Attack)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +159,7 @@ func newAttack(spec Spec, env AttackEnv) (node.Protocol, error) {
 // protocolEnvelope returns the registered envelope bounds for the
 // algorithm, or nil if none (or the algorithm is unknown).
 func protocolEnvelope(name Algorithm) EnvelopeFunc {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	if entry, ok := registry.protocols[name]; ok {
+	if entry, err := protocols.lookup(name); err == nil {
 		return entry.envelope
 	}
 	return nil

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"optsync/internal/core/bounds"
 	"optsync/internal/network"
@@ -18,61 +16,21 @@ import (
 // DMax, for example).
 type TopologyBuilder func(arg string, p bounds.Params) (network.Topology, error)
 
-var topoRegistry = struct {
-	mu       sync.RWMutex
-	builders map[string]TopologyBuilder
-}{builders: make(map[string]TopologyBuilder)}
-
 // RegisterTopology makes a connectivity shape constructible by name
 // through Spec.Topology, alongside the built-ins ("mesh", "wan:R",
 // "ring:D"). Parameterized names use a colon: Spec.Topology "wan:4"
 // resolves the builder registered under "wan" with arg "4". Same
-// registration contract as RegisterProtocol: empty names, nil builders,
-// and duplicates panic.
+// registration contract as RegisterProtocol, and the name must not
+// contain ':'.
 func RegisterTopology(name string, build TopologyBuilder) {
-	if name == "" {
-		panic("harness: RegisterTopology with empty name")
-	}
 	if strings.Contains(name, ":") {
-		panic("harness: topology names must not contain ':' (it separates the arg)")
+		panic(fmt.Sprintf("harness: topology %q: ':' separates the arg", name))
 	}
-	if build == nil {
-		panic("harness: RegisterTopology with nil builder")
-	}
-	topoRegistry.mu.Lock()
-	defer topoRegistry.mu.Unlock()
-	if _, dup := topoRegistry.builders[name]; dup {
-		panic(fmt.Sprintf("harness: topology %q registered twice", name))
-	}
-	topoRegistry.builders[name] = build
+	topologies.add(name, build, build == nil)
 }
 
 // Topologies returns the registered topology names, sorted.
-func Topologies() []string {
-	topoRegistry.mu.RLock()
-	defer topoRegistry.mu.RUnlock()
-	out := make([]string, 0, len(topoRegistry.builders))
-	for name := range topoRegistry.builders {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func lookupTopology(name string) (TopologyBuilder, error) {
-	topoRegistry.mu.RLock()
-	defer topoRegistry.mu.RUnlock()
-	build, ok := topoRegistry.builders[name]
-	if !ok {
-		names := make([]string, 0, len(topoRegistry.builders))
-		for n := range topoRegistry.builders {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("harness: unknown topology %q (registered: %v)", name, names)
-	}
-	return build, nil
-}
+func Topologies() []string { return topologies.names() }
 
 // topologyFor resolves Spec.Topology and layers Spec.Partitions on top.
 // It returns nil for the default spec (empty topology, no partitions),
@@ -90,7 +48,7 @@ func topologyFor(spec Spec) (network.Topology, error) {
 				return nil, fmt.Errorf("harness: topology %q: missing argument after ':'", spec.Topology)
 			}
 		}
-		build, err := lookupTopology(name)
+		build, err := topologies.lookup(name)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,13 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"optsync/internal/core/bounds"
+	"optsync/internal/network"
+	"optsync/internal/sim"
 )
 
 func topoSpec(topology string) Spec {
@@ -92,4 +95,60 @@ func TestExplicitMeshMatchesDefault(t *testing.T) {
 		def.PulseCount != mesh.PulseCount || def.EnvHi != mesh.EnvHi {
 		t.Fatalf("explicit mesh diverged from default:\n %+v\n %+v", def, mesh)
 	}
+}
+
+// FuzzTopologySpec resolves an arbitrary Spec.Topology string over n in
+// 1..64 nodes, with one -partition window if the third input parses
+// (seeds under testdata/fuzz/FuzzTopologySpec). topologyFor must return
+// an error or a topology, nil only for the default spec. A topology must
+// answer Linked for every pair before, during and after the window, a
+// NeighborLister must list exactly the linked set in ascending order with
+// the sender in it, and a built-in shape must name itself by a string
+// that resolves to the same shape.
+func FuzzTopologySpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, topology string, rawN uint8, partition string) {
+		spec := Spec{Topology: topology, Params: bounds.Params{N: 1 + int(rawN%64), DMax: 0.01}}
+		pw, perr := ParsePartition(partition)
+		if perr == nil {
+			spec.Partitions = []Partition{pw}
+		}
+		topo, err := topologyFor(spec)
+		if err != nil {
+			return
+		}
+		if topo == nil {
+			if topology != "" || perr == nil {
+				t.Fatalf("topology %q partition %q: nil topology and no error", topology, partition)
+			}
+			return
+		}
+		n := spec.Params.N
+		for _, now := range []sim.Time{0, pw.At, pw.Heal} {
+			for from := 0; from < n; from++ {
+				for to := 0; to < n; to++ {
+					topo.Linked(from, to, now)
+				}
+			}
+		}
+		if l, ok := topo.(network.NeighborLister); ok {
+			for from := 0; from < n; from++ {
+				var linked []network.NodeID
+				for to := 0; to < n; to++ {
+					if topo.Linked(from, to, 0) {
+						linked = append(linked, to)
+					}
+				}
+				if got := l.AppendNeighbors(from, nil); !slices.Equal(got, linked) || !slices.Contains(got, from) {
+					t.Fatalf("%s: node %d lists %v, linked to %v", topo, from, got, linked)
+				}
+			}
+		}
+		name, _, _ := strings.Cut(topology, ":")
+		if perr != nil && (name == "mesh" || name == "wan" || name == "ring") {
+			again, err := topologyFor(Spec{Topology: topo.String(), Params: spec.Params})
+			if err != nil || again.String() != topo.String() {
+				t.Fatalf("%q resolved to %s, which resolves to %v (%v)", topology, topo, again, err)
+			}
+		}
+	})
 }
