@@ -253,7 +253,7 @@ func run(args []string) error {
 		jsonOut = fs.Bool("json", false, "emit JSON instead of aligned tables")
 		workers = fs.Int("workers", 0, "worker pool size for experiment batches (0 = all cores)")
 		custom  = fs.Bool("run", false, "run a single custom simulation instead of an experiment")
-		rtStats = fs.Bool("runtime-stats", false, "print the simulator's own counters for the run (payload arena slots, event-queue chunks, signature verifications asked and computed) to stderr (custom runs)")
+		rtStats = fs.Bool("runtime-stats", false, "print the simulator's own counters for the run (payload arena slots, event-queue chunks drawn and how many of them an earlier run in the process left to recycle, signature verifications asked and computed) to stderr (custom runs)")
 		trace   = fs.String("trace", "", "record the run's event trace to this file (custom runs; .lake = queryable columnar lake, else JSONL; replay with `syncsim trace -in FILE`, query lakes with `syncsim query`)")
 
 		sf = addSpecFlags(fs)
@@ -319,8 +319,8 @@ func printRuntimeStats(w io.Writer, rs optsync.RuntimeStats) {
 	a, l, g := rs.Arena, rs.Ladder, rs.Sig
 	fmt.Fprintf(w, "runtime: arena slots %d (high-water %d), references %d, mailbox copies %d, deaf %d\n",
 		a.Slots, a.SlotsHigh, a.Refs, a.Mailbox, a.Deaf)
-	fmt.Fprintf(w, "runtime: ladder chunks %d (free-list high-water %d), grow-copies %d, spills %d (un-seals %d), re-anchors %d, shifted %d, timers %d (tombstones %d), seals %d (%d events)\n",
-		l.Chunks, l.FreeHigh, l.GrowCopies, l.Spills, l.Unseals, l.Reanchors, l.Shifted, l.Timers, l.Tombstones, l.Seals, l.Sealed)
+	fmt.Fprintf(w, "runtime: ladder chunks %d (recycled %d, free-list high-water %d), grow-copies %d, spills %d (un-seals %d), re-anchors %d, shifted %d, timers %d (tombstones %d), seals %d (%d events)\n",
+		l.Chunks, l.Recycled, l.FreeHigh, l.GrowCopies, l.Spills, l.Unseals, l.Reanchors, l.Shifted, l.Timers, l.Tombstones, l.Seals, l.Sealed)
 	fmt.Fprintf(w, "runtime: sig verifications asked %d, computed %d, rejected %d\n",
 		g.Asked, g.Computed, g.Rejected)
 }

@@ -2,12 +2,18 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"optsync/internal/campaign"
+	"optsync/internal/harness"
 )
 
 // FuzzFabricBodies posts the fuzzer's bytes, twice, to /lease or /report
@@ -52,4 +58,71 @@ func FuzzFabricBodies(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReportForAnotherSpecIsRejected replays FuzzFabricBodies' valid-report
+// seed: cell 0's index and key over a Result with an empty Spec. A result
+// settles only the cell its spec keys to, so the coordinator rejects the
+// report, settles nothing and stores nothing. The honest report of the same
+// cell, the result of running its spec, is then accepted and stored.
+func TestReportForAnotherSpecIsRejected(t *testing.T) {
+	seed, err := os.ReadFile("testdata/fuzz/FuzzFabricBodies/valid-report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(seed)), "\n")
+	body, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := campaign.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var warned []string
+	srv, err := NewServer(testCampaign(), store, ServerOptions{Warn: func(format string, args ...any) {
+		warned = append(warned, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(body []byte) (ReportResponse, Progress) {
+		t.Helper()
+		var resp ReportResponse
+		var p Progress
+		for _, call := range []struct {
+			req *http.Request
+			out any
+		}{
+			{httptest.NewRequest(http.MethodPost, "/report", bytes.NewReader(body)), &resp},
+			{httptest.NewRequest(http.MethodGet, "/progress", nil), &p},
+		} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, call.req)
+			if err := json.Unmarshal(rec.Body.Bytes(), call.out); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("%s %s = %d (%v): %s", call.req.Method, call.req.URL.Path, rec.Code, err, rec.Body)
+			}
+		}
+		return resp, p
+	}
+	resp, p := report([]byte(body))
+	if resp.Rejected != 1 || resp.Accepted != 0 || p.Done != 0 || p.Store.Puts != 0 || len(warned) != 1 {
+		t.Fatalf("a result for another spec: %+v, progress %+v, warnings %q", resp, p, warned)
+	}
+	cells, err := testCampaign().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := harness.RunContext(context.Background(), cells[0].Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := json.Marshal(ReportRequest{Worker: "w", Cells: []CellReport{{Index: 0, Key: cells[0].Key, Result: res}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, p = report(honest); resp.Accepted != 1 || resp.Rejected != 0 || p.Done != 1 || p.Store.Puts != 1 {
+		t.Fatalf("the honest report: %+v, progress %+v", resp, p)
+	}
 }

@@ -312,6 +312,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
+		if key, err := harness.SpecKey(cr.Result.Spec); err != nil || key != cr.Key {
+			// A result computed for another spec (a buggy or stale worker)
+			// must not settle the cell its key names.
+			s.opts.Warn("fabric: worker %s reported cell %d with a result for spec %.8s, not %.8s; rejected", req.Worker, cr.Index, key, cr.Key)
+			resp.Rejected++
+			continue
+		}
 		valid = append(valid, cr)
 	}
 	// Durability before accounting: the report's cells land in the store,

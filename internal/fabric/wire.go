@@ -81,7 +81,8 @@ type ReportRequest struct {
 type ReportResponse struct {
 	// Accepted counts newly settled cells; Duplicates counts cells that
 	// were already done (safe no-ops); Rejected counts malformed entries
-	// (index/key mismatch — a client bug, not a race).
+	// (an index/key mismatch, or a result whose spec does not key to the
+	// cell — a client bug, not a race).
 	Accepted   int  `json:"accepted"`
 	Duplicates int  `json:"duplicates"`
 	Rejected   int  `json:"rejected"`

@@ -78,7 +78,7 @@ func init() {
 		p := spec.Params
 		return &adversary.Equivocator{
 			Cfg:     core.ConfigFromBounds(p),
-			TargetA: 0, TargetB: 1,
+			TargetA: 0, TargetB: min(1, p.N-1), // a one-node cluster has no node 1
 			Rounds: int(spec.Horizon/p.Period) + 1,
 		}, nil
 	})

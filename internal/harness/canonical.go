@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 )
 
 // CanonicalSpec returns the spec in the form under which two specs
@@ -31,10 +33,20 @@ func CanonicalSpec(spec Spec) Spec {
 // were computed without the field and cannot answer for specs that have
 // it.
 func SpecKey(spec Spec) (string, error) {
-	data, err := json.Marshal(CanonicalSpec(spec))
-	if err != nil {
+	buf := keyBufs.Get().(*bytes.Buffer)
+	defer keyBufs.Put(buf)
+	buf.Reset()
+	// Encode writes what Marshal would return plus a newline, into a
+	// buffer that is reused rather than copied out.
+	if err := json.NewEncoder(buf).Encode(CanonicalSpec(spec)); err != nil {
 		return "", fmt.Errorf("harness: canonicalizing spec %q: %w", spec.Name, err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	sum := sha256.Sum256(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }
+
+// keyBufs recycles SpecKey's encoding buffers: a fabric coordinator keys
+// every reported result, a campaign every cell it expands.
+var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"optsync/internal/core/bounds"
 	"optsync/internal/sig"
 )
 
@@ -161,4 +164,45 @@ func TestLadderShapeWithTimersOnIt(t *testing.T) {
 			t.Errorf("%s: %d timers armed, %d tombstones discarded", tc.name, l.Timers, l.Tombstones)
 		}
 	}
+}
+
+// TestRecycledChunksCarryNothing: a closed run hands its queue's chunks to
+// the next run in the process, those still holding the events its horizon
+// cut off included, and they must carry nothing into it. A campaign cell, a
+// ring:8 run at two shards, a mesh256-prim-shaped run that leaves its
+// ready copies queued, the ring run again and the cell again: each repeat
+// must reproduce its first run's Result and every ladder counter but
+// Recycled, and the second ring run must draw recycled chunks. The
+// recycle point is a sync.Pool, which keeps what one processor put out of
+// another's reach and, under the race detector, drops a random quarter of
+// it: the test runs on one processor and checks Recycled without -race.
+func TestRecycledChunksCarryNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large clusters")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ring := Spec{
+		Algo: AlgoAuth, Params: lanParams(256, 3, bounds.Auth),
+		Attack: AttackNone, Topology: "ring:8", Horizon: 3, Seed: 2, Shards: 2,
+	}
+	mesh := mesh256PrimSpec
+	mesh.Horizon, mesh.Shards = 3, 1
+	cell := mustRun(t, campaignCellSpec)
+	first := mustRun(t, ring)
+	if left := mustRun(t, mesh).Runtime.Ladder.Chunks; left == 0 {
+		t.Fatalf("the mesh run drew no chunk to leave behind")
+	}
+	same := func(name string, want, got Result) {
+		t.Helper()
+		if got.Runtime.Ladder.Recycled, want.Runtime.Ladder.Recycled = 0, 0; !reflect.DeepEqual(want, got) {
+			t.Errorf("%s on recycled chunks diverged:\n first  %+v\n repeat %+v", name, want, got)
+		}
+	}
+	again := mustRun(t, ring)
+	t.Logf("ring: %+v", again.Runtime.Ladder)
+	if again.Runtime.Ladder.Recycled == 0 && !raceEnabled {
+		t.Errorf("the second ring run drew %d chunks, none of them recycled", again.Runtime.Ladder.Chunks)
+	}
+	same("ring:8 at 2 shards", first, again)
+	same("the campaign cell", cell, mustRun(t, campaignCellSpec))
 }

@@ -510,6 +510,7 @@ func (c *Cluster) RuntimeStats() RuntimeStats {
 		rs.Ladder.Timers += l.Timers
 		rs.Ladder.Tombstones += l.Tombstones
 		rs.Ladder.Chunks += l.Chunks
+		rs.Ladder.Recycled += l.Recycled
 		rs.Ladder.FreeHigh += l.FreeHigh
 		rs.Ladder.GrowCopies += l.GrowCopies
 		rs.Ladder.Spills += l.Spills

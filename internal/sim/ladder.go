@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // This file implements the event queue: a two-level ladder/calendar queue
@@ -41,6 +42,17 @@ import (
 // pool and timers all over the window allocate nothing. A bucket sealed at
 // several chunks is gathered into the ladder's contiguous buffer `own`,
 // which also takes over a bottom that late arrivals outgrow.
+//
+// Chunks outlive the run. A run stopped at its horizon leaves most of its
+// chunks holding events no one will read, and the next run's engine is a
+// new one. So release (Shards.Close) hands every chunk, live or free, as
+// one kit to a process-wide sync.Pool; a shard engine takes a kit there
+// when it is built, and its ladder draws from the kit whenever its free
+// list is empty, before it allocates. The kit is not merged into the free
+// list, which would change where grow puts chunks; first arrays are not
+// recycled, as their capacity decides the grow-copies. One Get and one Put
+// per engine, both outside the event path; a GC empties the pool, but not
+// the kit an engine holds.
 //
 // Ordering. The global order is the locally-computable event Key (see
 // key.go), restored lazily: buckets are unsorted until sealed, and events
@@ -109,6 +121,10 @@ type chunk struct {
 	ev   []msgEvent
 }
 
+// kits is the recycle point between runs: each entry is the chunks one
+// released ladder held, linked through next.
+var kits sync.Pool
+
 // bucket is an unordered bag of events. tail is the array being appended
 // to: the bucket's own first array while cap(tail) < ladderChunk (head is
 // nil), otherwise the array of chunk head, behind which the full chunks
@@ -143,13 +159,16 @@ func (r *rung) locate(at Time) int {
 }
 
 // LadderStats counts what an engine's event queue did: plain integers,
-// bumped per chunk, timer or seal, or rarer (Shifted apart).
+// bumped per chunk, timer or seal, or rarer (Shifted apart). All but
+// Recycled depend on the run alone, not on what ran before it in the
+// process.
 type LadderStats struct {
 	Seals      uint64 // buckets sealed into the drain bottom
 	Sealed     uint64 // events in them: Sealed / Seals is the mean sealed bucket
 	Timers     uint64 // timers armed
 	Tombstones uint64 // cancelled timers' entries discarded
-	Chunks     uint64 // chunks allocated
+	Chunks     uint64 // chunks drawn from outside the free list: recycled or new
+	Recycled   uint64 // of which: from a kit an earlier run released
 	FreeHigh   uint64 // high-water of the chunk free list
 	GrowCopies uint64 // first arrays copied to grow
 	Spills     uint64 // rung-0 buckets re-bucketed into rung 1
@@ -189,6 +208,7 @@ type ladder struct {
 	free           *chunk
 	nfree, live    int
 	peak, prevPeak int
+	kit            *chunk // recycled chunks, drawn before one is allocated
 
 	stats LadderStats
 }
@@ -293,16 +313,23 @@ func (l *ladder) grow(b *bucket, wide bool) {
 	b.tail = append(next, b.tail...)
 }
 
-// takeChunk draws a chunk from the free list, or allocates one.
+// takeChunk draws a chunk from the free list, else from the kit, and
+// allocates one only when both are empty.
 func (l *ladder) takeChunk() *chunk {
 	c := l.free
-	if c == nil {
-		l.stats.Chunks++
-		c = &chunk{ev: make([]msgEvent, 0, ladderChunk)}
-	} else {
-		l.free, c.next = c.next, nil
+	if c != nil {
+		l.free = c.next
 		l.nfree--
+	} else {
+		l.stats.Chunks++
+		if c = l.kit; c != nil {
+			l.kit = c.next
+			l.stats.Recycled++
+		} else {
+			c = &chunk{ev: make([]msgEvent, 0, ladderChunk)}
+		}
 	}
+	c.next = nil
 	l.live++
 	l.peak = max(l.peak, l.live)
 	return c
@@ -697,4 +724,36 @@ func (l *ladder) sweep() {
 		l.own = nil
 	}
 	l.prevPeak, l.peak = l.peak, l.live
+}
+
+// release empties the ladder, its counters kept, and returns every chunk it
+// holds as one kit: the free list, the kit's rest and the chunks of queued
+// events, which are discarded.
+func (l *ladder) release() *chunk {
+	k := l.kit
+	add := func(c *chunk) {
+		for c != nil {
+			c.next, k, c = k, c, c.next
+		}
+	}
+	add(l.free)
+	add(l.far.head)
+	for i := range l.r0.buckets {
+		add(l.r0.buckets[i].head)
+		if l.r1 != nil {
+			add(l.r1.buckets[i].head)
+		}
+	}
+	*l = ladder{slab: l.slab, stats: l.stats}
+	return k
+}
+
+// takeKit gives the ladder a kit from the recycle point, if it has one.
+func (l *ladder) takeKit() { l.kit, _ = kits.Get().(*chunk) }
+
+// recycle releases the ladder's chunks into the recycle point.
+func (l *ladder) recycle() {
+	if k := l.release(); k != nil {
+		kits.Put(k)
+	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -496,4 +497,79 @@ func TestAfterRejectsNonFiniteDelay(t *testing.T) {
 		}
 	}()
 	e.MustAfter(math.NaN(), func() {})
+}
+
+// TestReleasedLadderKeepsNoChunk: release hands every chunk a ladder holds,
+// those of events still queued too, to the next ladder, and keeps none, so
+// the released engine, used again, draws storage of its own. Engine a is
+// released mid-burst and its chunks handed to b; then a, b and c take
+// bursts and drain in turns. b must deliver exactly what c, the same
+// schedule on an engine with no kit, delivers, with c's counters but
+// Recycled, and a only what it was given after the release.
+func TestReleasedLadderKeepsNoChunk(t *testing.T) {
+	type run struct {
+		e   *Engine
+		rec *recorder
+		to  int
+	}
+	start := func(seed int64) *run {
+		r := &run{e: New(seed), rec: &recorder{}}
+		r.to = r.e.RegisterDispatcher(r.rec)
+		return r
+	}
+	// burst queues n messages over the next [2 ms, 10 ms), tagged in From.
+	burst := func(r *run, tag int32, n int) {
+		rng := rand.New(rand.NewSource(int64(tag)))
+		for i := 0; i < n; i++ {
+			r.e.MustAtMsg(r.e.Now()+0.002+0.008*rng.Float64(), r.to, Message{From: tag, Index: uint32(i)})
+		}
+	}
+	a := start(1)
+	burst(a, 1, 4000)
+	a.e.Run(0.006)
+	held, stats := a.e.ladder.live+a.e.ladder.nfree, a.e.LadderStats()
+	if a.e.ladder.live == 0 {
+		t.Fatal("the burst left no chunk live")
+	}
+	kit := a.e.ladder.release()
+	n := 0
+	for c := kit; c != nil; c = c.next {
+		n++
+	}
+	if n != held || a.e.Pending() != 0 || a.e.LadderStats() != stats {
+		t.Fatalf("release returned %d of %d chunks, left %d events pending, counters %+v (were %+v)",
+			n, held, a.e.Pending(), a.e.LadderStats(), stats)
+	}
+	if kept := ladderRetained(&a.e.ladder); kept != 0 || a.e.ladder.free != nil {
+		t.Fatalf("the released ladder keeps %d event slots (free list %p)", kept, a.e.ladder.free)
+	}
+	b, c := start(2), start(2)
+	b.e.ladder.kit = kit
+	before := len(a.rec.msgs)
+	for round := int32(0); round < 3; round++ {
+		burst(a, 10+round, 3000)
+		for _, r := range []*run{a, b, c} {
+			if r != a {
+				burst(r, 20+round, 3000)
+			}
+			r.e.Run(r.e.Now() + 0.005)
+		}
+	}
+	for _, r := range []*run{a, b, c} {
+		r.e.RunAll(0)
+	}
+	bs, cs := b.e.LadderStats(), c.e.LadderStats()
+	t.Logf("kit of %d chunks; b: %+v", n, bs)
+	if bs.Recycled == 0 || bs.Recycled > uint64(n) {
+		t.Errorf("b drew %d recycled chunks from a kit of %d", bs.Recycled, n)
+	}
+	if bs.Recycled = 0; bs != cs || !slices.Equal(b.rec.at, c.rec.at) || !slices.Equal(b.rec.msgs, c.rec.msgs) {
+		t.Errorf("b on a's chunks delivered %d events with counters %+v, c %d with %+v",
+			len(b.rec.msgs), bs, len(c.rec.msgs), cs)
+	}
+	after := a.rec.msgs[before:]
+	if len(after) != 3*3000 || slices.ContainsFunc(after, func(m Message) bool { return m.From < 10 }) ||
+		!slices.IsSorted(a.rec.at[before:]) {
+		t.Errorf("a delivered %d events after its release, want its 9000 later ones in time order", len(after))
+	}
 }

@@ -69,6 +69,7 @@ func NewShards(seed int64, k int, lookahead Time) *Shards {
 	}
 	if k == 1 {
 		e := New(seed)
+		e.ladder.takeKit()
 		return &Shards{k: 1, global: e, engs: []*Engine{e}}
 	}
 	if !(lookahead > 0) { // rejects zero, negatives, and NaN
@@ -85,6 +86,7 @@ func NewShards(seed int64, k int, lookahead Time) *Shards {
 	}
 	for i := 0; i < k; i++ {
 		e := New(seed)
+		e.ladder.takeKit()
 		s.engs = append(s.engs, e)
 		s.recs = append(s.recs, &shardRecorder{eng: e})
 		s.startCh[i] = make(chan Key, 1)
@@ -263,8 +265,10 @@ func (s *Shards) flushObservations() {
 	}
 }
 
-// Close parks and releases the worker goroutines. The coordinator cannot
-// run afterwards; engines remain readable (stats, clocks, queues).
+// Close parks and releases the worker goroutines, then releases every
+// engine's queue: its chunks go to the next run, and its pending events are
+// discarded. The coordinator cannot run afterwards; engines' stats and
+// clocks stay readable.
 func (s *Shards) Close() {
 	if s.closed {
 		return
@@ -273,6 +277,10 @@ func (s *Shards) Close() {
 	for _, ch := range s.startCh {
 		close(ch)
 	}
+	for _, e := range s.engs {
+		e.ladder.recycle()
+	}
+	s.global.ladder.recycle()
 }
 
 // obsTag orders one buffered observation: the key of the event that was
