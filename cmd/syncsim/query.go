@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -93,11 +92,20 @@ func runQueryCmd(args []string) (err error) {
 		q = q.WithRound(k)
 	}
 
-	l, err := openLakeArg(*in)
+	rec, err := openRecording(*in)
 	if err != nil {
 		return err
 	}
-	defer l.Close()
+	defer rec.Close()
+	l := rec.lake
+	if l == nil {
+		out := strings.TrimSuffix(*in, ".jsonl")
+		if *in == "-" {
+			out = "run"
+		}
+		return fmt.Errorf("query: %s is not a trace lake (convert a row trace with: syncsim trace -in %s -out %s.lake)",
+			*in, *in, out)
+	}
 
 	w := bufio.NewWriter(os.Stdout)
 	// A failed flush (closed stdout pipe, full disk) must surface as the
@@ -151,31 +159,6 @@ func runQueryCmd(args []string) (err error) {
 		return err
 	}
 	return nil
-}
-
-// openLakeArg opens the lake named by the -in flag, routing "-" through
-// an in-memory image (lakes need random access to their footer). A row
-// trace is rejected up front with the conversion recipe.
-func openLakeArg(in string) (*optsync.Lake, error) {
-	if in == "-" {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return nil, err
-		}
-		return optsync.OpenLakeBytes(data)
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return nil, err
-	}
-	var head [8]byte
-	if n, _ := io.ReadFull(f, head[:]); n == len(head) && !bytes.Equal(head[:], optsync.LakeMagic[:]) {
-		f.Close()
-		return nil, fmt.Errorf("query: %s is not a trace lake (convert a row trace with: syncsim trace -in %s -out %s.lake)",
-			in, in, strings.TrimSuffix(in, ".jsonl"))
-	}
-	f.Close()
-	return optsync.OpenLake(in)
 }
 
 // int32Flag narrows an int flag that names a node id or a round,

@@ -67,7 +67,7 @@ func TestQuerySubcommandJSONL(t *testing.T) {
 	}
 
 	// The JSONL output is a valid row trace: it pipes back into replay.
-	cols, n, err := replayAggregates(strings.NewReader(out))
+	cols, n, err := replayAggregates(&recording{rows: strings.NewReader(out)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestQueryWorkersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := refCount(t, path, optsync.LakeQuery{})
-	if _, got, err := replayAggregates(strings.NewReader(unordered)); err != nil || got != n {
+	if _, got, err := replayAggregates(&recording{rows: strings.NewReader(unordered)}); err != nil || got != n {
 		t.Fatalf("unordered output replayed %d events, want %d (err %v)", got, n, err)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -25,60 +26,76 @@ func traceCollectors() []optsync.Collector {
 	}
 }
 
-// replayStream feeds every event of a recorded stream (row trace or
-// lake, auto-detected from the leading bytes) through the probes in
-// recorded order. Lakes need random access to their footer index, so a
-// lake arriving on a pipe is buffered in memory first.
-func replayStream(r io.Reader, probes ...optsync.Probe) (int, error) {
-	br := newSniffReader(r)
-	if br.isLake() {
-		data, err := io.ReadAll(br)
+// recording is a recorded stream opened for reading: a lake, or else a
+// row trace that streams. Close releases what was opened.
+type recording struct {
+	lake   *optsync.Lake
+	rows   io.Reader
+	closer io.Closer
+}
+
+// openRecording opens the -in argument, a path or "-" for stdin, and
+// routes it by its leading bytes. A lake file is opened with OpenLake,
+// so it is mapped rather than copied; a lake on stdin is read into
+// memory, since a lake needs random access to its footer. Anything else
+// is taken for a row trace and streams.
+func openRecording(in string) (*recording, error) {
+	rec := &recording{}
+	var src io.Reader = os.Stdin
+	if in != "-" {
+		f, err := os.Open(in)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		l, err := optsync.OpenLakeBytes(data)
-		if err != nil {
-			return 0, err
+		src, rec.closer = f, f
+	}
+	br := bufio.NewReader(src)
+	if head, _ := br.Peek(len(optsync.LakeMagic)); !bytes.Equal(head, optsync.LakeMagic[:]) {
+		rec.rows = br
+		return rec, nil
+	}
+	var err error
+	if in == "-" {
+		var data []byte
+		if data, err = io.ReadAll(br); err == nil {
+			rec.lake, err = optsync.OpenLakeBytes(data)
 		}
-		defer l.Close()
-		return l.Replay(optsync.LakeQuery{}, probes...)
+	} else {
+		rec.closer.Close()
+		rec.lake, err = optsync.OpenLake(in)
 	}
-	return optsync.ReplayTrace(br, probes...)
-}
-
-// sniffReader wraps a stream with an 8-byte lookahead for format
-// routing.
-type sniffReader struct {
-	head []byte
-	r    io.Reader
-}
-
-func newSniffReader(r io.Reader) *sniffReader {
-	head := make([]byte, len(optsync.LakeMagic))
-	n, _ := io.ReadFull(r, head)
-	return &sniffReader{head: head[:n], r: r}
-}
-
-func (s *sniffReader) isLake() bool { return bytes.Equal(s.head, optsync.LakeMagic[:]) }
-
-func (s *sniffReader) Read(p []byte) (int, error) {
-	if len(s.head) > 0 {
-		n := copy(p, s.head)
-		s.head = s.head[n:]
-		return n, nil
+	if err != nil {
+		return nil, err
 	}
-	return s.r.Read(p)
+	rec.closer = rec.lake
+	return rec, nil
 }
 
-// replayAggregates replays a trace stream through fresh collectors and
+func (r *recording) Close() error {
+	if r.closer == nil {
+		return nil
+	}
+	return r.closer.Close()
+}
+
+// replay feeds every event of the recording through the probes in
+// recorded order.
+func (r *recording) replay(probes ...optsync.Probe) (int, error) {
+	if r.lake != nil {
+		return r.lake.Replay(optsync.LakeQuery{}, probes...)
+	}
+	return optsync.ReplayTrace(r.rows, probes...)
+}
+
+// replayAggregates replays a recording through fresh collectors and
 // returns them with the replayed event count.
-func replayAggregates(r io.Reader) ([]optsync.Collector, int, error) {
+func replayAggregates(r *recording) ([]optsync.Collector, int, error) {
 	cols := traceCollectors()
 	probes := make([]optsync.Probe, len(cols))
 	for i, c := range cols {
 		probes[i] = c
 	}
-	n, err := replayStream(r, probes...)
+	n, err := r.replay(probes...)
 	return cols, n, err
 }
 
@@ -119,15 +136,11 @@ func runTraceCmd(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("trace: -in FILE is required (record one with: syncsim -run ... -trace FILE)")
 	}
-	var r io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
+	r, err := openRecording(*in)
+	if err != nil {
+		return err
 	}
+	defer r.Close()
 	if *out != "" {
 		return convertTrace(r, *out)
 	}
@@ -150,12 +163,12 @@ func runTraceCmd(args []string) error {
 // convertTrace streams every event of r into a fresh sink at path. The
 // conversion is lossless: events pass through as values, so a round trip
 // between the two encodings reproduces the stream bit-for-bit.
-func convertTrace(r io.Reader, path string) error {
+func convertTrace(r *recording, path string) error {
 	sink, f, err := traceSinkFor(path)
 	if err != nil {
 		return err
 	}
-	n, err := replayStream(r, sink)
+	n, err := r.replay(sink)
 	if err != nil {
 		f.Close()
 		return err

@@ -49,12 +49,15 @@ func TestTraceRoundTripCLI(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		f, err := os.Open(path)
+		rec, err := openRecording(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, n, err := replayAggregates(f)
-		f.Close()
+		if (rec.lake != nil) != strings.HasSuffix(path, ".lake") {
+			t.Fatalf("%s: opened as lake = %v", name, rec.lake != nil)
+		}
+		replayed, n, err := replayAggregates(rec)
+		rec.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +69,45 @@ func TestTraceRoundTripCLI(t *testing.T) {
 		if liveOut != replayOut {
 			t.Fatalf("%s: replayed aggregates diverge from live run\nlive:\n%s\nreplay:\n%s",
 				name, liveOut, replayOut)
+		}
+	}
+}
+
+// TestOpenRecordingStdin: "-" routes stdin by its leading bytes as a path
+// is routed — a lake read into memory, a row trace streamed — and replays
+// the same events as opening the file by name.
+func TestOpenRecordingStdin(t *testing.T) {
+	for _, name := range []string{"run.jsonl", "run.lake"} {
+		path := filepath.Join(t.TempDir(), name)
+		if _, err := capture(t, func() error { return run(traceRunArgs(path)) }); err != nil {
+			t.Fatal(err)
+		}
+		byPath, err := openRecording(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := replayAggregates(byPath)
+		byPath.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdin := os.Stdin
+		os.Stdin = f
+		rec, err := openRecording("-")
+		os.Stdin = stdin
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := replayAggregates(rec)
+		rec.Close()
+		f.Close()
+		if err != nil || got != want || (rec.lake != nil) != (byPath.lake != nil) {
+			t.Fatalf("%s on stdin: lake %v, %d events (err %v); by path: lake %v, %d events",
+				name, rec.lake != nil, got, err, byPath.lake != nil, want)
 		}
 	}
 }

@@ -45,14 +45,19 @@ import (
 //
 // Chunks outlive the run. A run stopped at its horizon leaves most of its
 // chunks holding events no one will read, and the next run's engine is a
-// new one. So release (Shards.Close) hands every chunk, live or free, as
-// one kit to a process-wide sync.Pool; a shard engine takes a kit there
-// when it is built, and its ladder draws from the kit whenever its free
-// list is empty, before it allocates. The kit is not merged into the free
-// list, which would change where grow puts chunks; first arrays are not
-// recycled, as their capacity decides the grow-copies. One Get and one Put
-// per engine, both outside the event path; a GC empties the pool, but not
-// the kit an engine holds.
+// new one. So release (Shards.Close) hands every chunk the ladder holds,
+// live or free, as one kit to a process-wide stack; every engine of a
+// Shards takes a kit there when it is built, and its ladder draws from the
+// kit whenever its free list is empty, before it allocates. What the run
+// did not draw of its kit is dropped at release, so a kit never outgrows
+// what the last run on it held. Each engine pushes at most one kit, so the
+// stack never holds more kits than engines were alive at once, and no
+// collection empties it; the global engine pops last and pushes first, so
+// a global engine that held no chunk takes none of the shards' kits. The
+// kit is not merged into the free list, which would change where grow puts
+// chunks; first arrays are not recycled, as their capacity decides the
+// grow-copies. One pop and one push per engine, both outside the event
+// path.
 //
 // Ordering. The global order is the locally-computable event Key (see
 // key.go), restored lazily: buckets are unsorted until sealed, and events
@@ -121,9 +126,12 @@ type chunk struct {
 	ev   []msgEvent
 }
 
-// kits is the recycle point between runs: each entry is the chunks one
-// released ladder held, linked through next.
-var kits sync.Pool
+// kits is the recycle point between runs: a stack whose entries are the
+// chunks one released ladder held, linked through next.
+var kits struct {
+	sync.Mutex
+	stack []*chunk
+}
 
 // bucket is an unordered bag of events. tail is the array being appended
 // to: the bucket's own first array while cap(tail) < ladderChunk (head is
@@ -727,10 +735,10 @@ func (l *ladder) sweep() {
 }
 
 // release empties the ladder, its counters kept, and returns every chunk it
-// holds as one kit: the free list, the kit's rest and the chunks of queued
-// events, which are discarded.
+// holds as one kit: the free list and the chunks of queued events, which
+// are discarded. The kit's undrawn rest is left to the collector.
 func (l *ladder) release() *chunk {
-	k := l.kit
+	var k *chunk
 	add := func(c *chunk) {
 		for c != nil {
 			c.next, k, c = k, c, c.next
@@ -749,11 +757,20 @@ func (l *ladder) release() *chunk {
 }
 
 // takeKit gives the ladder a kit from the recycle point, if it has one.
-func (l *ladder) takeKit() { l.kit, _ = kits.Get().(*chunk) }
+func (l *ladder) takeKit() {
+	kits.Lock()
+	defer kits.Unlock()
+	if n := len(kits.stack); n > 0 {
+		l.kit, kits.stack[n-1] = kits.stack[n-1], nil
+		kits.stack = kits.stack[:n-1]
+	}
+}
 
 // recycle releases the ladder's chunks into the recycle point.
 func (l *ladder) recycle() {
 	if k := l.release(); k != nil {
-		kits.Put(k)
+		kits.Lock()
+		kits.stack = append(kits.stack, k)
+		kits.Unlock()
 	}
 }

@@ -499,6 +499,38 @@ func TestAfterRejectsNonFiniteDelay(t *testing.T) {
 	e.MustAfter(math.NaN(), func() {})
 }
 
+// TestKitsPairWithTheirEngines: the kits a Close pushes go, at the next
+// NewShards of the same shape, to engines of the same role. A global
+// engine that held no chunk pushes no kit, so it must not pop one of the
+// shards' either.
+func TestKitsPairWithTheirEngines(t *testing.T) {
+	saved := kits.stack
+	kits.stack = nil
+	t.Cleanup(func() { kits.stack = saved })
+	s := NewShards(1, 2, 0.001)
+	for i := 0; i < 2; i++ {
+		e := s.Shard(i)
+		to := e.RegisterDispatcher(&recorder{})
+		for j := 0; j < 4*ladderChunk; j++ {
+			e.MustAtMsg(0.002+0.001*Time(j%7), to, Message{Index: uint32(j)})
+		}
+	}
+	s.Close()
+	if len(kits.stack) != 2 {
+		t.Fatalf("Close pushed %d kits, want one per shard engine", len(kits.stack))
+	}
+	s = NewShards(1, 2, 0.001)
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		if s.Shard(i).ladder.kit == nil {
+			t.Errorf("shard %d took no kit", i)
+		}
+	}
+	if s.Global().ladder.kit != nil {
+		t.Error("the global engine took a shard's kit")
+	}
+}
+
 // TestReleasedLadderKeepsNoChunk: release hands every chunk a ladder holds,
 // those of events still queued too, to the next ladder, and keeps none, so
 // the released engine, used again, draws storage of its own. Engine a is

@@ -91,6 +91,9 @@ func NewShards(seed int64, k int, lookahead Time) *Shards {
 		s.recs = append(s.recs, &shardRecorder{eng: e})
 		s.startCh[i] = make(chan Key, 1)
 	}
+	// Last, as Close pushes the global engine's kit first: a global engine
+	// that held no chunk pushes none, and must not pop a shard's.
+	s.global.ladder.takeKit()
 	for i := 0; i < k; i++ {
 		go s.worker(i)
 	}
@@ -277,10 +280,10 @@ func (s *Shards) Close() {
 	for _, ch := range s.startCh {
 		close(ch)
 	}
+	s.global.ladder.recycle()
 	for _, e := range s.engs {
 		e.ladder.recycle()
 	}
-	s.global.ladder.recycle()
 }
 
 // obsTag orders one buffered observation: the key of the event that was

@@ -19,7 +19,7 @@ func openCorrupt(t *testing.T, data []byte, want ...string) {
 			t.Fatalf("corrupt container panicked: %v", r)
 		}
 	}()
-	l, err := OpenReader(bytes.NewReader(data), int64(len(data)))
+	l, err := OpenBytes(data)
 	if err == nil {
 		// Footer survived; the damage must surface during the scan.
 		_, err = l.Scan(Query{}, func(probe.Event) error { return nil })
@@ -74,6 +74,35 @@ func TestCorruptLake(t *testing.T) {
 		data := bytes.Clone(good)
 		binary.LittleEndian.PutUint64(data[len(data)-16:], uint64(len(data)*2))
 		openCorrupt(t, data, "footer length")
+	})
+
+	t.Run("footer_length_wraps", func(t *testing.T) {
+		// A length past 2^63 goes negative as an offset; it must be
+		// refused, not sliced or allocated.
+		for _, fl := range []uint64{1 << 63, ^uint64(0)} {
+			data := bytes.Clone(good)
+			binary.LittleEndian.PutUint64(data[len(data)-16:], fl)
+			openCorrupt(t, data, "footer length")
+		}
+	})
+
+	t.Run("footer_block_count_wraps", func(t *testing.T) {
+		// One byte more of entries than whole entries fill: the block
+		// count whose product with the entry size wraps to that length
+		// must be refused, not allocated.
+		fl := binary.LittleEndian.Uint64(good[len(good)-16:])
+		start := len(good) - 16 - int(fl)
+		data := append(bytes.Clone(good[:len(good)-16]), 0)
+		data = binary.LittleEndian.AppendUint64(data, fl+1)
+		data = append(data, good[len(good)-8:]...)
+		entries := fl + 1 - 4 - 16
+		inv := uint64(1) // metaEncSize is odd, so it has an inverse mod 2^64
+		for i := 0; i < 6; i++ {
+			inv *= 2 - metaEncSize*inv
+		}
+		binary.LittleEndian.PutUint64(data[start+4:], entries*inv)
+		reseal(data, start, fl+1)
+		openCorrupt(t, data, "indexes")
 	})
 
 	t.Run("block_bitflip", func(t *testing.T) {

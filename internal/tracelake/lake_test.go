@@ -72,9 +72,9 @@ func buildLake(t testing.TB, evs []probe.Event) []byte {
 
 func openLake(t testing.TB, data []byte) *Lake {
 	t.Helper()
-	l, err := OpenReader(bytes.NewReader(data), int64(len(data)))
+	l, err := OpenBytes(data)
 	if err != nil {
-		t.Fatalf("OpenReader: %v", err)
+		t.Fatalf("OpenBytes: %v", err)
 	}
 	return l
 }

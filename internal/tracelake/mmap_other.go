@@ -7,10 +7,8 @@ import (
 	"os"
 )
 
-// mmapSupported gates the mmap fast path in Open: absent here, so Open
-// always takes the positioned-read fallback.
-const mmapSupported = false
-
+// mmapOpen has no mapping to make here, so Open reads the file into
+// memory.
 func mmapOpen(_ *os.File, _ int64) ([]byte, func() error, error) {
 	return nil, nil, errors.ErrUnsupported
 }

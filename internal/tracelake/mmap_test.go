@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"optsync/internal/probe"
@@ -32,23 +33,30 @@ func scanAll(t *testing.T, l *Lake) []probe.Event {
 	return evs
 }
 
-// TestOpenMmap: on platforms with mmap support, Open maps the file and
-// the scan reproduces the recorded stream exactly; with the env knob
-// set, Open takes the positioned-read fallback and produces the same
-// events. Both paths close cleanly.
+// TestOpenMmap: Open maps the file where the platform can, and the scan
+// reproduces the recorded stream exactly; with mapping made to fail, Open
+// reads the file into memory and produces the same events. Both close
+// cleanly.
 func TestOpenMmap(t *testing.T) {
 	evs := synthEvents(6, 20, 13)
-	path := writeLakeFile(t, buildLake(t, evs))
+	image := buildLake(t, evs)
+	path := writeLakeFile(t, image)
 
-	// CI runs the whole suite with the knob set to prove the fallback;
-	// clear it here so this half tests the mapped path regardless.
-	t.Setenv("SYNCSIM_LAKE_MMAP", "")
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mmapSupported && !l.Mapped() {
-		t.Fatal("Open did not map on a supported platform")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, unmap, merr := mmapOpen(f, int64(len(image)))
+	f.Close()
+	if merr == nil {
+		unmap()
+	}
+	if l.Mapped() != (merr == nil) {
+		t.Fatalf("Open mapped = %v, but mapping the file here gave %v", l.Mapped(), merr)
 	}
 	got := scanAll(t, l)
 	if err := l.Close(); err != nil {
@@ -58,20 +66,21 @@ func TestOpenMmap(t *testing.T) {
 		t.Fatal("mmap-backed scan diverges from the recorded stream")
 	}
 
-	t.Setenv("SYNCSIM_LAKE_MMAP", "off")
+	mapFile = func(*os.File, int64) ([]byte, func() error, error) { return nil, nil, syscall.ENOMEM }
+	t.Cleanup(func() { mapFile = mmapOpen })
 	l, err = Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Mapped() {
-		t.Fatal("SYNCSIM_LAKE_MMAP=off still mapped")
+		t.Fatal("a failed mapping still reports Mapped")
 	}
 	got = scanAll(t, l)
 	if err := l.Close(); err != nil {
-		t.Fatalf("Close after fallback: %v", err)
+		t.Fatalf("Close after reading into memory: %v", err)
 	}
 	if !reflect.DeepEqual(got, evs) {
-		t.Fatal("fallback scan diverges from the recorded stream")
+		t.Fatal("in-memory scan diverges from the recorded stream")
 	}
 }
 
@@ -91,6 +100,17 @@ func TestOpenMmapCorrupt(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "offset") {
 			t.Fatalf("truncation error names no offset: %v", err)
+		}
+	})
+
+	t.Run("empty", func(t *testing.T) {
+		l, err := Open(writeLakeFile(t, nil))
+		if err == nil {
+			l.Close()
+			t.Fatal("empty file opened")
+		}
+		if !strings.Contains(err.Error(), "0 bytes") {
+			t.Fatalf("empty file gave %v", err)
 		}
 	})
 

@@ -1,11 +1,9 @@
 package tracelake
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"sync"
@@ -14,28 +12,23 @@ import (
 	"optsync/internal/probe"
 )
 
-// Lake is an open container: the parsed footer index plus random access
-// to the blocks. It reads via io.ReaderAt, so the backing store can be a
-// file, an mmap, or an in-memory buffer; blocks are fetched with one
-// positioned read each and only when a query's pruning admits them.
-// A Lake is safe for concurrent readers: it is immutable after Open but
-// for a mutex-guarded free list of decode buffers; Scan calls each need
-// their own cursor state and may run concurrently.
+// Lake is an open container: the parsed footer index over the
+// container's bytes, which are either mapped from a file or held in
+// memory. Blocks decode straight out of those bytes, and only when a
+// query's pruning admits them; each block's checksum is verified on
+// first touch and remembered, since the bytes cannot change under the
+// lake. A Lake is safe for concurrent readers: it is immutable after
+// Open but for the checksum marks and a mutex-guarded free list of
+// decode buffers; Scan calls each need their own cursor state and may
+// run concurrently.
 type Lake struct {
-	r      io.ReaderAt
-	size   int64
-	closer io.Closer
+	data   []byte
+	unmap  func() error // set when data is a mapping this lake owns
 	blocks []blockMeta
 	total  uint64
-	// mem is set by OpenBytes: block reads slice it directly instead of
-	// copying through a scratch buffer.
-	mem []byte
-	// verified[i] records that block i's checksum has been validated.
-	// Only consulted for mem-backed lakes (the bytes cannot change under
-	// us), so repeated scans checksum each block once, not once per scan.
+	// verified[i] records that block i's checksum has been validated,
+	// so repeated scans checksum each block once, not once per scan.
 	verified []atomic.Bool
-	// mapped records that mem is a memory mapping owned by this lake.
-	mapped bool
 	// free recycles finished scans' decode buffers into the next. A plain
 	// list, not a sync.Pool: at most the readers that were in use at once.
 	freeMu sync.Mutex
@@ -61,99 +54,74 @@ func (l *Lake) putReader(brs ...*blockReader) {
 	l.freeMu.Unlock()
 }
 
+// mapFile maps a file read-only (mmapOpen). A variable so that a test
+// can make mapping fail and reach Open's in-memory branch.
+var mapFile = mmapOpen
+
 // Open opens a lake file. Where the platform supports it (unix), the
 // container is memory-mapped: opening costs O(footer) no matter how
-// large the lake is, blocks decode zero-copy from the mapped pages, and
-// each block's checksum is verified on first touch instead of at open
-// time. The mapped file must not be truncated while the lake is open.
-// Set SYNCSIM_LAKE_MMAP=off to force the positioned-read fallback — the
-// default behavior on platforms without mmap, or when mapping fails.
+// large the lake is, and blocks decode zero-copy from the mapped pages.
+// The mapped file must not be truncated while the lake is open. Where
+// mapping is unavailable or fails, the file is read into memory instead.
+// Either way the bytes go to OpenBytes.
 func Open(path string) (*Lake, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // a mapping outlives the descriptor
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if mmapSupported && mmapEnabled() && st.Size() > 0 {
-		if data, unmap, merr := mmapOpen(f, st.Size()); merr == nil {
-			f.Close() // the mapping outlives the descriptor
-			l, err := OpenBytes(data)
-			if err != nil {
-				unmap()
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			l.mapped = true
-			l.closer = closerFunc(unmap)
-			return l, nil
-		}
-		// Mapping failed (exotic filesystem, resource limits): fall
-		// through to positioned reads rather than failing the open.
-	}
-	l, err := OpenReader(f, st.Size())
+	data, unmap, err := mapFile(f, st.Size())
 	if err != nil {
-		f.Close()
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
+	}
+	l, err := OpenBytes(data)
+	if err != nil {
+		if unmap != nil {
+			unmap()
+		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	l.closer = f
+	l.unmap = unmap
 	return l, nil
 }
 
-// mmapEnabled reports whether the SYNCSIM_LAKE_MMAP environment knob
-// permits the mmap fast path (any value but "0"/"off"/"false"/"no").
-func mmapEnabled() bool {
-	switch os.Getenv("SYNCSIM_LAKE_MMAP") {
-	case "0", "off", "false", "no":
-		return false
-	}
-	return true
-}
-
-// closerFunc adapts the unmap function to io.Closer.
-type closerFunc func() error
-
-func (f closerFunc) Close() error { return f() }
-
-// OpenReader opens a lake from any random-access byte source of the
-// given size. It validates the header magic, the trailer, and the
+// OpenBytes opens a lake held in memory, with zero-copy block access:
+// scans decode straight out of data. data must not be mutated while the
+// lake is in use. It validates the header magic, the trailer, and the
 // footer checksum before trusting any of the index; every corruption
-// error names the byte offset it was detected at.
-func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
-	var head [8]byte
+// error names the byte offset it was detected at. The container layout
+// guarantees the decoder's padding invariant for free — every block is
+// followed by at least the footer and trailer (>= 36 bytes), so the
+// 8-byte loads past a column's end stay inside data.
+func OpenBytes(data []byte) (*Lake, error) {
+	size := int64(len(data))
 	if size < int64(len(Magic))+trailerSize {
 		return nil, fmt.Errorf("tracelake: file is %d bytes, smaller than an empty container (%d)",
 			size, len(Magic)+trailerSize)
 	}
-	if _, err := r.ReadAt(head[:], 0); err != nil {
-		return nil, err
-	}
-	if head != Magic {
+	if head := [8]byte(data); head != Magic {
 		return nil, fmt.Errorf("tracelake: bad magic %q at offset 0 (want %q): not a lake container",
 			head[:], Magic[:])
 	}
-
-	var trailer [trailerSize]byte
-	if _, err := r.ReadAt(trailer[:], size-trailerSize); err != nil {
-		return nil, err
-	}
+	trailer := data[size-trailerSize:]
 	if [8]byte(trailer[8:]) != endMagic {
 		return nil, fmt.Errorf("tracelake: bad end magic %q at offset %d (want %q): container truncated or not finalized",
 			trailer[8:], size-8, endMagic[:])
 	}
 	footerLen := binary.LittleEndian.Uint64(trailer[:8])
-	footerOff := size - trailerSize - int64(footerLen)
-	if footerLen < 4+16 || footerOff < int64(len(Magic)) {
+	if footerLen < 4+16 || footerLen > uint64(size-trailerSize-int64(len(Magic))) {
 		return nil, fmt.Errorf("tracelake: trailer at offset %d claims footer length %d, impossible for a %d-byte file",
 			size-trailerSize, footerLen, size)
 	}
+	footerOff := size - trailerSize - int64(footerLen)
 
-	footer := make([]byte, footerLen)
-	if _, err := io.ReadFull(io.NewSectionReader(r, footerOff, int64(footerLen)), footer); err != nil {
-		return nil, fmt.Errorf("tracelake: reading footer at offset %d: %w", footerOff, err)
-	}
+	footer := data[footerOff : size-trailerSize]
 	wantCRC := binary.LittleEndian.Uint32(footer[:4])
 	if got := crc32.Checksum(footer[4:], castagnoli); got != wantCRC {
 		return nil, fmt.Errorf("tracelake: footer checksum mismatch at offset %d (stored %08x, computed %08x)",
@@ -162,12 +130,12 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 	body := footer[4:]
 	nBlocks := binary.LittleEndian.Uint64(body[:8])
 	total := binary.LittleEndian.Uint64(body[8:16])
-	if uint64(len(body)-16) != nBlocks*metaEncSize {
+	if nBlocks > uint64(len(body))/metaEncSize || uint64(len(body)-16) != nBlocks*metaEncSize {
 		return nil, fmt.Errorf("tracelake: footer at offset %d indexes %d blocks but carries %d bytes of entries (want %d)",
 			footerOff, nBlocks, len(body)-16, nBlocks*metaEncSize)
 	}
 
-	l := &Lake{r: r, size: size, total: total, blocks: make([]blockMeta, 0, nBlocks),
+	l := &Lake{data: data, total: total, blocks: make([]blockMeta, 0, nBlocks),
 		verified: make([]atomic.Bool, nBlocks)}
 	var sum uint64
 	for i := uint64(0); i < nBlocks; i++ {
@@ -193,35 +161,19 @@ func OpenReader(r io.ReaderAt, size int64) (*Lake, error) {
 	return l, nil
 }
 
-// OpenBytes opens a lake held in memory, with zero-copy block access:
-// scans decode straight out of data instead of copying each block into
-// a scratch buffer first. data must not be mutated while the lake is in
-// use. The container layout guarantees the decoder's padding invariant
-// for free — every block is followed by at least the footer and trailer
-// (>= 36 bytes), so the 8-byte loads past a column's end stay inside
-// data.
-func OpenBytes(data []byte) (*Lake, error) {
-	l, err := OpenReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	l.mem = data
-	return l, nil
-}
-
-// Close releases the underlying file when the lake owns one (Open does,
-// OpenReader does not).
+// Close releases the file mapping when Open made one; for a lake read
+// into memory or opened with OpenBytes it does nothing.
 func (l *Lake) Close() error {
-	if l.closer != nil {
-		return l.closer.Close()
+	if l.unmap != nil {
+		return l.unmap()
 	}
 	return nil
 }
 
 // Mapped reports whether the lake decodes from a memory mapping Open
-// established (false for OpenBytes images, OpenReader sources, and the
-// positioned-read fallback).
-func (l *Lake) Mapped() bool { return l.mapped }
+// established (false for OpenBytes images and for files Open read into
+// memory).
+func (l *Lake) Mapped() bool { return l.unmap != nil }
 
 // Events returns the total event count recorded in the footer.
 func (l *Lake) Events() uint64 { return l.total }
@@ -264,7 +216,6 @@ func (r *Rows) batch(i, j int) probe.Batch {
 // steady-state scan performs zero allocations after the first block of
 // each active type.
 type blockReader struct {
-	buf  []byte
 	rows Rows
 	// constImage/constN cache the last const fill per column: when
 	// consecutive blocks repeat the same image (kind, value, aux almost
@@ -274,44 +225,22 @@ type blockReader struct {
 	constN     [numCols]int
 }
 
-// grow returns b.buf with space for n+pad bytes, the pad zeroed.
-func (b *blockReader) grow(n int) []byte {
-	if cap(b.buf) < n+8 {
-		b.buf = make([]byte, n+8)
-	}
-	b.buf = b.buf[:n+8]
-	for i := n; i < n+8; i++ {
-		b.buf[i] = 0
-	}
-	return b.buf
-}
-
 // read fetches and decodes block mi. The returned Rows aliases the
 // reader's buffers.
 func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 	m := &l.blocks[mi]
 	blockLen := int(m.length)
-	var buf []byte
-	if l.mem != nil {
-		// Zero-copy: the block plus its guaranteed >= 8 trailing bytes
-		// (footer/trailer at minimum), viewed in place.
-		buf = l.mem[m.offset : int(m.offset)+blockLen+8]
-	} else {
-		buf = b.grow(blockLen)
-		if _, err := l.r.ReadAt(buf[:blockLen], int64(m.offset)); err != nil {
-			return nil, fmt.Errorf("tracelake: reading block at offset %d (%d bytes): %w", m.offset, m.length, err)
-		}
-	}
+	// The block plus its guaranteed >= 8 trailing bytes (footer/trailer
+	// at minimum), viewed in place.
+	buf := l.data[m.offset : int(m.offset)+blockLen+8]
 	payload := buf[4:blockLen]
-	if l.mem == nil || !l.verified[mi].Load() {
+	if !l.verified[mi].Load() {
 		wantCRC := binary.LittleEndian.Uint32(buf[:4])
 		if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
 			return nil, fmt.Errorf("tracelake: block at offset %d fails its checksum (stored %08x, computed %08x)",
 				m.offset, wantCRC, got)
 		}
-		if l.mem != nil {
-			l.verified[mi].Store(true)
-		}
+		l.verified[mi].Store(true)
 	}
 	if probe.Type(payload[0]) != m.typ || binary.LittleEndian.Uint32(payload[1:]) != m.count {
 		return nil, fmt.Errorf("tracelake: block at offset %d is (type %d, count %d) but the footer indexed (type %d, count %d)",

@@ -126,7 +126,7 @@ func SynchronizedProbe(p Probe) Probe { return probe.Synchronized(p) }
 type (
 	// Lake is an open container. Scan (merged event order), ScanUnordered
 	// (block order, cheapest), ScanRows, Stats and Replay are its methods;
-	// Close releases the underlying file or mapping. Every read sorts the
+	// Close releases the file mapping, if any. Every read sorts the
 	// blocks on the footer alone — pruned, answered from the footer, or
 	// decoded — and decodes inline at one worker, on a pool otherwise.
 	// Stats is Replay with nothing subscribed: it decodes only the blocks
@@ -159,12 +159,13 @@ type (
 // at any GOMAXPROCS.
 func NewLakeWriter(w io.Writer) *LakeWriter { return tracelake.NewWriter(w) }
 
-// OpenLake opens a lake file for querying. The footer index is read and
-// verified up front; block payloads are read (and checksummed) lazily,
-// only when a query admits them. On unix the container is memory-mapped
-// — opening costs O(footer) regardless of lake size and blocks decode
-// zero-copy from the mapped pages; SYNCSIM_LAKE_MMAP=off forces the
-// positioned-read fallback (the default where mmap is unavailable).
+// OpenLake opens a lake file for querying. On unix the container is
+// memory-mapped — opening costs O(footer) regardless of lake size and
+// blocks decode zero-copy from the mapped pages; where mapping is
+// unavailable or fails, the file is read into memory. Either way the
+// bytes are opened as OpenLakeBytes opens them: the footer index is
+// verified up front, and block payloads are checksummed lazily, once
+// each, when a query first admits them.
 func OpenLake(path string) (*Lake, error) { return tracelake.Open(path) }
 
 // OpenLakeBytes opens an in-memory lake image without copying it. The
