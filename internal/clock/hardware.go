@@ -1,6 +1,6 @@
 // Package clock models the clocks of the Srikanth-Toueg system: hardware
-// clocks with bounded drift and logical clocks obtained from them by a
-// (discontinuous) adjustment.
+// clocks with bounded drift and logical clocks obtained from them by an
+// adjustment that jumps or slews.
 //
 // A hardware clock is a strictly increasing, continuous, piecewise-linear
 // function H mapping real time t to local time H(t). The model requires
@@ -10,8 +10,7 @@
 //
 // i.e. every segment's rate lies in [1/(1+rho), 1+rho]. The adversary of the
 // paper chooses these functions arbitrarily within the envelope; here they
-// are built from pluggable segment generators (constant, random-walk,
-// adversarial extremes, scripted).
+// are built from pluggable segment generators (constant, random walk).
 //
 // Clocks extend lazily: generators are consulted on demand when a read or
 // inversion goes past the currently materialized horizon, with all
@@ -170,8 +169,11 @@ func (h *Hardware) Invert(local float64) float64 {
 	return h.ts[i] + (local-h.hs[i])/h.rates[i]
 }
 
-// Segments returns the number of materialized segments (for tests).
-func (h *Hardware) Segments() int { return len(h.rates) }
+// Breakpoints returns the real times at which the materialized segments
+// start, and the one at which the last of them ends: H is linear between
+// two consecutive ones. The slice is the clock's own; callers must not
+// modify it.
+func (h *Hardware) Breakpoints() []float64 { return h.ts[:len(h.ts):len(h.ts)] }
 
 // Constant emits an endless run of fixed-rate segments.
 type Constant struct {
@@ -207,56 +209,4 @@ func (w RandomWalk) NextSegment(rng *rand.Rand) (dur, rate float64) {
 		dur = math.SmallestNonzeroFloat64
 	}
 	return dur, rate
-}
-
-// Extremal alternates between the fastest and slowest admissible rates with
-// a fixed half-period. This is the adversarial clock schedule used in the
-// paper's worst-case arguments: it maximizes divergence between a clock
-// pinned fast and a clock pinned slow.
-type Extremal struct {
-	Rho Rho
-	// HalfPeriod is the duration of each extreme phase.
-	HalfPeriod float64
-	// StartFast selects the initial phase.
-	StartFast bool
-
-	flipped bool
-}
-
-var _ Generator = (*Extremal)(nil)
-
-// NextSegment implements Generator.
-func (a *Extremal) NextSegment(*rand.Rand) (dur, rate float64) {
-	fast := a.StartFast != a.flipped
-	a.flipped = !a.flipped
-	if fast {
-		return a.HalfPeriod, a.Rho.MaxRate()
-	}
-	return a.HalfPeriod, a.Rho.MinRate()
-}
-
-// Scripted replays an explicit list of segments, then holds the final rate
-// forever. It is the "adversary writes down the clock function" model used
-// in lower-bound style tests.
-type Scripted struct {
-	Durs  []float64
-	Rates []float64
-
-	next int
-}
-
-var _ Generator = (*Scripted)(nil)
-
-// NextSegment implements Generator.
-func (s *Scripted) NextSegment(*rand.Rand) (dur, rate float64) {
-	if s.next >= len(s.Durs) || s.next >= len(s.Rates) {
-		last := 1.0
-		if len(s.Rates) > 0 {
-			last = s.Rates[len(s.Rates)-1]
-		}
-		return 1 << 20, last
-	}
-	i := s.next
-	s.next++
-	return s.Durs[i], s.Rates[i]
 }

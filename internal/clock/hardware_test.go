@@ -57,6 +57,32 @@ func TestReadRejectsNegativeTime(t *testing.T) {
 	h.Read(-1)
 }
 
+// Scripted replays an explicit list of segments, then holds the final rate
+// forever. It is the "adversary writes down the clock function" model used
+// in lower-bound style tests.
+type Scripted struct {
+	Durs  []float64
+	Rates []float64
+
+	next int
+}
+
+var _ Generator = (*Scripted)(nil)
+
+// NextSegment implements Generator.
+func (s *Scripted) NextSegment(*rand.Rand) (dur, rate float64) {
+	if s.next >= len(s.Durs) || s.next >= len(s.Rates) {
+		last := 1.0
+		if len(s.Rates) > 0 {
+			last = s.Rates[len(s.Rates)-1]
+		}
+		return 1 << 20, last
+	}
+	i := s.next
+	s.next++
+	return s.Durs[i], s.Rates[i]
+}
+
 func TestScriptedSegments(t *testing.T) {
 	gen := &Scripted{
 		Durs:  []float64{1, 2, 1},
@@ -71,6 +97,9 @@ func TestScriptedSegments(t *testing.T) {
 		if got := h.Read(c.t); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("Read(%v) = %v, want %v", c.t, got, c.want)
 		}
+	}
+	if bp := h.Breakpoints(); len(bp) < 5 || bp[0] != 0 || bp[1] != 1 || bp[2] != 3 || bp[3] != 4 {
+		t.Fatalf("Breakpoints = %v, want 0, 1, 3, 4, ...", bp)
 	}
 	// Inversion across the non-uniform region.
 	for _, local := range []float64{0.25, 1.0, 1.75, 2.5, 3.5, 5.5} {
@@ -103,20 +132,6 @@ func TestGeneratorDurationValidation(t *testing.T) {
 	h.Read(10)
 }
 
-func TestExtremalAlternates(t *testing.T) {
-	rho := Rho(0.5)
-	gen := &Extremal{Rho: rho, HalfPeriod: 1, StartFast: true}
-	h := NewHardware(0, rho, gen, nil)
-	// First second at 1.5, second at 1/1.5.
-	if got := h.Read(1); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("Read(1) = %v, want 1.5", got)
-	}
-	want := 1.5 + 1/1.5
-	if got := h.Read(2); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Read(2) = %v, want %v", got, want)
-	}
-}
-
 func TestRandomWalkStaysInEnvelope(t *testing.T) {
 	rho := Rho(0.01)
 	rng := rand.New(rand.NewSource(5))
@@ -130,8 +145,8 @@ func TestRandomWalkStaysInEnvelope(t *testing.T) {
 		}
 		prevT, prevH = tt, cur
 	}
-	if h.Segments() < 100 {
-		t.Fatalf("expected many segments, got %d", h.Segments())
+	if len(h.Breakpoints()) < 101 {
+		t.Fatalf("expected many segments, got %d", len(h.Breakpoints())-1)
 	}
 }
 
@@ -202,8 +217,8 @@ func TestReadBackwardsAfterForwards(t *testing.T) {
 	for tt := 0.0; tt < 40; tt += 0.0625 {
 		forward = append(forward, h.Read(tt))
 	}
-	if h.Segments() < 50 {
-		t.Fatalf("expected many segments, got %d", h.Segments())
+	if len(h.Breakpoints()) < 51 {
+		t.Fatalf("expected many segments, got %d", len(h.Breakpoints())-1)
 	}
 	check := func(tt float64) {
 		t.Helper()

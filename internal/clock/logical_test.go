@@ -9,12 +9,12 @@ import (
 
 func TestLogicalTracksHardware(t *testing.T) {
 	h := NewConstant(2, 1, Rho(0))
-	l := NewLogical(h)
+	l := NewLogical(h, 0)
 	if got := l.Read(3); got != 5 {
 		t.Fatalf("Read(3) = %v, want 5", got)
 	}
-	if l.Adjustment() != 0 {
-		t.Fatalf("initial adjustment = %v", l.Adjustment())
+	if len(l.History()) != 0 || l.Read(3) != h.Read(3) {
+		t.Fatalf("initial adjustment = %v", l.Read(3)-h.Read(3))
 	}
 	if l.Hardware() != h {
 		t.Fatal("Hardware() mismatch")
@@ -23,7 +23,7 @@ func TestLogicalTracksHardware(t *testing.T) {
 
 func TestLogicalSetAt(t *testing.T) {
 	h := NewConstant(0, 1, Rho(0))
-	l := NewLogical(h)
+	l := NewLogical(h, 0)
 	jump := l.SetAt(10, 25) // clock read 10, now reads 25
 	if jump != 15 {
 		t.Fatalf("jump = %v, want 15", jump)
@@ -34,8 +34,12 @@ func TestLogicalSetAt(t *testing.T) {
 	if got := l.Read(12); got != 27 {
 		t.Fatalf("Read(12) = %v, want 27", got)
 	}
-	if l.Jumps() != 1 {
-		t.Fatalf("Jumps = %d", l.Jumps())
+	// The history is the trajectory: before the jump the clock read H.
+	if got := l.Read(9); got != 9 {
+		t.Fatalf("Read(9) = %v after the jump at 10, want 9", got)
+	}
+	if len(l.History()) != 1 {
+		t.Fatalf("history length = %d", len(l.History()))
 	}
 	rec := l.History()[0]
 	if rec.RealTime != 10 || rec.LocalTime != 10 || rec.Old != 0 || rec.New != 15 {
@@ -43,25 +47,31 @@ func TestLogicalSetAt(t *testing.T) {
 	}
 }
 
+// TestLogicalAdvanceAt advances the clock by a delta, SetAt(t, Read(t) +
+// delta), twice; each jump is kept, and each stretch reads its own
+// adjustment.
 func TestLogicalAdvanceAt(t *testing.T) {
 	h := NewConstant(0, 2, Rho(1))
-	l := NewLogical(h)
-	l.AdvanceAt(1, -0.5)
+	l := NewLogical(h, 0)
+	l.SetAt(1, l.Read(1)-0.5)
 	if got := l.Read(1); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("Read(1) = %v, want 1.5", got)
 	}
-	l.AdvanceAt(2, 0.25)
-	if got := l.Adjustment(); math.Abs(got+0.25) > 1e-12 {
-		t.Fatalf("Adjustment = %v, want -0.25", got)
+	l.SetAt(2, l.Read(2)+0.25)
+	if got := l.Read(3) - h.Read(3); math.Abs(got+0.25) > 1e-12 {
+		t.Fatalf("adjustment = %v, want -0.25", got)
 	}
-	if l.Jumps() != 2 {
-		t.Fatalf("Jumps = %d", l.Jumps())
+	if got := l.Read(1.5) - h.Read(1.5); math.Abs(got+0.5) > 1e-12 {
+		t.Fatalf("adjustment at 1.5 = %v, want -0.5", got)
+	}
+	if len(l.History()) != 2 {
+		t.Fatalf("history length = %d", len(l.History()))
 	}
 }
 
 func TestLogicalWhenReads(t *testing.T) {
 	h := NewConstant(0, 1, Rho(0))
-	l := NewLogical(h)
+	l := NewLogical(h, 0)
 	l.SetAt(5, 100) // adj = 95
 	// Clock reads 110 at real time 15.
 	if got := l.WhenReads(110); math.Abs(got-15) > 1e-12 {
@@ -75,7 +85,7 @@ func TestSetAtProperty(t *testing.T) {
 	f := func(seed int64, rawT, rawV uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHardware(0, rho, RandomWalk{Rho: rho, MinDur: 0.1, MaxDur: 1}, rng)
-		l := NewLogical(h)
+		l := NewLogical(h, 0)
 		tt := float64(rawT) / 128
 		v := float64(rawV) / 8
 		l.SetAt(tt, v)

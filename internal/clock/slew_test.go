@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 )
 
-func TestNewSlewedValidatesSigma(t *testing.T) {
+func TestNewLogicalValidatesSigma(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	for _, sigma := range []float64{0, -0.5, 1, 2} {
+	for _, sigma := range []float64{1, 2, math.NaN(), math.Inf(1)} {
 		sigma := sigma
 		func() {
 			defer func() {
@@ -17,17 +17,28 @@ func TestNewSlewedValidatesSigma(t *testing.T) {
 					t.Fatalf("sigma=%v accepted", sigma)
 				}
 			}()
-			NewSlewed(hw, sigma)
+			NewLogical(hw, sigma)
 		}()
 	}
-	if l := NewSlewed(hw, 0.25); l.Sigma() != 0.25 || l.Hardware() != hw {
+	// A rate of 0 or less jumps.
+	for _, sigma := range []float64{0, -0.5} {
+		l := NewLogical(hw, sigma)
+		if l.SetAt(1, 3); l.Read(1) != 3 {
+			t.Fatalf("sigma=%v: Read(1) = %v after SetAt(1, 3), want a jump to 3", sigma, l.Read(1))
+		}
+	}
+	l := NewLogical(hw, 0.25)
+	if l.Hardware() != hw {
 		t.Fatal("accessors wrong")
+	}
+	if l.SetAt(1, 3); l.Read(1) != 1 || l.Read(2) != 2.25 {
+		t.Fatalf("sigma=0.25: Read(1), Read(2) = %v, %v after SetAt(1, 3), want a slew from 1 to 2.25", l.Read(1), l.Read(2))
 	}
 }
 
 func TestSlewReachesTargetGradually(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	l := NewSlewed(hw, 0.1) // 0.1 logical units per local unit
+	l := NewLogical(hw, 0.1) // 0.1 logical units per local unit
 	if got := l.Read(5); got != 5 {
 		t.Fatalf("pre-adjust Read = %v", got)
 	}
@@ -42,29 +53,26 @@ func TestSlewReachesTargetGradually(t *testing.T) {
 	if got := l.Read(15); math.Abs(got-15.5) > 1e-12 {
 		t.Fatalf("Read mid-slew = %v, want 15.5", got)
 	}
-	if !l.Slewing(15) {
-		t.Fatal("Slewing(15) = false")
+	if got := l.Read(15.5) - l.Read(15); math.Abs(got-0.55) > 1e-12 {
+		t.Fatalf("rate at 15 = %v, want 1.1 (still slewing)", got/0.5)
 	}
 	if got := l.Read(20); math.Abs(got-21) > 1e-12 {
 		t.Fatalf("Read at slew end = %v, want 21", got)
 	}
-	if l.Slewing(20.001) {
-		t.Fatal("Slewing after completion")
+	if got := l.Read(20.5) - l.Read(20.001); math.Abs(got-0.499) > 1e-12 {
+		t.Fatalf("rate after 20.001 = %v, want 1 (slew done)", got/0.499)
 	}
 	if got := l.Read(25); math.Abs(got-26) > 1e-12 {
 		t.Fatalf("Read after slew = %v, want 26", got)
 	}
-	if got := l.Adjustment(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Adjustment = %v, want 1", got)
-	}
-	if l.Jumps() != 1 || len(l.History()) != 1 {
-		t.Fatal("history wrong")
+	if h := l.History(); len(h) != 1 || h[0].Old != 0 || h[0].New != 1 {
+		t.Fatalf("history = %+v, want one slew from 0 to the target 1", h)
 	}
 }
 
 func TestSlewNegativeAdjustmentStaysMonotone(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	l := NewSlewed(hw, 0.5)
+	l := NewLogical(hw, 0.5)
 	l.SetAt(10, 8) // request -2: slew over 4 local units at rate -0.5
 	prev := math.Inf(-1)
 	for tt := 9.0; tt <= 16; tt += 0.125 {
@@ -81,7 +89,7 @@ func TestSlewNegativeAdjustmentStaysMonotone(t *testing.T) {
 
 func TestSlewTruncationMidSlew(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	l := NewSlewed(hw, 0.1)
+	l := NewLogical(hw, 0.1)
 	l.SetAt(10, 11) // +1 over 10 units
 	// Halfway (adj = +0.5), re-target to current trajectory -0.5:
 	// at t=15 clock reads 15.5; request it to read 15.0.
@@ -96,11 +104,15 @@ func TestSlewTruncationMidSlew(t *testing.T) {
 	if got := l.Read(30); math.Abs(got-30) > 1e-12 {
 		t.Fatalf("Read(30) = %v, want 30", got)
 	}
+	// The cut-short first slew is still the clock's past.
+	if got := l.Read(12); math.Abs(got-12.2) > 1e-12 {
+		t.Fatalf("Read(12) = %v after the retarget at 15, want 12.2", got)
+	}
 }
 
 func TestSlewWhenReads(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	l := NewSlewed(hw, 0.1)
+	l := NewLogical(hw, 0.1)
 	l.SetAt(10, 11)
 	// During the slew C(t) = t + 0.1*(t-10) for t in [10,20]:
 	// C = 15.5 at t = 15; after, C = t+1.
@@ -119,7 +131,7 @@ func TestSlewWhenReads(t *testing.T) {
 
 func TestSlewWhenReadsWithDriftingHardware(t *testing.T) {
 	hw := NewConstant(0, 2, Rho(1)) // rate-2 clock
-	l := NewSlewed(hw, 0.2)
+	l := NewLogical(hw, 0.2)
 	l.SetAt(1, 3) // at t=1 H=2, request C=3: +1 over 5 local = 2.5 real
 	for _, value := range []float64{1.5, 2.5, 4.0, 7.0, 20.0} {
 		tt := l.WhenReads(value)
@@ -139,7 +151,7 @@ func TestSlewMonotoneProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		hw := NewHardware(0, rho, RandomWalk{Rho: rho, MinDur: 0.1, MaxDur: 1}, rng)
-		l := NewSlewed(hw, 0.3)
+		l := NewLogical(hw, 0.3)
 		tt := 0.5
 		for _, r := range raws {
 			target := l.Read(tt) + float64(r)/50
@@ -172,7 +184,7 @@ func TestSlewWhenReadsProperty(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		hw := NewHardware(1, rho, RandomWalk{Rho: rho, MinDur: 0.1, MaxDur: 1}, rng)
-		l := NewSlewed(hw, 0.25)
+		l := NewLogical(hw, 0.25)
 		tt := 0.3
 		for _, r := range raws {
 			l.SetAt(tt, l.Read(tt)+float64(r)/60)
@@ -190,14 +202,14 @@ func TestSlewWhenReadsProperty(t *testing.T) {
 
 func TestSlewZeroDeltaIsNoop(t *testing.T) {
 	hw := NewConstant(0, 1, Rho(0))
-	l := NewSlewed(hw, 0.1)
+	l := NewLogical(hw, 0.1)
 	if delta := l.SetAt(5, 5); delta != 0 {
 		t.Fatalf("delta = %v", delta)
 	}
 	if got := l.Read(7); math.Abs(got-7) > 1e-12 {
 		t.Fatalf("Read(7) = %v", got)
 	}
-	if l.Slewing(5.5) {
-		t.Fatal("zero-delta slew reported in progress")
+	if got := l.Read(6) - l.Read(5.5); got != 0.5 {
+		t.Fatalf("rate at 5.5 = %v, want 1 (no slew in progress)", got/0.5)
 	}
 }

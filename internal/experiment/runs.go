@@ -341,9 +341,9 @@ func a3SlewAblation(_ context.Context, _ campaign.Options) ([]*harness.Table, er
 			}
 		}
 		// A jump-mode clock steps backward whenever an adjustment shrinks;
-		// a slewed clock never steps (it is continuous and strictly
-		// monotone — a property-tested invariant of SlewedLogical), it
-		// only flattens to rate (1-sigma) temporarily.
+		// a slewed clock never steps (at a positive slew rate clock.Logical
+		// is continuous and strictly monotone, a property-tested
+		// invariant), it only flattens to rate (1-sigma) temporarily.
 		backSteps := 0
 		mode := "jump"
 		if slew == 0 {

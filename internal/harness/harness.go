@@ -93,8 +93,9 @@ type Spec struct {
 	// SpreadDelays uses the adversarial Spread delay policy (min delay to
 	// half the nodes, max to the other half) instead of Uniform.
 	SpreadDelays bool
-	// SlewRate, when positive, amortizes clock adjustments (monotone
-	// continuous logical clocks) instead of jumping.
+	// SlewRate is the slew rate of every node's logical clock
+	// (clock.NewLogical): 0 or less jumps, a positive rate below 1
+	// amortizes clock adjustments (monotone continuous logical clocks).
 	SlewRate float64
 	// ColdStart boots the core algorithms without initial synchrony:
 	// hardware clocks start up to 100 periods wrong.

@@ -11,6 +11,41 @@ import (
 	"optsync/internal/sim"
 )
 
+// PerLink delegates to an arbitrary function of the link; use for scripted
+// adversarial schedules.
+type PerLink struct {
+	Fn func(from, to NodeID, now sim.Time, rng *rand.Rand) float64
+}
+
+var _ Policy = PerLink{}
+
+// Delay implements Policy.
+func (p PerLink) Delay(from, to NodeID, now sim.Time, rng *rand.Rand) float64 {
+	return p.Fn(from, to, now, rng)
+}
+
+// Drop unconditionally drops everything.
+type Drop struct{}
+
+var _ Policy = Drop{}
+
+// Delay implements Policy.
+func (Drop) Delay(_, _ NodeID, _ sim.Time, _ *rand.Rand) float64 { return -1 }
+
+// MinDelay implements MinDelayer: a policy that never delivers anything
+// places no constraint on the safe window.
+func (Drop) MinDelay() float64 { return math.Inf(1) }
+
+// NewSplit builds a single At->Heal window cutting the leftSize
+// lowest-id nodes from the rest of an n-node cluster.
+func NewSplit(base Topology, n, leftSize int, at, heal float64) *Partitioned {
+	left := make([]bool, n)
+	for i := 0; i < leftSize && i < n; i++ {
+		left[i] = true
+	}
+	return &Partitioned{Base: base, Windows: []PartitionWindow{{At: at, Heal: heal, Left: left}}}
+}
+
 func TestSendDeliversAfterFixedDelay(t *testing.T) {
 	e := sim.New(1)
 	nt := New(e, 2, Fixed{D: 0.5}, nil)
@@ -197,25 +232,6 @@ func TestUniformPolicyInvertedPanics(t *testing.T) {
 	Uniform{Min: 1, Max: 0}.Delay(0, 1, 0, rand.New(rand.NewSource(1)))
 }
 
-func TestFaultyAwareRouting(t *testing.T) {
-	faulty := map[NodeID]bool{2: true}
-	p := FaultyAware{
-		Honest:   Fixed{D: 1.0},
-		Faulty:   Fixed{D: 0.0},
-		IsFaulty: func(id NodeID) bool { return faulty[id] },
-	}
-	rng := rand.New(rand.NewSource(1))
-	if d := p.Delay(0, 1, 0, rng); d != 1.0 {
-		t.Fatalf("honest link delay = %v", d)
-	}
-	if d := p.Delay(0, 2, 0, rng); d != 0.0 {
-		t.Fatalf("to-faulty link delay = %v", d)
-	}
-	if d := p.Delay(2, 1, 0, rng); d != 0.0 {
-		t.Fatalf("from-faulty link delay = %v", d)
-	}
-}
-
 func TestSpreadPolicy(t *testing.T) {
 	p := Spread{Min: 0.1, Max: 0.9, Slow: map[NodeID]bool{1: true}}
 	rng := rand.New(rand.NewSource(1))
@@ -354,7 +370,7 @@ func TestCirculantDegrees(t *testing.T) {
 
 func TestSparseTopologyGatesTraffic(t *testing.T) {
 	e := sim.New(1)
-	g := NewSparseGraph(3, [][2]NodeID{{0, 1}}) // 2 is isolated
+	g := NewSplit(FullMesh{}, 3, 2, 0, 0) // 2 is isolated for good
 	nt := New(e, 3, Fixed{D: 0.1}, g)
 	got := make([]int, 3)
 	for i := 0; i < 3; i++ {

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"optsync/internal/sim"
@@ -61,54 +60,6 @@ func (u Uniform) Delay(_, _ NodeID, _ sim.Time, rng *rand.Rand) float64 {
 // MinDelay implements MinDelayer.
 func (u Uniform) MinDelay() float64 { return u.Min }
 
-// PerLink delegates to an arbitrary function of the link; use for scripted
-// adversarial schedules.
-type PerLink struct {
-	Fn func(from, to NodeID, now sim.Time, rng *rand.Rand) float64
-}
-
-var _ Policy = PerLink{}
-
-// Delay implements Policy.
-func (p PerLink) Delay(from, to NodeID, now sim.Time, rng *rand.Rand) float64 {
-	return p.Fn(from, to, now, rng)
-}
-
-// FaultyAware routes links touching a faulty endpoint to a separate policy.
-// The model requires correct-to-correct links to respect [dmin, dmax], but
-// says nothing about links with a faulty endpoint: the adversary may rush
-// (deliver arbitrarily fast) or withhold (drop) there.
-type FaultyAware struct {
-	// Honest applies to links whose two endpoints are correct.
-	Honest Policy
-	// Faulty applies to links with at least one faulty endpoint.
-	Faulty Policy
-	// IsFaulty reports whether a node is faulty.
-	IsFaulty func(NodeID) bool
-}
-
-var _ Policy = FaultyAware{}
-
-// Delay implements Policy.
-func (f FaultyAware) Delay(from, to NodeID, now sim.Time, rng *rand.Rand) float64 {
-	if f.IsFaulty(from) || f.IsFaulty(to) {
-		return f.Faulty.Delay(from, to, now, rng)
-	}
-	return f.Honest.Delay(from, to, now, rng)
-}
-
-// MinDelay implements MinDelayer: the floor across both arms. An arm
-// without a floor of its own makes the whole policy floorless (0) — the
-// adversary could rush messages arbitrarily fast on faulty links, which
-// is exactly the case conservative parallelism cannot admit.
-func (f FaultyAware) MinDelay() float64 {
-	h, a := Lookahead(f.Honest), Lookahead(f.Faulty)
-	if h <= 0 || a <= 0 {
-		return 0
-	}
-	return math.Min(h, a)
-}
-
 // Spread is the adversarial policy that maximizes acceptance spread among
 // correct nodes: messages to nodes in Slow get the maximum delay, messages
 // to everyone else the minimum. This realizes the worst case of the
@@ -131,16 +82,3 @@ func (s Spread) Delay(_, to NodeID, _ sim.Time, _ *rand.Rand) float64 {
 
 // MinDelay implements MinDelayer.
 func (s Spread) MinDelay() float64 { return s.Min }
-
-// Drop unconditionally drops everything; used as the Faulty arm of
-// FaultyAware to model crashed or silenced nodes.
-type Drop struct{}
-
-var _ Policy = Drop{}
-
-// Delay implements Policy.
-func (Drop) Delay(_, _ NodeID, _ sim.Time, _ *rand.Rand) float64 { return -1 }
-
-// MinDelay implements MinDelayer: a policy that never delivers anything
-// places no constraint on the safe window.
-func (Drop) MinDelay() float64 { return math.Inf(1) }

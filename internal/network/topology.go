@@ -129,32 +129,6 @@ func (w WANRegions) Shape(from, to NodeID, _ sim.Time, base float64, rng *rand.R
 // String implements Topology.
 func (w WANRegions) String() string { return fmt.Sprintf("wan:%d", w.Regions) }
 
-// SparseGraph is a static undirected graph: only listed edges carry
-// traffic (self-links always exist, since the model's broadcast includes
-// the sender). Use NewCirculant for the deterministic degree-sweep family
-// or NewSparseGraph for an explicit edge list.
-type SparseGraph struct {
-	n    int
-	adj  []bool // n*n adjacency, row-major
-	name string
-}
-
-var _ Topology = (*SparseGraph)(nil)
-
-// NewSparseGraph builds a topology from an explicit undirected edge list.
-func NewSparseGraph(n int, edges [][2]NodeID) *SparseGraph {
-	g := &SparseGraph{n: n, adj: make([]bool, n*n), name: fmt.Sprintf("sparse(%d edges)", len(edges))}
-	for _, e := range edges {
-		a, b := e[0], e[1]
-		if a < 0 || a >= n || b < 0 || b >= n {
-			panic(fmt.Sprintf("network: edge (%d,%d) out of range [0,%d)", a, b, n))
-		}
-		g.adj[a*n+b] = true
-		g.adj[b*n+a] = true
-	}
-	return g
-}
-
 // Circulant is the circulant graph C_n(1..Half): node i is linked to
 // i±1, ..., i±Half (mod n). Circulants are the canonical fixed-degree
 // family for measuring how synchronization degrades as the graph thins:
@@ -221,25 +195,6 @@ func (c *Circulant) AppendNeighbors(from NodeID, buf []NodeID) []NodeID {
 // String implements Topology.
 func (c *Circulant) String() string { return fmt.Sprintf("ring:%d", 2*c.half) }
 
-// Linked implements Topology.
-func (g *SparseGraph) Linked(from, to NodeID, _ sim.Time) bool {
-	return from == to || g.adj[from*g.n+to]
-}
-
-// Degree returns the number of neighbours of id (excluding itself).
-func (g *SparseGraph) Degree(id NodeID) int {
-	d := 0
-	for j := 0; j < g.n; j++ {
-		if j != id && g.adj[id*g.n+j] {
-			d++
-		}
-	}
-	return d
-}
-
-// String implements Topology.
-func (g *SparseGraph) String() string { return g.name }
-
 // PartitionWindow is one scheduled cut: from At until Heal, links whose
 // endpoints fall on different sides are down. Heal <= At means the cut
 // never heals within the run.
@@ -273,16 +228,6 @@ type Partitioned struct {
 }
 
 var _ Topology = (*Partitioned)(nil)
-
-// NewSplit builds a single At->Heal window cutting the leftSize
-// lowest-id nodes from the rest of an n-node cluster.
-func NewSplit(base Topology, n, leftSize int, at, heal float64) *Partitioned {
-	left := make([]bool, n)
-	for i := 0; i < leftSize && i < n; i++ {
-		left[i] = true
-	}
-	return &Partitioned{Base: base, Windows: []PartitionWindow{{At: at, Heal: heal, Left: left}}}
-}
 
 // Linked implements Topology.
 func (p *Partitioned) Linked(from, to NodeID, now sim.Time) bool {

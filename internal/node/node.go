@@ -136,7 +136,7 @@ type Node struct {
 	net     *network.Net
 	probes  *probe.Bus
 	shard   int32
-	logical clock.LogicalClock
+	logical *clock.Logical
 	proto   Protocol
 	rng     *rand.Rand
 	started bool
@@ -162,7 +162,7 @@ func (nd *Node) Started() bool { return nd.started }
 
 // Clock exposes the logical clock (for metrics; protocols use the Env
 // methods).
-func (nd *Node) Clock() clock.LogicalClock { return nd.logical }
+func (nd *Node) Clock() *clock.Logical { return nd.logical }
 
 // Protocol returns the protocol instance bound to this node.
 func (nd *Node) Protocol() Protocol { return nd.proto }
@@ -289,10 +289,11 @@ type Config struct {
 	// StartAt optionally delays a node's boot to the given virtual time
 	// (used for reintegration experiments). Zero means boot at time 0.
 	StartAt map[int]float64
-	// SlewRate, when positive, amortizes clock adjustments instead of
-	// jumping: the adjustment moves toward its target at SlewRate logical
-	// units per local time unit, keeping logical clocks continuous and
-	// strictly monotone (the paper's amortization remark). Must be < 1.
+	// SlewRate is every logical clock's slew rate (clock.NewLogical).
+	// When positive, adjustments are amortized instead of jumping: the
+	// adjustment moves toward its target at SlewRate logical units per
+	// local time unit, keeping logical clocks continuous and strictly
+	// monotone (the paper's amortization remark). Must be < 1.
 	SlewRate float64
 	// Shards partitions the nodes across that many shard engines
 	// (conservative PDES — see sim.Shards); 0 and 1 run one engine with no
@@ -380,12 +381,6 @@ func NewCluster(cfg Config) *Cluster {
 		} else {
 			hw = clock.NewConstant(0, 1, cfg.Rho)
 		}
-		var logical clock.LogicalClock
-		if cfg.SlewRate > 0 {
-			logical = clock.NewSlewed(hw, cfg.SlewRate)
-		} else {
-			logical = clock.NewLogical(hw)
-		}
 		nd := &Node{
 			id:      i,
 			cluster: c,
@@ -393,7 +388,7 @@ func NewCluster(cfg Config) *Cluster {
 			net:     net,
 			probes:  eng.Probes(),
 			shard:   shard,
-			logical: logical,
+			logical: clock.NewLogical(hw, cfg.SlewRate),
 			proto:   cfg.Protocols(i),
 			rng:     rng,
 			faulty:  cfg.Faulty[i],
