@@ -54,7 +54,7 @@ func TestSlewWhenReadsAcrossAFloatGap(t *testing.T) {
 // least value.
 func readsValue(l refClock, x, value float64) bool {
 	c := l.Read(x)
-	return math.Abs(c-value) <= 1e-9*math.Max(1, math.Abs(value)) || x == 0 && c >= value
+	return math.Abs(c-value) < 1e-9*math.Max(1, math.Abs(value)) || x == 0 && c >= value
 }
 
 // FuzzLogicalMatchesReference holds Logical to the jump and slewing clocks
@@ -67,8 +67,9 @@ func readsValue(l refClock, x, value float64) bool {
 // not read the value; there Logical's answer must read it. At the end,
 // the histories are equal, every earlier reading of Logical's that no
 // later SetAt covers reads back bit for bit at its instant, and WhenReads
-// answers, under the same rule, value and every float between a slewing
-// piece's reading at its end and the next stretch's reading at its start.
+// answers, under the same rule, value (unless it lies more than the time
+// scale past the last reading) and every float between a slewing piece's
+// reading at its end and the next stretch's reading at its start.
 func FuzzLogicalMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, mode uint16, ops []byte, value float64) {
 		if len(ops) > 48 {
@@ -94,7 +95,7 @@ func FuzzLogicalMatchesReference(f *testing.F) {
 		whenReads := func(v float64) {
 			t.Helper()
 			got, want := l.WhenReads(v), ref.WhenReads(v)
-			if got == want || math.IsNaN(v) || math.IsInf(v, 0) {
+			if got == want {
 				return
 			}
 			if readsValue(ref, want, v) || !readsValue(l, got, v) {
@@ -158,7 +159,11 @@ func FuzzLogicalMatchesReference(f *testing.F) {
 				t.Fatalf("sigma %v: Read(%v) = %v now, %v then", sigma, p.t, c, p.c)
 			}
 		}
-		whenReads(value)
+		// Inverting a value far past now materializes hardware segments up
+		// to it, and +Inf never returns.
+		if value <= l.Read(now)+scale {
+			whenReads(value)
+		}
 		if s, ok := ref.(*refSlewed); ok {
 			for _, seg := range s.segs {
 				lo := seg.endH + seg.startAdj + seg.slope*(seg.endH-seg.startH)
