@@ -159,8 +159,8 @@ func FuzzLogicalMatchesReference(f *testing.F) {
 				t.Fatalf("sigma %v: Read(%v) = %v now, %v then", sigma, p.t, c, p.c)
 			}
 		}
-		// Inverting a value far past now materializes hardware segments up
-		// to it, and +Inf never returns.
+		// Inverting a finite value far past now materializes hardware
+		// segments up to it (+Inf has TestInvertInfinityReturnsAtOnce).
 		if value <= l.Read(now)+scale {
 			whenReads(value)
 		}

@@ -12,9 +12,12 @@
 // paper chooses these functions arbitrarily within the envelope; here they
 // are built from pluggable segment generators (constant, random walk).
 //
-// Clocks extend lazily: generators are consulted on demand when a read or
-// inversion goes past the currently materialized horizon, with all
-// randomness drawn from an injected deterministic source.
+// A clock's segments come from its generator, with all randomness drawn
+// from an injected deterministic source of which the clock is the only
+// consumer. A clock may be materialized ahead, through an instant the run
+// is known to reach, into storage sized once (Materialize); reads past the
+// materialized segments extend it on demand. Either way it draws the same
+// segments in the same order, so a clock is a function of its source alone.
 package clock
 
 import (
@@ -43,6 +46,10 @@ type Hardware struct {
 	gen Generator
 	rng *rand.Rand
 
+	// readSeg and invertSeg are the segments the last Read and the last
+	// Invert landed in: segmentOf's first guesses.
+	readSeg, invertSeg int
+
 	minRate, maxRate float64
 }
 
@@ -62,18 +69,18 @@ func (r Rho) RelativeDrift() float64 { return r.MaxRate() - r.MinRate() }
 
 // NewHardware builds a clock that reads offset at real time 0 and evolves
 // according to gen. The rng must be dedicated to this clock (derive it from
-// the engine's seed). rho bounds the admissible rates; NewHardware panics if
-// a generator ever emits a rate outside [1/(1+rho), 1+rho] or a non-positive
-// duration, since that would violate the model rather than be a runtime
-// condition.
+// the engine's seed), and the clock must be its only consumer. rho bounds
+// the admissible rates; NewHardware panics if a generator ever emits a rate
+// outside [1/(1+rho), 1+rho] or a non-positive duration, since that would
+// violate the model rather than be a runtime condition.
 func NewHardware(offset float64, rho Rho, gen Generator, rng *rand.Rand) *Hardware {
 	if gen == nil {
 		gen = Constant{Rate: 1}
 	}
+	origin := []float64{0, offset}
 	return &Hardware{
-		ts:      []float64{0},
-		hs:      []float64{offset},
-		rates:   []float64{},
+		ts:      origin[0:1:1],
+		hs:      origin[1:2:2],
 		gen:     gen,
 		rng:     rng,
 		minRate: rho.MinRate(),
@@ -108,6 +115,37 @@ func (h *Hardware) extendToLocal(local float64) {
 	}
 }
 
+// MaxMaterialized caps the segments Materialize draws ahead for one clock,
+// so that building a run toward a distant horizon costs no more than the
+// run itself would until it is stopped.
+const MaxMaterialized = 1 << 12
+
+// Scratch is drawing space for Materialize. One Scratch serves any number
+// of clocks, one at a time; it is not safe for concurrent use.
+type Scratch struct{ ts, hs, rates []float64 }
+
+// Materialize draws the clock's segments until one ends after real time t,
+// or MaxMaterialized are drawn, and stores every breakpoint in one exactly
+// sized array, so a run that reads the clock no later than t never grows
+// it. It draws in s first, then copies. The segments are those a read
+// would draw, in the same order; reads past them extend the clock as
+// before.
+func (h *Hardware) Materialize(t float64, s *Scratch) {
+	h.ts = append(s.ts[:0], h.ts...)
+	h.hs = append(s.hs[:0], h.hs...)
+	h.rates = append(s.rates[:0], h.rates...)
+	for h.ts[len(h.ts)-1] <= t && len(h.rates) < MaxMaterialized {
+		h.appendSegment()
+	}
+	*s = Scratch{h.ts, h.hs, h.rates}
+	n := len(s.ts)
+	all := make([]float64, 3*n-1)
+	h.ts, h.hs, h.rates = all[:n:n], all[n:2*n:2*n], all[2*n:]
+	copy(h.ts, s.ts)
+	copy(h.hs, s.hs)
+	copy(h.rates, s.rates)
+}
+
 func (h *Hardware) appendSegment() {
 	dur, rate := h.gen.NextSegment(h.rng)
 	if dur <= 0 || math.IsNaN(dur) || math.IsInf(dur, 0) {
@@ -130,23 +168,23 @@ func (h *Hardware) Read(t float64) float64 {
 		panic(fmt.Sprintf("clock: Read(%v) before time 0", t))
 	}
 	h.extendTo(t)
-	i := segmentOf(h.ts, t)
+	i := segmentOf(h.ts, t, h.readSeg)
+	h.readSeg = i
 	return h.hs[i] + (t-h.ts[i])*h.rates[i]
 }
 
 // segmentOf returns the segment Read and Invert evaluate x in, given the
 // breakpoints xs extended past x: the first i with xs[i] == x, else the
 // last with xs[i] < x. Simulated time only moves forward, so nearly every
-// call lands in the last materialized segment, or in the one before it when
-// a timer inversion has already extended the clock; those two are tried
-// before the binary search over the whole history, and name the same index.
-func segmentOf(xs []float64, x float64) int {
-	last := len(xs) - 2 // the last segment runs from xs[last] to xs[last+1] > x
-	if last >= 0 && xs[last] < x {
-		return last
-	}
-	if last >= 1 && xs[last-1] < x && x < xs[last] {
-		return last - 1
+// call lands in segment hint, where the previous call of its kind landed,
+// or in the one after it, also when the clock is materialized far ahead;
+// those two are tried before the binary search over the whole history,
+// and name the same index.
+func segmentOf(xs []float64, x float64, hint int) int {
+	for i := hint; i <= hint+1 && i+1 < len(xs); i++ {
+		if xs[i] < x && x < xs[i+1] {
+			return i
+		}
 	}
 	i := sort.SearchFloat64s(xs, x)
 	if i == len(xs) || xs[i] > x {
@@ -159,13 +197,18 @@ func segmentOf(xs []float64, x float64) int {
 }
 
 // Invert returns the earliest real time t with H(t) >= local. For local
-// values before H(0) it returns 0 (the clock already shows them or more).
+// values before H(0) it returns 0 (the clock already shows them or more);
+// for +Inf it returns +Inf, which no segment reaches.
 func (h *Hardware) Invert(local float64) float64 {
 	if local <= h.hs[0] {
 		return 0
 	}
+	if math.IsInf(local, 1) {
+		return local
+	}
 	h.extendToLocal(local)
-	i := segmentOf(h.hs, local)
+	i := segmentOf(h.hs, local, h.invertSeg)
+	h.invertSeg = i
 	return h.ts[i] + (local-h.hs[i])/h.rates[i]
 }
 

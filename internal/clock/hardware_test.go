@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRhoRates(t *testing.T) {
@@ -192,7 +193,7 @@ func TestInvertRoundTripProperty(t *testing.T) {
 }
 
 // searchSegment is the segment lookup Read and Invert did on every call
-// before they tried the newest segments first: the reference for
+// before they tried a guessed segment first: the reference for
 // TestReadBackwardsAfterForwards.
 func searchSegment(xs []float64, x float64) int {
 	i := sort.SearchFloat64s(xs, x)
@@ -205,11 +206,12 @@ func searchSegment(xs []float64, x float64) int {
 	return i
 }
 
-// TestReadBackwardsAfterForwards: trying the last two segments first is a
-// shortcut for time that moves forward, not an assumption. After the clock
-// has been extended far ahead, reads and inversions going back in time, at
-// breakpoints and between them, give bit for bit what the search over the
-// whole history gives.
+// TestReadBackwardsAfterForwards: trying the previous call's segment and
+// the next one first is a shortcut for time that moves forward, not an
+// assumption. After the clock has been extended far ahead, reads and
+// inversions going back in time, then forward again, at breakpoints and
+// between them, give bit for bit what the search over the whole history
+// gives.
 func TestReadBackwardsAfterForwards(t *testing.T) {
 	rho := Rho(0.05)
 	h := NewHardware(2, rho, RandomWalk{Rho: rho, MinDur: 0.05, MaxDur: 0.5}, rand.New(rand.NewSource(5)))
@@ -242,7 +244,8 @@ func TestReadBackwardsAfterForwards(t *testing.T) {
 		}
 		check(tt)
 	}
-	// Every breakpoint, newest first, and the instants either side of it.
+	// Every breakpoint, newest first, then oldest first, and the instants
+	// either side of it.
 	for k := len(h.ts) - 2; k >= 0; k-- {
 		bp := h.ts[k]
 		check(bp)
@@ -250,6 +253,14 @@ func TestReadBackwardsAfterForwards(t *testing.T) {
 		if bp > 0 {
 			check(math.Nextafter(bp, 0))
 		}
+	}
+	for k := 0; k <= len(h.ts)-2; k++ {
+		bp := h.ts[k]
+		if bp > 0 {
+			check(math.Nextafter(bp, 0))
+		}
+		check(bp)
+		check(math.Nextafter(bp, math.Inf(1)))
 	}
 }
 
@@ -261,5 +272,99 @@ func TestRateBounds(t *testing.T) {
 	}
 	if h.Offset() != 0 {
 		t.Fatalf("Offset = %v", h.Offset())
+	}
+}
+
+// TestInvertInfinityReturnsAtOnce: no segment reaches local +Inf, so
+// Invert answers +Inf without drawing one, where it used to draw for ever.
+func TestInvertInfinityReturnsAtOnce(t *testing.T) {
+	rho := Rho(0.01)
+	h := NewHardware(0, rho, RandomWalk{Rho: rho, MinDur: 0.1, MaxDur: 1}, rand.New(rand.NewSource(3)))
+	h.Read(5)
+	before := len(h.Breakpoints())
+	done := make(chan float64, 1)
+	go func() { done <- h.Invert(math.Inf(1)) }()
+	select {
+	case got := <-done:
+		if !math.IsInf(got, 1) {
+			t.Fatalf("Invert(+Inf) = %v, want +Inf", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Invert(+Inf) did not return within 5 s")
+	}
+	if n := len(h.Breakpoints()); n != before {
+		t.Fatalf("Invert(+Inf) drew %d segments", n-before)
+	}
+}
+
+// TestMaterializeMatchesLazy: a clock materialized through T and a clock
+// read lazily, on the same stream, answer Read and Invert bit for bit at
+// the same instants, before T and past it, and have the same breakpoints.
+// The materialized one keeps its storage while reads stay before T.
+func TestMaterializeMatchesLazy(t *testing.T) {
+	rho := Rho(0.05)
+	walk := RandomWalk{Rho: rho, MinDur: 0.05, MaxDur: 1}
+	var scratch Scratch
+	for seed := int64(1); seed <= 20; seed++ {
+		const horizon = 40.0
+		eager := NewHardware(2, rho, walk, rand.New(rand.NewSource(seed)))
+		lazy := NewHardware(2, rho, walk, rand.New(rand.NewSource(seed)))
+		eager.Materialize(horizon, &scratch) // one scratch for every seed's clock
+		bp := eager.Breakpoints()
+		if last := bp[len(bp)-1]; !(last > horizon) || bp[len(bp)-2] > horizon {
+			t.Fatalf("seed %d: materialized through %v, want the first breakpoint past %v", seed, last, horizon)
+		}
+		if len(eager.ts)+len(eager.hs)+len(eager.rates) != cap(eager.ts)+cap(eager.hs)+cap(eager.rates) {
+			t.Fatalf("seed %d: storage not exactly sized", seed)
+		}
+		first := &bp[0]
+
+		q := rand.New(rand.NewSource(-seed))
+		for i := 0; i < 200; i++ {
+			x := q.Float64() * 2 * horizon // before T, then past it
+			if i < 100 {
+				x /= 2
+			}
+			if a, b := eager.Read(x), lazy.Read(x); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d: Read(%v) = %v eager, %v lazy", seed, x, a, b)
+			}
+			y := 2 + q.Float64()*2*horizon
+			if i < 100 {
+				y = 2 + q.Float64()*(horizon/2)
+			}
+			if a, b := eager.Invert(y), lazy.Invert(y); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d: Invert(%v) = %v eager, %v lazy", seed, y, a, b)
+			}
+			if i == 99 && &eager.Breakpoints()[0] != first {
+				t.Fatalf("seed %d: reads before %v grew the materialized storage", seed, horizon)
+			}
+		}
+		eager.Read(3 * horizon)
+		lazy.Read(3 * horizon)
+		a, b := eager.Breakpoints(), lazy.Breakpoints()
+		if len(a) != len(b) {
+			t.Fatalf("seed %d: %d breakpoints eager, %d lazy", seed, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) ||
+				eager.hs[i] != lazy.hs[i] || i < len(a)-1 && eager.rates[i] != lazy.rates[i] {
+				t.Fatalf("seed %d: breakpoint %d differs", seed, i)
+			}
+		}
+	}
+}
+
+// TestMaterializeStopsAtItsCap: a distant horizon draws MaxMaterialized
+// segments ahead and leaves the rest to reads.
+func TestMaterializeStopsAtItsCap(t *testing.T) {
+	rho := Rho(0.01)
+	h := NewHardware(0, rho, RandomWalk{Rho: rho, MinDur: 0.5, MaxDur: 1}, rand.New(rand.NewSource(1)))
+	h.Materialize(1e12, new(Scratch))
+	if n := len(h.Breakpoints()) - 1; n != MaxMaterialized {
+		t.Fatalf("materialized %d segments, want %d", n, MaxMaterialized)
+	}
+	end := h.Breakpoints()[MaxMaterialized]
+	if got := h.Read(end + 10); !(got > 0) || len(h.Breakpoints())-1 <= MaxMaterialized {
+		t.Fatalf("read past the cap did not extend the clock (%v)", got)
 	}
 }

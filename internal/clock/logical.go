@@ -33,6 +33,8 @@ type Logical struct {
 	hw    *Hardware
 	sigma float64
 	hist  []Adjustment
+	// reserve is the history's capacity at the first SetAt (Reserve).
+	reserve int
 }
 
 // NewLogical wraps a hardware clock with a zero initial adjustment, so the
@@ -44,6 +46,11 @@ func NewLogical(hw *Hardware, slewRate float64) *Logical {
 	}
 	return &Logical{hw: hw, sigma: max(slewRate, 0)}
 }
+
+// Reserve makes the first SetAt allocate room for n adjustments at once,
+// so that a run which sets the clock at most n times never grows its
+// history, and a clock that is never set allocates none.
+func (l *Logical) Reserve(n int) { l.reserve = n }
 
 // Hardware exposes the underlying hardware clock.
 func (l *Logical) Hardware() *Hardware { return l.hw }
@@ -118,6 +125,9 @@ func (l *Logical) SetAt(t, value float64) float64 {
 	h := l.hw.Read(t)
 	cur := l.adjustment(h)
 	target := value - h
+	if l.hist == nil && l.reserve > 0 {
+		l.hist = make([]Adjustment, 0, l.reserve)
+	}
 	l.hist = append(l.hist, Adjustment{RealTime: t, LocalTime: h, Old: cur, New: target})
 	return target - cur
 }

@@ -102,3 +102,27 @@ func TestSetAtProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserveSizesTheHistoryOnce: the first SetAt allocates the reserved
+// room, which later ones fill without growing it; a clock never set
+// allocates none.
+func TestReserveSizesTheHistoryOnce(t *testing.T) {
+	idle := NewLogical(NewConstant(0, 1, Rho(0)), 0)
+	idle.Reserve(8)
+	idle.Read(3)
+	if idle.History() != nil {
+		t.Fatal("a clock never set allocated a history")
+	}
+	for _, sigma := range []float64{0, 0.1} {
+		l := NewLogical(NewConstant(0, 1, Rho(0)), sigma)
+		l.Reserve(8)
+		l.SetAt(1, 2)
+		first := &l.History()[0]
+		for i := 2; i <= 8; i++ {
+			l.SetAt(float64(i), float64(i)+0.5)
+		}
+		if h := l.History(); len(h) != 8 || cap(h) != 8 || &h[0] != first {
+			t.Fatalf("sigma %v: history len %d cap %d, moved %v", sigma, len(h), cap(h), &h[0] != first)
+		}
+	}
+}

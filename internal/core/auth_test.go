@@ -33,7 +33,6 @@ func (e *stubEnv) Send(node.ID, node.Message)           {}
 func (e *stubEnv) Broadcast(node.Message)               {}
 func (e *stubEnv) Sign(p []byte) sig.Signature          { return e.scheme.Sign(e.id, p) }
 func (e *stubEnv) Pulse(int)                            {}
-func (e *stubEnv) Rand() *rand.Rand                     { return nil }
 func (e *stubEnv) RealTime() float64                    { return e.logical }
 func (e *stubEnv) Verify(s node.ID, p []byte, g sig.Signature) bool {
 	return e.scheme.Verify(s, p, g)

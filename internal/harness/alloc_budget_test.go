@@ -96,3 +96,50 @@ func TestRunAllocBudgets(t *testing.T) {
 		})
 	}
 }
+
+// TestClockStorageSizedOnce: every correct clock's storage is allocated
+// once, at build. A run to the horizon, serial or at two shards, leaves the
+// hardware breakpoints in the array buildCluster stored them in, and fills
+// the logical history within the room its first SetAt reserved.
+func TestClockStorageSizedOnce(t *testing.T) {
+	mesh25 := mesh25AuthSpec
+	mesh25.Horizon = 200 // the benchmark's own horizon
+	for _, base := range []struct {
+		name string
+		spec Spec
+	}{{"mesh25-auth", mesh25}, {"campaign-cell", campaignCellSpec}} {
+		for _, shards := range []int{1, 2} {
+			spec := base.spec
+			spec.Shards = shards
+			spec = spec.withDefaults()
+			cluster, err := buildCluster(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			correct := correctIDs(spec.Params.N, spec.FaultyCount)
+			built := make([]*float64, len(correct))
+			sizes := make([]int, len(correct))
+			for _, id := range correct {
+				bp := cluster.Nodes[id].Clock().Hardware().Breakpoints()
+				built[id], sizes[id] = &bp[0], len(bp)
+			}
+			cluster.Start()
+			sampler := newSkewSampler(cluster, correct, spec.SampleEvery)
+			cluster.Run(spec.Horizon)
+			sampler.stop()
+			reserved := resyncsBound(spec)
+			for _, id := range correct {
+				lc := cluster.Nodes[id].Clock()
+				if bp := lc.Hardware().Breakpoints(); &bp[0] != built[id] || len(bp) != sizes[id] {
+					t.Errorf("%s at %d shards: node %d's hardware clock grew from %d to %d breakpoints",
+						base.name, shards, id, sizes[id], len(bp))
+				}
+				if h := lc.History(); len(h) == 0 || cap(h) != reserved {
+					t.Errorf("%s at %d shards: node %d's history holds %d of %d, want room for %d",
+						base.name, shards, id, len(h), cap(h), reserved)
+				}
+			}
+			cluster.Close()
+		}
+	}
+}

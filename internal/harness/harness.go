@@ -511,7 +511,13 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 		shards = autoShards(p.N)
 	}
 
-	return node.NewCluster(node.Config{
+	// Each correct clock is drawn through two periods past the horizon and
+	// stored once: a timer armed before the horizon inverts a reading up to
+	// a period past it, and the second period is slack. NewCluster builds
+	// the clocks one after another, so they share one drawing scratch;
+	// concurrent builds each have their own.
+	var scratch clock.Scratch
+	c := node.NewCluster(node.Config{
 		N: p.N, F: p.F, Seed: spec.Seed,
 		Rho:       p.Rho,
 		Delay:     delay,
@@ -535,12 +541,32 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 			if pinned, ok := spec.ClockOffset[i]; ok {
 				offset = pinned
 			}
-			return clock.NewHardware(offset, p.Rho,
+			hw := clock.NewHardware(offset, p.Rho,
 				clock.RandomWalk{Rho: p.Rho, MinDur: p.Period / 7, MaxDur: p.Period}, rng)
+			hw.Materialize(spec.Horizon+2*p.Period, &scratch)
+			return hw
 		},
 		Protocols: func(i int) node.Protocol { return protos[i] },
 		Faulty:    faulty,
-	}), nil
+	})
+	resyncs := resyncsBound(spec)
+	for i, nd := range c.Nodes {
+		if !faulty[i] {
+			nd.Clock().Reserve(resyncs)
+		}
+	}
+	return c, nil
+}
+
+// resyncsBound is how many times a correct clock is set in a run of spec:
+// once a round, and rounds start at least Pmin apart. It is 0 where Pmin
+// gives no bound, and at most clock.MaxMaterialized.
+func resyncsBound(spec Spec) int {
+	n := spec.Horizon/spec.Params.Pmin() + 2
+	if !(n >= 0) {
+		return 0
+	}
+	return int(min(n, clock.MaxMaterialized))
 }
 
 // wellFormed rejects a defaulted spec that no run can execute: a number

@@ -18,8 +18,9 @@ import (
 //   - the global math/rand source is shared process state: draw order
 //     depends on what else ran, and shards cannot reproduce it
 //     (per-entity streams are the repo idiom: rand.New over a
-//     sim.NewStream(seed, id, purpose), see sim.Engine.RandFor and the
-//     network's per-sender delay streams);
+//     sim.NewStream(seed, id, purpose), one consumer per purpose, see
+//     node.NewCluster's clock streams and the network's per-sender delay
+//     streams);
 //   - a generator built anywhere but sim.NewStream: math/rand.NewSource
 //     is 607 words of state and a ~1 900-step seeding loop per stream
 //     (the large-n memory wall PR 18 removed) and folds its seed mod
@@ -127,7 +128,7 @@ func checkDetSelector(p *Pass, sel *ast.SelectorExpr) []Finding {
 		if globalRandFuncs[fn.Name()] {
 			return []Finding{{
 				Pos:     sel.Pos(),
-				Message: fmt.Sprintf("global math/rand source (rand.%s) in deterministic package; draw from a spec-seeded *rand.Rand stream (sim.Engine.RandFor, or rand.New over sim.NewStream)", fn.Name()),
+				Message: fmt.Sprintf("global math/rand source (rand.%s) in deterministic package; draw from a spec-seeded stream of your own purpose (rand.New over sim.NewStream(seed, id, purpose))", fn.Name()),
 			}}
 		}
 	}

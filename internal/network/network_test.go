@@ -426,12 +426,12 @@ func TestPartitionNeverHeals(t *testing.T) {
 	}
 }
 
-// Registering endpoints (and acquiring their per-node random streams) in
-// a different order must leave the simulation byte-identical: node
-// randomness comes from Engine.RandFor, which derives each stream from
-// (seed, id) alone instead of from global draw order. Boot instants here
-// are drawn from the per-node streams, so they — and every delivery that
-// follows — would scramble under reordering if RandFor leaked call-order
+// Registering endpoints (and building their per-node random streams) in
+// a different order must leave the simulation byte-identical: a node's
+// stream, sim.NewStream(seed, id, sim.NodeStream), derives from (seed, id)
+// alone instead of from global draw order. Boot instants here are drawn
+// from the per-node streams, so they — and every delivery that follows —
+// would scramble under reordering if a stream leaked call-order
 // dependence.
 func TestRegistrationOrderInvariance(t *testing.T) {
 	run := func(order []int) []string {
@@ -440,7 +440,7 @@ func TestRegistrationOrderInvariance(t *testing.T) {
 		var trace []string
 		for _, id := range order {
 			id := id
-			rng := e.RandFor(id)
+			rng := rand.New(sim.NewStream(e.Seed(), id, sim.NodeStream))
 			boot := 0.01 + rng.Float64()*0.1
 			nt.Register(id, func(from NodeID, msg Message) {
 				trace = append(trace, fmt.Sprintf("%d<-%d r%d @%.12f", id, from, msg.Round, e.Now()))

@@ -74,9 +74,6 @@ type Env interface {
 	// r (a TypePulse event; semantically "clock hit kP+alpha").
 	Pulse(round int)
 
-	// Rand returns this process's deterministic randomness source.
-	Rand() *rand.Rand
-
 	// RealTime returns true real time. Correct protocols MUST NOT call
 	// this (processes cannot observe real time); it exists for Byzantine
 	// implementations and assertions in tests.
@@ -138,7 +135,6 @@ type Node struct {
 	shard   int32
 	logical *clock.Logical
 	proto   Protocol
-	rng     *rand.Rand
 	started bool
 	faulty  bool
 }
@@ -255,9 +251,6 @@ func (nd *Node) Pulse(round int) {
 	}
 }
 
-// Rand implements Env.
-func (nd *Node) Rand() *rand.Rand { return nd.rng }
-
 // RealTime implements Env.
 func (nd *Node) RealTime() float64 { return nd.eng.Now() }
 
@@ -278,8 +271,10 @@ type Config struct {
 	// Nodes verify through a sig.Memo per engine, so Verify must be a
 	// function of its arguments alone and safe to share between shards.
 	Scheme sig.Scheme
-	// Clocks builds node i's hardware clock. nil defaults to perfect
-	// clocks (offset 0, rate 1).
+	// Clocks builds node i's hardware clock from node i's stream,
+	// rand.New(sim.NewStream(Seed, i, sim.NodeStream)), of which it and
+	// the clock are the only consumers. nil defaults to perfect clocks
+	// (offset 0, rate 1).
 	Clocks func(i int, rng *rand.Rand) *clock.Hardware
 	// Protocols builds node i's program.
 	Protocols func(i int) Protocol
@@ -371,13 +366,11 @@ func NewCluster(cfg Config) *Cluster {
 	for i := 0; i < cfg.N; i++ {
 		shard := c.owner[i]
 		eng, net := c.coord.Shard(int(shard)), c.nets[shard]
+		// Node i's stream derives from (seed, i) alone, so a clock is
+		// invariant under construction and boot order and under sharding.
 		var hw *clock.Hardware
-		// Per-node stream derived from (seed, id) alone: node randomness
-		// is invariant under construction/boot reordering and under
-		// sharding.
-		rng := eng.RandFor(i)
 		if cfg.Clocks != nil {
-			hw = cfg.Clocks(i, rng)
+			hw = cfg.Clocks(i, rand.New(sim.NewStream(cfg.Seed, i, sim.NodeStream)))
 		} else {
 			hw = clock.NewConstant(0, 1, cfg.Rho)
 		}
@@ -390,7 +383,6 @@ func NewCluster(cfg Config) *Cluster {
 			shard:   shard,
 			logical: clock.NewLogical(hw, cfg.SlewRate),
 			proto:   cfg.Protocols(i),
-			rng:     rng,
 			faulty:  cfg.Faulty[i],
 		}
 		c.Nodes = append(c.Nodes, nd)

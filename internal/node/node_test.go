@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"optsync/internal/clock"
 	"optsync/internal/network"
@@ -292,7 +293,7 @@ func TestEnvAccessors(t *testing.T) {
 	if nd.ID() != 1 || nd.N() != 3 || nd.F() != 0 {
 		t.Fatalf("accessors: id=%d n=%d f=%d", nd.ID(), nd.N(), nd.F())
 	}
-	if nd.Clock() == nil || nd.Protocol() == nil || nd.Rand() == nil {
+	if nd.Clock() == nil || nd.Protocol() == nil {
 		t.Fatal("nil accessor")
 	}
 	// Direct send delivers.
@@ -323,6 +324,33 @@ func TestCancelForeignHandlePanics(t *testing.T) {
 		}
 	}()
 	c.Nodes[0].Cancel("not a timer")
+}
+
+// A protocol asking for logical +Inf gets the engine's Trap, as the
+// comment in AtLogical promises, on a walking clock too: inverting +Inf
+// draws no segment.
+func TestAtLogicalInfinityReachesTrap(t *testing.T) {
+	rho := clock.Rho(1e-4)
+	c := NewCluster(Config{
+		N: 1, F: 0, Seed: 1, Rho: rho,
+		Clocks: func(_ int, rng *rand.Rand) *clock.Hardware {
+			return clock.NewHardware(0, rho, clock.RandomWalk{Rho: rho, MinDur: 0.1, MaxDur: 1}, rng)
+		},
+		Protocols: func(int) Protocol { return protoFunc{} },
+	})
+	c.Start()
+	c.Run(1)
+	trapped := make(chan string, 1)
+	c.Engine.Trap = func(format string, args ...any) { trapped <- fmt.Sprintf(format, args...) }
+	go c.Nodes[0].AtLogical(math.Inf(1), func() {})
+	select {
+	case msg := <-trapped:
+		if !strings.Contains(msg, "unschedulable instant +Inf") {
+			t.Fatalf("trap got %q", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AtLogical(+Inf) did not reach the trap within 5 s")
+	}
 }
 
 func TestClusterSlewRateOption(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"optsync/internal/probe"
 )
@@ -94,7 +93,6 @@ type Engine struct {
 	ladder      ladder
 	timers      []timerSlot
 	free        []uint32
-	perID       map[int]*rand.Rand
 	processed   uint64
 	dispatchers []Dispatcher
 	// probes is the run's observation bus, shared by every layer on the
@@ -106,7 +104,7 @@ type Engine struct {
 	Trap func(format string, args ...any)
 }
 
-// New returns an engine whose random streams (see RandFor) derive from
+// New returns an engine whose random streams (NewStream) derive from
 // seed. Deliberately *not* crypto-random: reproducibility is the point.
 func New(seed int64) *Engine {
 	e := &Engine{seed: seed, curLane: LaneGlobal}
@@ -124,22 +122,6 @@ func (e *Engine) Probes() *probe.Bus { return &e.probes }
 
 // Seed returns the seed the engine was constructed with.
 func (e *Engine) Seed() int64 { return e.seed }
-
-// RandFor returns node id's deterministic random stream, rand.New over
-// NewStream(seed, id, NodeStream): what it yields depends on the seed and
-// id alone, so it is invariant under boot reordering and sharding.
-// Repeated calls with the same id return the same (stateful) stream.
-func (e *Engine) RandFor(id int) *rand.Rand {
-	if r, ok := e.perID[id]; ok {
-		return r
-	}
-	if e.perID == nil {
-		e.perID = make(map[int]*rand.Rand)
-	}
-	r := rand.New(NewStream(e.seed, id, NodeStream))
-	e.perID[id] = r
-	return r
-}
 
 // RegisterDispatcher installs d and returns the target id to pass to
 // AtMsg, an index into an append-only table: it stays valid for good.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -126,39 +127,26 @@ func TestDispatchReschedulesFromPool(t *testing.T) {
 
 // --- Per-node random streams ---
 
-func TestRandForIsCallOrderInvariant(t *testing.T) {
-	draw := func(e *Engine, id int) float64 { return e.RandFor(id).Float64() }
+// TestNodeStreamIsCallOrderInvariant: a node's stream depends on (seed,
+// id) alone, so streams built in either order, or after draws on another
+// id's stream, yield the same values.
+func TestNodeStreamIsCallOrderInvariant(t *testing.T) {
+	draw := func(id int) float64 { return rand.New(NewStream(42, id, NodeStream)).Float64() }
 
-	e1 := New(42)
-	a1 := draw(e1, 0)
-	b1 := draw(e1, 1)
-
-	e2 := New(42)
+	a1 := draw(0)
+	b1 := draw(1)
 	// Ask in the opposite order; the streams must be identical anyway.
-	b2 := draw(e2, 1)
-	a2 := draw(e2, 0)
-
+	b2 := draw(1)
+	a2 := draw(0)
 	if a1 != a2 || b1 != b2 {
-		t.Fatalf("RandFor depends on acquisition order: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
+		t.Fatalf("streams depend on acquisition order: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
 	}
 	// Draws on another id's stream must not disturb this one.
-	e3 := New(42)
-	draw(e3, 1)
-	draw(e3, 1)
-	if got := draw(e3, 0); got != a1 {
-		t.Fatalf("draws on stream 1 disturbed RandFor(0): %v vs %v", got, a1)
-	}
-}
-
-func TestRandForIsStateful(t *testing.T) {
-	e := New(1)
-	first := e.RandFor(3).Float64()
-	second := e.RandFor(3).Float64()
-	if first == second {
-		t.Fatal("repeated RandFor draws returned the same value (stream reset?)")
-	}
-	if e.Seed() != 1 {
-		t.Fatalf("Seed() = %d", e.Seed())
+	other := rand.New(NewStream(42, 1, NodeStream))
+	other.Float64()
+	other.Float64()
+	if got := draw(0); got != a1 {
+		t.Fatalf("draws on stream 1 disturbed stream 0: %v vs %v", got, a1)
 	}
 }
 

@@ -167,6 +167,10 @@ func TestEngineAfter(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		e := New(seed)
+		if e.Seed() != seed {
+			t.Fatalf("Seed() = %d, want %d", e.Seed(), seed)
+		}
+		rng := rand.New(NewStream(seed, 0, NodeStream))
 		var got []Time
 		var schedule func()
 		n := 0
@@ -175,7 +179,7 @@ func TestEngineDeterminism(t *testing.T) {
 				return
 			}
 			n++
-			d := e.RandFor(0).Float64()
+			d := rng.Float64()
 			e.MustAfter(d, func() {
 				got = append(got, e.Now())
 				schedule()

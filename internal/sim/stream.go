@@ -3,12 +3,15 @@ package sim
 import randv2 "math/rand/v2"
 
 // Purpose says what a derived random stream is for; streams of different
-// purposes never coincide, whatever their ids.
+// purposes never coincide, whatever their ids. Each purpose has one
+// consumer per id, so what a stream yields never depends on whether, when
+// or how often anything else draws.
 type Purpose uint8
 
 const (
-	// NodeStream is a node's own randomness: its hardware clock walk and
-	// Env.Rand (Engine.RandFor).
+	// NodeStream is a node's hardware clock: its offset and its walk
+	// (node.Config.Clocks), and nothing else. A protocol that needs
+	// randomness gets a purpose of its own.
 	NodeStream Purpose = iota
 	// DelayStream is a sender's per-message delay draws (network.Net).
 	DelayStream
@@ -27,10 +30,12 @@ type Stream struct {
 // NewStream returns the stream of (engine seed, id, purpose). The stream
 // depends on those three alone — never on how many draws any other
 // component made — which is what lets a sharded run consume exactly the
-// random sequences the serial run does. Seed derivation is part of the
-// generator: one state word comes from the seed, the other from an
-// injective packing of id (a node index; int32 everywhere on the wire)
-// and purpose, so under one seed distinct (id, purpose) are distinct
+// random sequences the serial run does. Build it once per (id, purpose),
+// for that purpose's one consumer: a second consumer of the same stream
+// would make each one's draws depend on the other's. Seed derivation is
+// part of the generator: one state word comes from the seed, the other
+// from an injective packing of id (a node index; int32 everywhere on the
+// wire) and purpose, so under one seed distinct (id, purpose) are distinct
 // states by construction; each word goes through a bijective finaliser so
 // adjacent seeds and ids do not start adjacent.
 func NewStream(seed int64, id int, purpose Purpose) *Stream {
