@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -12,6 +13,8 @@ import (
 	"optsync/internal/core/bounds"
 	"optsync/internal/node"
 	"optsync/internal/probe"
+	"optsync/internal/sim"
+	"optsync/internal/tracelake"
 )
 
 // skewPeak is where the skew among a set of logical clocks peaks.
@@ -24,8 +27,9 @@ type skewPeak struct {
 	Hi, Lo node.ID
 }
 
-// exactSkew sweeps the logical clocks of ids over real time [0, until]
-// after a run and returns the supremum of their skew. The
+// exactSkew sweeps the logical clocks clks of nodes ids (clks[k] is
+// ids[k]'s) over real time [0, until] after a run and returns the
+// supremum of their skew. The
 // breakpoints are every clock's hardware breakpoints, its adjustment
 // instants and, at a positive slewRate (the cluster's
 // node.Config.SlewRate), the instants its slews reach their targets.
@@ -36,10 +40,9 @@ type skewPeak struct {
 // reads; it needs every node of ids booted at 0. It materializes hardware
 // segments up to until, drawing from the node's random stream, so a run
 // must not go on after it.
-func exactSkew(cluster *node.Cluster, ids []node.ID, until, slewRate float64) skewPeak {
+func exactSkew(clks []*clock.Logical, ids []node.ID, until, slewRate float64) skewPeak {
 	ts := []float64{until}
-	for _, id := range ids {
-		clk := cluster.Nodes[id].Clock()
+	for _, clk := range clks {
 		hw := clk.Hardware()
 		hw.Read(until) // materialize every segment up to until
 		ts = append(ts, hw.Breakpoints()...)
@@ -72,8 +75,7 @@ func exactSkew(cluster *node.Cluster, ids []node.ID, until, slewRate float64) sk
 		if t < 0 || t > until {
 			continue
 		}
-		for k, id := range ids {
-			clk := cluster.Nodes[id].Clock()
+		for k, clk := range clks {
 			right[k] = clk.Read(t)
 			left[k] = right[k]
 			h := clk.History()
@@ -89,36 +91,48 @@ func exactSkew(cluster *node.Cluster, ids []node.ID, until, slewRate float64) sk
 	return peak
 }
 
+// clocksOf is the logical clocks of ids in cluster.
+func clocksOf(cluster *node.Cluster, ids []node.ID) []*clock.Logical {
+	clks := make([]*clock.Logical, len(ids))
+	for k, id := range ids {
+		clks[k] = cluster.Nodes[id].Clock()
+	}
+	return clks
+}
+
 // sweepRun boots spec, runs it to its horizon and sweeps its correct
-// nodes' clocks.
-func sweepRun(t *testing.T, spec Spec) skewPeak {
+// nodes' clocks. With lake non-nil it also records the run's node_boot
+// and resync events there.
+func sweepRun(t *testing.T, spec Spec, lake *tracelake.Writer) skewPeak {
 	t.Helper()
 	cluster, correct, err := Boot(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
+	if lake != nil {
+		cluster.Engine.Probes().Attach(lake, probe.TypeNodeBoot, probe.TypeResync)
+	}
 	cluster.Run(spec.Horizon)
-	return exactSkew(cluster, correct, spec.Horizon, spec.SlewRate)
+	return exactSkew(clocksOf(cluster, correct), correct, spec.Horizon, spec.SlewRate)
 }
 
-// TestExactSkew holds the sweep to the sampled skew on ROADMAP item 1's
-// five table specs at horizon 50, seeds 1-5, and one slewing spec. The
-// sweep is at least the sampled MaxSkew; on the table specs, which jump
-// and are inside the resilience bound, it is at most DmaxWithStart; at
-// seed 1 a run sampled every 0.0002 s comes within (1+rho)*0.0002 of it;
-// and with every spec time scaled by 2^±10 it scales by 2^±10, bit for
-// bit, at the same instant and pair.
-func TestExactSkew(t *testing.T) {
+// exactSkewSpec is a named spec to sweep; table marks the specs that jump
+// and are inside the resilience bound.
+type exactSkewSpec struct {
+	name  string
+	spec  Spec
+	table bool
+}
+
+// exactSkewSpecs are ROADMAP item 1's five table specs at horizon 50 and
+// one slewing spec.
+func exactSkewSpecs() []exactSkewSpec {
 	auth := func(n, f int) bounds.Params { return lanParams(n, f, bounds.Auth) }
 	prim := func(n, f int) bounds.Params { return lanParams(n, f, bounds.Primitive) }
 	mesh25 := mesh25AuthSpec
 	mesh25.Horizon = 50
-	specs := []struct {
-		name  string
-		spec  Spec
-		table bool
-	}{
+	return []exactSkewSpec{
 		{"auth-rush", Spec{Algo: AlgoAuth, Params: auth(7, 3), FaultyCount: 3, Attack: AttackRush, Horizon: 50}, true},
 		{"auth-fault-free", Spec{Algo: AlgoAuth, Params: auth(7, 3), Attack: AttackNone, Horizon: 50}, true},
 		{"mesh25-auth", mesh25, true},
@@ -126,7 +140,16 @@ func TestExactSkew(t *testing.T) {
 		{"auth-selective-spread", Spec{Algo: AlgoAuth, Params: auth(7, 3), FaultyCount: 3, Attack: AttackSelective, SpreadDelays: true, Horizon: 50}, true},
 		{"auth-equivocate-slew", Spec{Algo: AlgoAuth, Params: auth(9, 2), FaultyCount: 2, Attack: AttackEquivocate, SlewRate: 0.05, Horizon: 50}, false},
 	}
-	for _, c := range specs {
+}
+
+// TestExactSkew holds the sweep to the sampled skew on exactSkewSpecs,
+// seeds 1-5. The sweep is at least the sampled MaxSkew; on the table
+// specs it is at most DmaxWithStart; at seed 1 a run sampled every
+// 0.0002 s comes within (1+rho)*0.0002 of it; and with every spec time
+// scaled by 2^±10 it scales by 2^±10, bit for bit, at the same instant
+// and pair.
+func TestExactSkew(t *testing.T) {
+	for _, c := range exactSkewSpecs() {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				spec := c.spec
@@ -135,7 +158,7 @@ func TestExactSkew(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				peak := sweepRun(t, spec)
+				peak := sweepRun(t, spec, nil)
 				t.Logf("seed %d: sup %.6g at %.6f (left %v, %d-%d), sampled %.3f of it, %.3f of DmaxWithStart",
 					seed, peak.Sup, peak.At, peak.Left, peak.Hi, peak.Lo, res.MaxSkew/peak.Sup, peak.Sup/res.SkewBound)
 				if peak.Sup < res.MaxSkew {
@@ -157,11 +180,73 @@ func TestExactSkew(t *testing.T) {
 					t.Fatalf("sweep %v, sampled every 0.0002 s %v: more than %v apart", peak.Sup, fres.MaxSkew, tol)
 				}
 				for _, e := range []int{-10, 10} {
-					got, want := sweepRun(t, scaleSpec(spec, e)), peak
+					got, want := sweepRun(t, scaleSpec(spec, e), nil), peak
 					want.Sup, want.At = math.Ldexp(want.Sup, e), math.Ldexp(want.At, e)
 					if got != want {
 						t.Fatalf("scaled by 2^%d: sweep %+v, want %+v", e, got, want)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestExactSkewReplaysFromLake: a lake of a run's node_boot and resync
+// events, with the run's spec, rebuilds every correct node's logical
+// clock: hardwareClock from the node's NodeStream, then every resync as
+// SetAt(T, Value) in lake order. The rebuilt clocks sweep to the live
+// sweep's peak bit for bit (sup, instant, side and pair) on
+// exactSkewSpecs at seed 1, run at 1, 2 and 8 shards.
+func TestExactSkewReplaysFromLake(t *testing.T) {
+	for _, c := range exactSkewSpecs() {
+		t.Run(c.name, func(t *testing.T) {
+			var serial skewPeak
+			for _, shards := range []int{1, 2, 8} {
+				spec := c.spec
+				spec.Seed, spec.Shards = 1, shards
+				spec = spec.withDefaults()
+				var buf bytes.Buffer
+				w := tracelake.NewWriter(&buf)
+				live := sweepRun(t, spec, w)
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				lake, err := tracelake.OpenBytes(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scratch clock.Scratch
+				clks := make([]*clock.Logical, spec.Params.N)
+				var ids []node.ID
+				_, err = lake.Scan(tracelake.Query{}, func(ev probe.Event) error {
+					id := int(ev.From)
+					switch {
+					case id >= spec.Params.N-spec.FaultyCount:
+					case ev.Type == probe.TypeNodeBoot:
+						rng := rand.New(sim.NewStream(spec.Seed, id, sim.NodeStream))
+						clks[id] = clock.NewLogical(hardwareClock(spec, id, rng, &scratch), spec.SlewRate)
+						ids = append(ids, id)
+					default:
+						clks[id].SetAt(ev.T, ev.Value)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shards == 1 {
+					serial = live
+				}
+				if live != serial || live.Sup == 0 || len(ids) != spec.Params.N-spec.FaultyCount {
+					t.Fatalf("shards %d: live sweep %+v over %d booted correct nodes, serial %+v", shards, live, len(ids), serial)
+				}
+				slices.Sort(ids)
+				replayed := make([]*clock.Logical, len(ids))
+				for k, id := range ids {
+					replayed[k] = clks[id]
+				}
+				if got := exactSkew(replayed, ids, spec.Horizon, spec.SlewRate); got != live {
+					t.Fatalf("shards %d: the clocks rebuilt from the lake sweep to %+v, the live clocks to %+v", shards, got, live)
 				}
 			}
 		})
@@ -221,7 +306,7 @@ func TestExactSkewFindsASpikeBetweenSamples(t *testing.T) {
 			if skew.Count() == 0 || skew.Max() > c.want.Sup*0.96 {
 				t.Fatalf("the sampler saw %d samples, max %v: want samples, all short of %v", skew.Count(), skew.Max(), c.want.Sup)
 			}
-			peak := exactSkew(cluster, ids, 2, 0)
+			peak := exactSkew(clocksOf(cluster, ids), ids, 2, 0)
 			if math.Abs(peak.Sup-c.want.Sup) > 1e-12 || math.Abs(peak.At-c.want.At) > 1e-12 {
 				t.Fatalf("sweep %+v, want %+v", peak, c.want)
 			}

@@ -527,24 +527,7 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 		Shards:    shards,
 		Lookahead: network.Lookahead(delay),
 		Clocks: func(i int, rng *rand.Rand) *clock.Hardware {
-			if faulty[i] {
-				// Faulty nodes get perfect clocks: the adversary can
-				// schedule on real time.
-				return clock.NewConstant(0, 1, p.Rho)
-			}
-			// Draw before applying any pinned offset so the per-node rng
-			// stream stays aligned with and without overrides.
-			offset := rng.Float64() * p.InitialSkew
-			if spec.ColdStart {
-				offset = rng.Float64() * 100 * p.Period
-			}
-			if pinned, ok := spec.ClockOffset[i]; ok {
-				offset = pinned
-			}
-			hw := clock.NewHardware(offset, p.Rho,
-				clock.RandomWalk{Rho: p.Rho, MinDur: p.Period / 7, MaxDur: p.Period}, rng)
-			hw.Materialize(spec.Horizon+2*p.Period, &scratch)
-			return hw
+			return hardwareClock(spec, i, rng, &scratch)
 		},
 		Protocols: func(i int) node.Protocol { return protos[i] },
 		Faulty:    faulty,
@@ -556,6 +539,33 @@ func buildCluster(spec Spec) (*node.Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// hardwareClock is node id's hardware clock in a run of spec (defaulted),
+// drawn from rng, the node's sim.NodeStream, and materialized through
+// two periods past the horizon in scratch. It depends on (spec, id) alone,
+// so a run's spec and its recorded resync events rebuild every correct
+// node's logical clock.
+func hardwareClock(spec Spec, id int, rng *rand.Rand, scratch *clock.Scratch) *clock.Hardware {
+	p := spec.Params
+	if id >= p.N-spec.FaultyCount {
+		// Faulty nodes get perfect clocks: the adversary can schedule on
+		// real time.
+		return clock.NewConstant(0, 1, p.Rho)
+	}
+	// Draw before applying any pinned offset so the per-node rng stream
+	// stays aligned with and without overrides.
+	offset := rng.Float64() * p.InitialSkew
+	if spec.ColdStart {
+		offset = rng.Float64() * 100 * p.Period
+	}
+	if pinned, ok := spec.ClockOffset[id]; ok {
+		offset = pinned
+	}
+	hw := clock.NewHardware(offset, p.Rho,
+		clock.RandomWalk{Rho: p.Rho, MinDur: p.Period / 7, MaxDur: p.Period}, rng)
+	hw.Materialize(spec.Horizon+2*p.Period, scratch)
+	return hw
 }
 
 // resyncsBound is how many times a correct clock is set in a run of spec:

@@ -17,6 +17,9 @@ type skewSampler struct {
 	ids      []node.ID
 	interval float64
 	stopped  bool
+	// booted is, with ids nil, the correct nodes booted by the last tick:
+	// one slice, refilled in place every tick.
+	booted []node.ID
 	// tick is sample, bound once: every arm schedules the same func value
 	// instead of a fresh closure.
 	tick func()
@@ -46,7 +49,13 @@ func (s *skewSampler) sample() {
 	}
 	ids := s.ids
 	if ids == nil {
-		ids = s.cluster.CorrectIDs()
+		s.booted = s.booted[:0]
+		for _, nd := range s.cluster.Nodes {
+			if !nd.Faulty() && nd.Started() {
+				s.booted = append(s.booted, nd.ID())
+			}
+		}
+		ids = s.booted
 	}
 	now := s.cluster.Engine.Now()
 	skew := s.cluster.Skew(ids)

@@ -267,6 +267,27 @@ func TestBootedSamplerZeroBootedNodes(t *testing.T) {
 	}
 }
 
+// TestJoinerSamplerTickAllocatesNothing: with a joiner in the spec the
+// sampler measures whichever correct nodes have booted by each tick, and
+// it refills one slice of their ids rather than allocating one a tick.
+func TestJoinerSamplerTickAllocatesNothing(t *testing.T) {
+	spec := Spec{Algo: AlgoAuth, Params: lanParams(6, 1, bounds.Auth), Attack: AttackNone,
+		StartAt: map[int]float64{4: 2.5}, Horizon: 10, Seed: 1}
+	cluster, _, err := Boot(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	s := newSkewSampler(cluster, nil, 0.05)
+	cluster.Run(3) // past the joiner's boot
+	if allocs := testing.AllocsPerRun(100, s.sample); allocs != 0 {
+		t.Fatalf("a joiner run's sampler tick allocates %v times", allocs)
+	}
+	if len(s.booted) != 6 {
+		t.Fatalf("the tick measured %d booted correct nodes, want 6", len(s.booted))
+	}
+}
+
 // TestSkewSamplerPastHorizon: Engine.Run(until) advances time to the
 // horizon even when the last tick lands beyond it; the sampler must not
 // record a sample past the last processed tick, and resuming the engine

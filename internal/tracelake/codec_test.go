@@ -150,7 +150,12 @@ func codecCases() []colCase {
 
 	// packed: residuals of exactly width w above a base, at the bottom
 	// and the top of each type's image range. Widths 58-63 are stored at
-	// 64, so a column spanning 64 bits stands for them.
+	// 64, so a column spanning 64 bits stands for them. Below width 64 the
+	// decoders unpack 8, 4, 2 or 1 rows a load, so the row counts leave
+	// every remainder modulo 8 and fill a block to its last row and to one
+	// short of it. Width 64 is raw words, one a row. A one-row column is
+	// const (const/one-row above).
+	tails := []int{2, 3, 5, 6, 7, 8, 9, 15, 16, 17, 300, blockRows - 1, blockRows}
 	maxWidth := map[string]int{"u64": 64, "f64": 64, "i32": 32, "u16": 16}
 	for _, typ := range []string{"u64", "f64", "i32", "u16"} {
 		top := uint64(math.MaxUint64) >> (64 - maxWidth[typ])
@@ -159,8 +164,12 @@ func codecCases() []colCase {
 				continue
 			}
 			span := uint64(math.MaxUint64) >> (64 - w)
+			counts := tails
+			if w == 64 {
+				counts = []int{3, 5, 300}
+			}
 			for _, base := range []uint64{0, top - span} {
-				for _, n := range []int{3, 5, 300} {
+				for _, n := range counts {
 					img := make([]uint64, n)
 					for i := range img {
 						img[i] = base + rng.Uint64()&span
@@ -212,6 +221,26 @@ func codecCases() []colCase {
 			col[i] = special[rng.Intn(len(special))]
 		}
 		add(fmt.Sprintf("dict/specials/n%d", n), "f64", col, codecDict)
+	}
+	// Every index width the writer emits (1-6 bits: 2 to 33 entries, each
+	// entry present) at the counts above that leave the dictionary room
+	// to win, so the 8-a-load index loop ends on every tail.
+	for _, nd := range []int{2, 3, 5, 9, 17, 33} {
+		entries := make([]float64, nd)
+		for i := range entries {
+			entries[i] = math.Float64frombits(rng.Uint64())
+		}
+		for _, n := range tails {
+			if n < 2*nd {
+				continue
+			}
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = entries[rng.Intn(nd)]
+			}
+			copy(col, entries)
+			add(fmt.Sprintf("dict/%d-entries/n%d", nd, n), "f64", col, codecDict)
+		}
 	}
 	palette := make([]float64, dictMaxEntries)
 	for i := range palette {

@@ -373,6 +373,112 @@ func TestLakeWarmScanAllocs(t *testing.T) {
 	}
 }
 
+// TestReadersSizedFromFooter: getReader hands out the smallest free
+// reader that fits, and grows the smallest one only when none fits; a
+// stream draws readers sized to the largest block among its own admitted
+// footer entries, so no reader is sized for a block the plan pruned.
+func TestReadersSizedFromFooter(t *testing.T) {
+	sized := func(n int) *blockReader {
+		br := &blockReader{}
+		br.reserve(n)
+		return br
+	}
+	small, mid, big := sized(100), sized(2000), sized(blockRows)
+	l := &Lake{}
+	l.putReader(small, mid, big)
+	for _, step := range []struct {
+		rows int
+		want *blockReader
+	}{{1500, mid}, {50, small}, {blockRows, big}} {
+		if got := l.getReader(step.rows); got != step.want {
+			t.Fatalf("getReader(%d) took the %d-row reader, want the %d-row one",
+				step.rows, cap(got.rows.Seq), cap(step.want.rows.Seq))
+		}
+	}
+	l.putReader(mid, small)
+	if got := l.getReader(3000); got != small || cap(got.rows.Seq) != 3000 {
+		t.Fatalf("getReader(3000) with none fitting gave a %d-row reader (the small one: %v), want the small one grown to 3000",
+			cap(got.rows.Seq), got == small)
+	}
+	if got := l.getReader(7); got != mid || len(l.free) != 0 {
+		t.Fatalf("getReader(7) did not take the last free reader")
+	}
+	if got := l.getReader(7); cap(got.rows.Seq) != 7 {
+		t.Fatalf("a new reader holds %d rows, want 7", cap(got.rows.Seq))
+	}
+
+	evs := synthEvents(16, 100, 9)
+	data := buildLake(t, evs)
+	tMax := evs[len(evs)-1].T
+	for _, q := range []Query{
+		{},
+		Query{}.WithTypes(probe.TypeMessageDropLink),
+		Query{}.WithTimeRange(tMax*0.3, tMax*0.6),
+		Query{}.WithTypes(probe.TypePulse, probe.TypeMessageSent).WithNode(3),
+	} {
+		for _, w := range []int{1, 2} {
+			l := openLake(t, data)
+			mask := q.typeMask()
+			largest := map[probe.Type]int{}
+			for i := range l.blocks {
+				if m := &l.blocks[i]; q.admitsBlock(&mask, m) {
+					largest[m.typ] = max(largest[m.typ], int(m.count))
+				}
+			}
+			whole := 0
+			for _, n := range largest {
+				whole = max(whole, n)
+			}
+			if _, err := l.ScanRows(q.WithWorkers(w), func(r *Rows) error {
+				if cap(r.Seq) != whole {
+					t.Errorf("%+v: ScanRows decoded into a %d-row reader, its largest admitted block is %d rows", q, cap(r.Seq), whole)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			l = openLake(t, data)
+			if _, err := l.Scan(q.WithWorkers(w), func(probe.Event) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			for _, br := range l.free {
+				if n := cap(br.rows.Seq); largest[br.rows.Type] != n {
+					t.Errorf("%+v: Scan drew a %d-row reader for %v, whose largest admitted block is %d rows",
+						q, n, br.rows.Type, largest[br.rows.Type])
+				}
+			}
+		}
+	}
+
+	// An analysis session at one worker: the ordered scan leaves readers
+	// of several sizes behind, and no later call reallocates one of them.
+	l = openLake(t, data)
+	skew, msgs := probe.NewSkewStats(), probe.NewMsgStats()
+	arrays := map[*blockReader]*uint64{}
+	for i, call := range []func() error{
+		func() error { _, err := l.Scan(Query{Workers: 1}, func(probe.Event) error { return nil }); return err },
+		func() error { _, err := l.ScanRows(Query{Workers: 1}, func(*Rows) error { return nil }); return err },
+		func() error {
+			q := Query{Workers: 1}.WithTimeRange(tMax*0.4, tMax*0.5).WithNode(5)
+			_, err := l.Scan(q, func(probe.Event) error { return nil })
+			return err
+		},
+		func() error { _, err := l.Replay(Query{Workers: 1}, skew, msgs); return err },
+	} {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		for _, br := range l.free {
+			seq := &br.rows.Seq[0]
+			if was, ok := arrays[br]; ok && was != seq {
+				t.Errorf("call %d reallocated a %d-row reader", i, cap(br.rows.Seq))
+			}
+			arrays[br] = seq
+		}
+	}
+}
+
 // TestConcurrentScansShareReaders: scans of one lake may run
 // concurrently, and they now share the lake's free list of decode
 // buffers. Several goroutines mixing every entry point and both the

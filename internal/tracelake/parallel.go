@@ -72,8 +72,12 @@ func (p *decodePool) close() {
 // one worker. Every block taken is counted into st.
 func (p *decodePool) stream(metas []int, depth int, st *ScanStats) *blockStream {
 	s := &blockStream{lake: p.lake, metas: metas, st: st}
+	rows := 0 // the largest block of this stream, from the footer
+	for _, mi := range metas {
+		rows = max(rows, int(p.lake.blocks[mi].count))
+	}
 	if p.workers == 1 {
-		s.br = p.lake.getReader()
+		s.br = p.lake.getReader(rows)
 		p.readers = append(p.readers, s.br)
 		return s
 	}
@@ -89,7 +93,7 @@ func (p *decodePool) stream(metas []int, depth int, st *ScanStats) *blockStream 
 	s.ring = make([]streamSlot, depth)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < depth; i++ {
-		br := p.lake.getReader()
+		br := p.lake.getReader(rows)
 		p.readers = append(p.readers, br)
 		s.free <- br
 	}

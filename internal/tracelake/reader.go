@@ -35,16 +35,36 @@ type Lake struct {
 	free   []*blockReader
 }
 
-// getReader takes a block reader off the free list, or makes one.
-func (l *Lake) getReader() *blockReader {
+// getReader hands out a reader with room for rows rows: the smallest
+// free one that has it, else the smallest free one grown to exactly rows,
+// else a new one. Streams ask for their largest admitted block, so a
+// reader is sized once for a scan and never regrown while decoding, and
+// the free list never holds more readers than the most one scan took.
+func (l *Lake) getReader(rows int) *blockReader {
 	l.freeMu.Lock()
-	defer l.freeMu.Unlock()
-	if n := len(l.free); n > 0 {
-		br := l.free[n-1]
-		l.free = l.free[:n-1]
-		return br
+	pick, best := -1, 0
+	for i, br := range l.free {
+		// Every reader that fits ranks before every one that does not;
+		// within each group the smaller ranks first.
+		rank := cap(br.rows.Seq)
+		if rank < rows {
+			rank += maxBlockRows + 1
+		}
+		if pick < 0 || rank < best {
+			pick, best = i, rank
+		}
 	}
-	return &blockReader{}
+	var br *blockReader
+	if pick < 0 {
+		br = &blockReader{}
+	} else {
+		br = l.free[pick]
+		last := len(l.free) - 1
+		l.free[pick], l.free = l.free[last], l.free[:last]
+	}
+	l.freeMu.Unlock()
+	br.reserve(rows)
+	return br
 }
 
 // putReader returns readers whose buffers and Rows nothing uses any more.
@@ -212,9 +232,9 @@ func (r *Rows) batch(i, j int) probe.Batch {
 		Kind: r.Kind[i:j], Round: r.Round[i:j], Value: r.Value[i:j], Aux: r.Aux[i:j]}
 }
 
-// blockReader decodes blocks into reusable buffers: one per cursor, so a
-// steady-state scan performs zero allocations after the first block of
-// each active type.
+// blockReader decodes blocks into reusable buffers: one per cursor,
+// sized by getReader for the largest block its stream will decode, so a
+// scan allocates no row buffer after it has drawn its readers.
 type blockReader struct {
 	rows Rows
 	// constImage/constN cache the last const fill per column: when
@@ -247,11 +267,11 @@ func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 			m.offset, payload[0], binary.LittleEndian.Uint32(payload[1:]), m.typ, m.count)
 	}
 	n := int(m.count)
+	b.reserve(n) // a no-op for a reader sized by its stream
 	r := &b.rows
 	r.Type = m.typ
-	if r.resize(n) {
-		b.constN = [numCols]int{} // buffers reallocated: cached fills are gone
-	}
+	r.Seq, r.T, r.Value, r.Aux = r.Seq[:n], r.T[:n], r.Value[:n], r.Aux[:n]
+	r.From, r.To, r.Round, r.Kind = r.From[:n], r.To[:n], r.Round[:n], r.Kind[:n]
 
 	// cols spans from the end of the block header through the 8 zeroed
 	// pad bytes past the payload, so pvAt's unconditional 8-byte loads
@@ -282,21 +302,21 @@ func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 	return r, nil
 }
 
-// resize gives every column n rows, reallocating those with less
-// capacity, and reports whether any was reallocated.
-func (r *Rows) resize(n int) (grew bool) {
-	grew = cap(r.Seq) < n || cap(r.T) < n || cap(r.From) < n || cap(r.To) < n ||
-		cap(r.Kind) < n || cap(r.Round) < n || cap(r.Value) < n || cap(r.Aux) < n
-	r.Seq, r.T, r.Value, r.Aux = grow(r.Seq, n), grow(r.T, n), grow(r.Value, n), grow(r.Aux, n)
-	r.From, r.To, r.Round, r.Kind = grow(r.From, n), grow(r.To, n), grow(r.Round, n), grow(r.Kind, n)
-	return grew
+// reserve gives every column capacity for n rows. A reader short in any
+// column (the Rows a scan hands out are the caller's to reslice) is
+// reallocated whole, and the const fills it cached go with its buffers.
+func (b *blockReader) reserve(n int) {
+	r := &b.rows
+	if min(cap(r.Seq), cap(r.T), cap(r.From), cap(r.To), cap(r.Kind), cap(r.Round), cap(r.Value), cap(r.Aux)) < n {
+		r.alloc(n)
+		b.constN = [numCols]int{}
+	}
 }
 
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+// alloc gives every column n rows of fresh storage.
+func (r *Rows) alloc(n int) {
+	r.Seq, r.T, r.Value, r.Aux = make([]uint64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	r.From, r.To, r.Round, r.Kind = make([]int32, n), make([]int32, n), make([]int32, n), make([]uint16, n)
 }
 
 func fill[T any](s []T, v T) {

@@ -40,7 +40,7 @@ type colBuf struct {
 func newColBuf(typ probe.Type, rows int) colBuf {
 	var c colBuf
 	c.Type = typ
-	c.resize(rows)
+	c.alloc(rows)
 	return c
 }
 
