@@ -117,30 +117,45 @@ func BenchmarkLakeScan(b *testing.B) {
 
 // BenchmarkLakeScanParallel measures the multi-core full scan at fixed
 // worker counts (run with -cpu 1,8 so both ends exist; no CI step runs
-// it, and a speedup needs a host with that many cores). workers=1
+// it, and a speedup needs a host with that many cores): ScanRows at
+// workers=N, and the ordered Scan, whose k-way merge draws one reader per
+// type plus the shared prefetch readers, at ordered/workers=N. workers=1
 // doubles as the overhead probe: it takes the exact serial path, so any
 // gap vs BenchmarkLakeScan/full is harness noise, not pool cost.
+// readers/op is how many decode readers one call holds.
 func BenchmarkLakeScanParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			l, n, _ := benchSetup(b)
-			defer l.Close()
-			b.SetBytes(int64(len(benchLake.data)))
-			b.ResetTimer()
-			rows := uint64(0)
-			for i := 0; i < b.N; i++ {
-				st, err := l.ScanRows(Query{Workers: workers}, func(r *Rows) error { return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows += st.RowsDecoded
-			}
-			if rows != uint64(n)*uint64(b.N) {
-				b.Fatalf("decoded %d rows, want %d", rows, uint64(n)*uint64(b.N))
-			}
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "events/s")
-		})
+	scanRows := func(l *Lake, w int) (ScanStats, error) {
+		return l.ScanRows(Query{Workers: w}, func(r *Rows) error { return nil })
 	}
+	scan := func(l *Lake, w int) (ScanStats, error) {
+		return l.Scan(Query{Workers: w}, func(probe.Event) error { return nil })
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchParallel(b, workers, scanRows) })
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("ordered/workers=%d", workers), func(b *testing.B) { benchParallel(b, workers, scan) })
+	}
+}
+
+func benchParallel(b *testing.B, workers int, call func(*Lake, int) (ScanStats, error)) {
+	l, n, _ := benchSetup(b)
+	defer l.Close()
+	b.SetBytes(int64(len(benchLake.data)))
+	b.ResetTimer()
+	rows := uint64(0)
+	for i := 0; i < b.N; i++ {
+		st, err := call(l, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += st.RowsDecoded
+	}
+	if rows != uint64(n)*uint64(b.N) {
+		b.Fatalf("decoded %d rows, want %d", rows, uint64(n)*uint64(b.N))
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(len(l.free)), "readers/op")
 }
 
 // BenchmarkLakeWrite tracks the ingest side (probe sink hot path).

@@ -34,10 +34,13 @@ type Query struct {
 	FilterRound        bool
 	// Workers bounds the scan's decode parallelism: 0 (the zero value)
 	// means one worker per core (runtime.GOMAXPROCS), 1 decodes inline
-	// on the calling goroutine, higher values pin the pool width. Output
-	// and error reporting are byte-identical at every worker count —
-	// parallel decode changes wall-clock time, nothing else. Negative
-	// values are an error.
+	// on the calling goroutine, higher values pin the pool width. A read
+	// holds one decode reader per block stream (per event type for
+	// Scan, one otherwise) plus, above one worker, Workers prefetch
+	// readers shared by all streams: K + W for a K-type Scan, 1 + W
+	// otherwise. Output and error reporting are byte-identical at every
+	// worker count — parallel decode changes wall-clock time, nothing
+	// else. Negative values are an error.
 	Workers int
 }
 
@@ -190,10 +193,9 @@ func (l *Lake) each(workers int, metas []int, st *ScanStats, visit func(*Rows) e
 	if len(metas) == 0 {
 		return nil
 	}
-	depth := min(workers+2, len(metas))
-	pool := &decodePool{lake: l, workers: workers, queue: depth}
+	pool := l.newPool(workers, [][]int{metas}, st)
 	defer pool.close()
-	s := pool.stream(metas, depth, st)
+	s := &pool.streams[0]
 	for {
 		rows, err := s.take()
 		if rows == nil || err != nil {
@@ -280,46 +282,32 @@ func (c *cursor) emitRun(limit uint64, fn func(probe.Event) error) error {
 // order — the per-type blocks are merged back by the seq column, so a
 // match-all Scan reproduces the original probe stream exactly (which is
 // what Replay builds on). Block pruning happens first; rows of admitted
-// blocks are then filtered exactly. With q.Workers != 1 each type's
-// blocks prefetch-decode on a worker pool while the merge loop runs on
-// the calling goroutine — the merged stream (and its error reporting)
-// is byte-identical to the serial scan at every worker count.
+// blocks are then filtered exactly. With q.Workers != 1 the blocks the
+// merge asks for next prefetch-decode on a worker pool, into readers
+// shared by all types, while the merge loop runs on the calling
+// goroutine — the merged stream (and its error reporting) is
+// byte-identical to the serial scan at every worker count.
 func (l *Lake) Scan(q Query, fn func(probe.Event) error) (ScanStats, error) {
 	workers, metas, st, err := l.plan(&q, nil)
 	if err != nil {
 		return st, err
 	}
-	perType := make([][]int, probe.NumTypes)
-	active := 0
+	var perType [probe.NumTypes][]int
 	for _, mi := range metas {
-		typ := l.blocks[mi].typ
-		if len(perType[typ]) == 0 {
-			active++
-		}
-		perType[typ] = append(perType[typ], mi)
+		perType[l.blocks[mi].typ] = append(perType[l.blocks[mi].typ], mi)
 	}
-
-	// The merge consumes one type at a time, so per-type prefetch past
-	// a couple of blocks buys nothing — except when a single type holds
-	// every admitted block, where the stream degenerates to ScanRows
-	// and the full pool width pays off.
-	depth := 2
-	if active == 1 {
-		depth = workers + 2
-	}
-	queue := 0
+	lists := make([][]int, 0, probe.NumTypes)
 	for _, metas := range perType {
-		queue += min(depth, len(metas))
+		if len(metas) > 0 {
+			lists = append(lists, metas)
+		}
 	}
-	pool := &decodePool{lake: l, workers: workers, queue: queue}
+	pool := l.newPool(workers, lists, &st)
 	defer pool.close()
 
-	cursors := make([]*cursor, 0, active)
-	for _, metas := range perType {
-		if len(metas) == 0 {
-			continue
-		}
-		c := &cursor{q: &q, s: pool.stream(metas, depth, &st), st: &st, idx: -1}
+	cursors := make([]*cursor, 0, len(lists))
+	for i := range pool.streams {
+		c := &cursor{q: &q, s: &pool.streams[i], st: &st, idx: -1}
 		ok, err := c.advance()
 		if err != nil {
 			return st, err

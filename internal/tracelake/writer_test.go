@@ -26,14 +26,15 @@ func blockEvents(typ probe.Type, n int) []probe.Event {
 	return evs
 }
 
-// waitGoroutines polls until the goroutine count is back at baseline:
-// the encoder exits on its own, a moment after its last write.
+// waitGoroutines polls until the goroutine count is back at baseline: a
+// writer's encoder or a scan's decode worker exits a moment after it is
+// done.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines are running, %d were before the writer existed", runtime.NumGoroutine(), baseline)
+			t.Fatalf("%d goroutines are running, %d were before", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(time.Millisecond)
 	}
