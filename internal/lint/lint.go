@@ -69,7 +69,6 @@ var DeterministicPaths = []string{
 	"internal/core",
 	"internal/adversary",
 	"internal/baseline",
-	"internal/lockstep",
 	"internal/harness",
 	"internal/experiment",
 	"internal/clock",

@@ -20,13 +20,13 @@ func encodeColumn(e *colEncoder, col any) []byte {
 	var frame []byte
 	switch v := col.(type) {
 	case []uint64:
-		frame, _, _ = ints(e, nil, v, 0)
+		frame, _, _ = ints(e, nil, v, 0, false)
 	case []float64:
-		frame, _, _ = e.f64(nil, v)
+		frame, _, _ = ints(e, nil, images(v), 0, true)
 	case []int32:
-		frame, _, _ = ints(e, nil, v, i32Bias)
+		frame, _, _ = ints(e, nil, v, i32Bias, false)
 	case []uint16:
-		frame, _, _ = ints(e, nil, v, 0)
+		frame, _, _ = ints(e, nil, v, 0, false)
 	}
 	return frame
 }
@@ -306,6 +306,33 @@ func TestColumnCodecsRoundTrip(t *testing.T) {
 			if seen[typ][c] == 0 {
 				t.Errorf("%s: no case under codec %#x", typ, c)
 			}
+		}
+	}
+}
+
+// TestDictionaryIsFloatOnly: a valid dictionary frame decodes bit for bit
+// as every float column (t, value, aux) and is refused as every integer
+// column (seq, from, to, kind, round), though an integer column's rows
+// could hold its indices or images.
+func TestDictionaryIsFloatOnly(t *testing.T) {
+	col := make([]float64, 300)
+	for i := range col {
+		col[i] = []float64{1.5, math.Inf(-1), math.NaN()}[i%3]
+	}
+	frame := encodeColumn(&colEncoder{}, col)
+	if frame[0] != codecDict {
+		t.Fatalf("encoder chose codec %#x, want the dictionary", frame[0])
+	}
+	for ci, typ := range colTypes {
+		got, err := decodeColumn(frame, ci, len(col))
+		if typ == "f64" {
+			if err != nil || !sameBits(got, col) {
+				t.Errorf("column %d decodes to %v, %v; want the column back", ci, got, err)
+			}
+			continue
+		}
+		if err == nil || err.Error() != "dictionary codec on non-float column" {
+			t.Errorf("%s column %d: got error %v, want the dictionary refused", typ, ci, err)
 		}
 	}
 }

@@ -53,28 +53,28 @@ func (d *colDiff) check(got, want []byte, col any) []byte {
 func (d *colDiff) u64(v []uint64) []byte {
 	d.t.Helper()
 	want := d.ref.appendU64Col([]byte{1, 2, 3}, v)
-	got, _, _ := ints(&d.enc, d.dst(), v, 0)
+	got, _, _ := ints(&d.enc, d.dst(), v, 0, false)
 	return d.check(got, want, v)
 }
 
 func (d *colDiff) f64(v []float64) []byte {
 	d.t.Helper()
 	want := d.ref.appendF64Col([]byte{1, 2, 3}, v)
-	got, _, _ := d.enc.f64(d.dst(), v)
+	got, _, _ := ints(&d.enc, d.dst(), images(v), 0, true)
 	return d.check(got, want, v)
 }
 
 func (d *colDiff) i32(v []int32) []byte {
 	d.t.Helper()
 	want := d.ref.appendI32Col([]byte{1, 2, 3}, v)
-	got, _, _ := ints(&d.enc, d.dst(), v, i32Bias)
+	got, _, _ := ints(&d.enc, d.dst(), v, i32Bias, false)
 	return d.check(got, want, v)
 }
 
 func (d *colDiff) u16(v []uint16) []byte {
 	d.t.Helper()
 	want := d.ref.appendU16Col([]byte{1, 2, 3}, v)
-	got, _, _ := ints(&d.enc, d.dst(), v, 0)
+	got, _, _ := ints(&d.enc, d.dst(), v, 0, false)
 	return d.check(got, want, v)
 }
 

@@ -100,6 +100,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"optsync/internal/probe"
 )
@@ -185,17 +186,6 @@ var pvMask = [16]uint64{
 	^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
 }
 
-// pvAt decodes the prefix varint at src[off]. src MUST have at least 9
-// readable bytes at off (column buffers are padded — see the block
-// reader); the unconditional 8-byte load is what makes the decode
-// branch-free on length. Returns the value and the offset past it.
-func pvAt(src []byte, off int) (uint64, int) {
-	b0 := src[off]
-	n := int(b0 & 0x0f)
-	w := binary.LittleEndian.Uint64(src[off+1:]) & pvMask[b0&0x0f]
-	return uint64(b0>>4) | w<<4, off + 1 + n
-}
-
 // --- column encoders (writer side) ---
 //
 // Every column type maps, order preserved, onto a uint64 image — u64 as
@@ -207,8 +197,22 @@ func pvAt(src []byte, off int) (uint64, int) {
 // positives, -0 != +0, a NaN is just an image). The format stores a
 // column's base or first value as uint64(uint32(v)) for i32; unbias
 // undoes the shift there.
+//
+// A float column is thus the u64 column of its images (see images), on
+// both sides: the writer encodes it and the reader decodes it through
+// the integer code, and only the dictionary codec is float-only.
 
 const i32Bias = 1 << 31
+
+// images views a float column as its IEEE-754 bit images, in place:
+// images(f)[i] is math.Float64bits(f[i]), and storing an image through the
+// view stores math.Float64frombits of it. This is safe: float64 and uint64
+// have one size and alignment on every Go port, and every bit pattern is
+// a value of both, so the view reinterprets the memory exactly as
+// Float64bits does.
+func images(f []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
+}
 
 func unbias(image, bias uint64) uint64 {
 	if bias != 0 {
@@ -236,11 +240,12 @@ func (e *colEncoder) image(n int) []uint64 {
 	return e.img[:n]
 }
 
-// ints and f64 take the image and its bounds in one pass, append the
-// column's frame, and return the bounds (as images) for the block's
-// footer entry. An integer's image is uint64(int64(v)) + bias, with bias
-// i32Bias for int32 columns and 0 otherwise.
-func ints[T intCol](e *colEncoder, dst []byte, vals []T, bias uint64) (_ []byte, lo, hi uint64) {
+// ints takes the image and its bounds in one pass, appends the column's
+// frame, and returns the bounds (as images) for the block's footer entry.
+// An integer's image is uint64(int64(v)) + bias, with bias i32Bias for
+// int32 columns and 0 otherwise. A float column comes in as its images
+// (ints(e, dst, images(vals), 0, true)); float admits the dictionary.
+func ints[T intCol](e *colEncoder, dst []byte, vals []T, bias uint64, float bool) (_ []byte, lo, hi uint64) {
 	img := e.image(len(vals))
 	lo, hi = ^uint64(0), 0
 	for i, v := range vals {
@@ -248,18 +253,7 @@ func ints[T intCol](e *colEncoder, dst []byte, vals []T, bias uint64) (_ []byte,
 		img[i] = b
 		lo, hi = min(lo, b), max(hi, b)
 	}
-	return e.encode(dst, img, lo, hi, bias, false), lo, hi
-}
-
-func (e *colEncoder) f64(dst []byte, vals []float64) (_ []byte, lo, hi uint64) {
-	img := e.image(len(vals))
-	lo, hi = ^uint64(0), 0
-	for i, v := range vals {
-		b := math.Float64bits(v)
-		img[i] = b
-		lo, hi = min(lo, b), max(hi, b)
-	}
-	return e.encode(dst, img, lo, hi, 0, true), lo, hi
+	return e.encode(dst, img, lo, hi, bias, float), lo, hi
 }
 
 // encode frames one column (codec + length + bytes) from its image and
@@ -385,27 +379,28 @@ func packImages(dst []byte, img []uint64, base uint64, width int) []byte {
 // Each decoder walks one contiguous buffer in a tight loop; the scan
 // path's throughput is essentially the sum of these loops. src is the
 // column's declared bytes plus at least 8 padding bytes (see the block
-// reader), so pvAt's 8-byte load stays in bounds as long as off stays
-// inside the declared region — which the per-iteration guard enforces.
-// Decoders return the consumed byte count, or -1 when a corrupt varint
-// walks outside the declared region: validation fails, nothing faults.
+// reader), so a varint's 8-byte load stays in bounds as long as its
+// offset stays inside the declared region — which the per-iteration
+// guard enforces. Decoders return the consumed byte count, or -1 when a
+// corrupt varint walks outside the declared region: validation fails,
+// nothing faults.
 //
-// Integer columns share one generic decoder per codec: the arithmetic
-// runs on the uint64 image and each row stores T(image). An i32 or u16
-// frame holds the value's own low bits (the writer unbiases i32), and the
-// image arithmetic is modulo 2^64, so the truncation is the row's value.
-// Float columns keep decoders of their own, one per codec, because a row
-// is math.Float64frombits(image): sharing the integer loops would take
-// unsafe or a second pass over the column.
+// Every column shares one generic decoder per codec: the arithmetic runs
+// on the uint64 image and each row stores T(image). An i32 or u16 frame
+// holds the value's own low bits (the writer unbiases i32), and the image
+// arithmetic is modulo 2^64, so the truncation is the row's value. A
+// float column decodes through the images view, as seq does: storing an
+// image through the view is storing the float, so no row is converted.
 
 // Both non-const codec frames open with the column's first value as a
 // raw 8-byte image; the encoded deltas cover rows 1..n-1 only.
 //
-// The varint loops below inline pvAt and the zigzag inverse, and
-// re-slice src to exactly declared+8 bytes up front: the guard
-// `off >= len(src)-8` then doubles as the corruption check AND the fact
-// the bounds-check eliminator needs to drop the per-value slice checks on
-// the 8-byte load. Callers guarantee at least 8 padding bytes past
+// The varint loop below decodes a prefix varint and inverts the zigzag
+// inline, and re-slices src to exactly declared+8 bytes up front: the
+// guard `off >= len(src)-8` then doubles as the corruption check AND the
+// fact the bounds-check eliminator needs to drop the per-value slice
+// checks on the unconditional 8-byte load (which is what makes the decode
+// branch-free on length). Callers guarantee at least 8 padding bytes past
 // declared.
 
 //syncsim:hotpath
@@ -426,29 +421,6 @@ func decodeDelta[T intCol](dst []T, src []byte, declared int) int {
 		u := uint64(b0>>4) | w<<4
 		prev += uint64(int64(u>>1) ^ -int64(u&1))
 		dst[i] = T(prev)
-		off += int(b0&0x0f) + 1
-	}
-	return off
-}
-
-//syncsim:hotpath
-func decodeF64Delta(dst []float64, src []byte, declared int) int {
-	if declared < 8 || len(dst) == 0 {
-		return -1
-	}
-	src = src[:declared+8]
-	prev := binary.LittleEndian.Uint64(src)
-	dst[0] = math.Float64frombits(prev)
-	off := 8
-	for i := 1; i < len(dst); i++ {
-		if off >= len(src)-8 {
-			return -1
-		}
-		b0 := src[off]
-		w := binary.LittleEndian.Uint64(src[off+1:]) & pvMask[b0&0x0f]
-		u := uint64(b0>>4) | w<<4
-		prev += uint64(int64(u>>1) ^ -int64(u&1))
-		dst[i] = math.Float64frombits(prev)
 		off += int(b0&0x0f) + 1
 	}
 	return off
@@ -557,76 +529,6 @@ func decodePacked[T intCol](dst []T, src []byte, clen int) bool {
 	return true
 }
 
-//syncsim:hotpath
-func decodeF64Packed(dst []float64, src []byte, clen int) bool {
-	width := checkPacked(len(dst), src, clen)
-	if width < 0 {
-		return false
-	}
-	base := binary.LittleEndian.Uint64(src)
-	data := src[9:]
-	if width == 64 {
-		for i := range dst {
-			dst[i] = math.Float64frombits(base + binary.LittleEndian.Uint64(data[8*i:8*i+8]))
-		}
-		return true
-	}
-	w := uint(width)
-	mask := uint64(1)<<(w&63) - 1
-	bitpos := uint(0)
-	switch {
-	case w <= 7:
-		for ; len(dst) >= 8; dst, bitpos = dst[8:], bitpos+8*w {
-			j := bitpos >> 3 // 8 rows span whole bytes
-			lw := binary.LittleEndian.Uint64(data[j : j+8 : j+8])
-			d := (*[8]float64)(dst)
-			d[0] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[1] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[2] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[3] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[4] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[5] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[6] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[7] = math.Float64frombits(base + lw&mask)
-		}
-	case w <= 14:
-		for ; len(dst) >= 4; dst, bitpos = dst[4:], bitpos+4*w {
-			j := bitpos >> 3
-			lw := binary.LittleEndian.Uint64(data[j:j+8:j+8]) >> (bitpos & 7)
-			d := (*[4]float64)(dst)
-			d[0] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[1] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[2] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[3] = math.Float64frombits(base + lw&mask)
-		}
-	case w <= 28:
-		for ; len(dst) >= 2; dst, bitpos = dst[2:], bitpos+2*w {
-			j := bitpos >> 3
-			lw := binary.LittleEndian.Uint64(data[j:j+8:j+8]) >> (bitpos & 7)
-			d := (*[2]float64)(dst)
-			d[0] = math.Float64frombits(base + lw&mask)
-			lw >>= w & 63
-			d[1] = math.Float64frombits(base + lw&mask)
-		}
-	}
-	for i := range dst {
-		j := bitpos >> 3
-		dst[i] = math.Float64frombits(base + binary.LittleEndian.Uint64(data[j:j+8:j+8])>>(bitpos&7)&mask)
-		bitpos += w
-	}
-	return true
-}
-
 // --- dictionary codec (float columns) ---
 //
 // Frame layout: u8 entry count (2..255), the distinct bit images sorted
@@ -672,7 +574,7 @@ func dictIndexes(scratch []uint64, dict []uint64, img []uint64) []uint64 {
 	return idx
 }
 
-// decodeF64Dict decodes a dictionary column. Validation pins the whole
+// decodeDict decodes a dictionary column into its images. Validation pins the whole
 // frame shape — entry count, exact index width, strictly ascending
 // images, exact length — so corruption that survives the block CRC
 // window (it cannot, but the decoder does not rely on that) fails here
@@ -683,7 +585,7 @@ func dictIndexes(scratch []uint64, dict []uint64, img []uint64) []uint64 {
 // writer emits — and one a load at width 8.
 //
 //syncsim:hotpath
-func decodeF64Dict(dst []float64, src []byte, clen int) bool {
+func decodeDict(dst []uint64, src []byte, clen int) bool {
 	if clen < 1+2*8+1 {
 		return false // minimum: 2 entries + count + width byte
 	}
@@ -715,26 +617,26 @@ func decodeF64Dict(dst []float64, src []byte, clen int) bool {
 	for ; w <= 7 && len(dst) >= 8; dst, bitpos = dst[8:], bitpos+8*w {
 		j := bitpos >> 3 // 8 rows span whole bytes
 		lw := binary.LittleEndian.Uint64(data[j : j+8 : j+8])
-		d := (*[8]float64)(dst)
-		d[0] = math.Float64frombits(table[uint8(lw&mask)])
+		d := (*[8]uint64)(dst)
+		d[0] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[1] = math.Float64frombits(table[uint8(lw&mask)])
+		d[1] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[2] = math.Float64frombits(table[uint8(lw&mask)])
+		d[2] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[3] = math.Float64frombits(table[uint8(lw&mask)])
+		d[3] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[4] = math.Float64frombits(table[uint8(lw&mask)])
+		d[4] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[5] = math.Float64frombits(table[uint8(lw&mask)])
+		d[5] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[6] = math.Float64frombits(table[uint8(lw&mask)])
+		d[6] = table[uint8(lw&mask)]
 		lw >>= w & 63
-		d[7] = math.Float64frombits(table[uint8(lw&mask)])
+		d[7] = table[uint8(lw&mask)]
 	}
 	for i := range dst {
 		j := bitpos >> 3
-		dst[i] = math.Float64frombits(table[uint8(binary.LittleEndian.Uint64(data[j:j+8:j+8])>>(bitpos&7)&mask)])
+		dst[i] = table[uint8(binary.LittleEndian.Uint64(data[j:j+8:j+8])>>(bitpos&7)&mask)]
 		bitpos += w
 	}
 	return true

@@ -2,6 +2,7 @@ package tracelake
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -319,6 +320,17 @@ func TestWriterAfterFlush(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatalf("second Flush must report the first call's (nil) outcome, got %v", err)
 	}
+}
+
+// pvAt is the reference prefix-varint decoder: the value at src[off] and
+// the offset past it. src must have at least 9 readable bytes at off.
+// decodeDelta inlines the same decode with a pvMask lookup; this one
+// computes the mask instead, so it shares no table with the decoder.
+func pvAt(src []byte, off int) (uint64, int) {
+	b0 := src[off]
+	n := int(b0 & 0x0f)
+	w := binary.LittleEndian.Uint64(src[off+1:]) & (1<<(8*uint(n)) - 1)
+	return uint64(b0>>4) | w<<4, off + 1 + n
 }
 
 // TestPrefixVarint exercises the codec over the whole value range.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -274,9 +273,10 @@ func (b *blockReader) read(l *Lake, mi int) (*Rows, error) {
 	r.From, r.To, r.Round, r.Kind = r.From[:n], r.To[:n], r.Round[:n], r.Kind[:n]
 
 	// cols spans from the end of the block header through the 8 zeroed
-	// pad bytes past the payload, so pvAt's unconditional 8-byte loads
-	// stay inside buf for any in-payload offset; the per-column declared
-	// lengths (validated below) keep decode offsets in-payload.
+	// pad bytes past the payload, so the varint decoder's unconditional
+	// 8-byte loads stay inside buf for any in-payload offset; the
+	// per-column declared lengths (validated below) keep decode offsets
+	// in-payload.
 	cols := buf[blockHeaderSize:]
 	off := 0
 	limit := blockLen - blockHeaderSize // declared column bytes
@@ -379,18 +379,13 @@ func decodeInts[T intCol](dst []T, codec byte, data []byte, clen int) error {
 	return fmt.Errorf("dictionary codec on non-float column")
 }
 
-// decodeFloats decodes a float column under a known codec.
+// decodeFloats decodes a float column as the u64 column of its bit
+// images; only a float column may be a dictionary.
 func decodeFloats(dst []float64, codec byte, data []byte, clen int) error {
-	switch codec {
-	case codecConst:
-		fill(dst, math.Float64frombits(binary.LittleEndian.Uint64(data)))
-		return nil
-	case codecDelta:
-		return checkUsed(decodeF64Delta(dst, data, clen), clen)
-	case codecPacked:
-		return checkFrame(decodeF64Packed(dst, data, clen), "packed", clen)
+	if codec == codecDict {
+		return checkFrame(decodeDict(images(dst), data, clen), "dictionary", clen)
 	}
-	return checkFrame(decodeF64Dict(dst, data, clen), "dictionary", clen)
+	return decodeInts(images(dst), codec, data, clen)
 }
 
 // checkUsed and checkFrame turn a decoder's verdict into decodeCol's

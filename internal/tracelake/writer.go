@@ -334,14 +334,14 @@ func (e *blockEncoder) block(c *colBuf) error {
 	buf, crcAt := e.begin(16 * n)
 	buf = append(buf, byte(c.Type))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf, _, _ = ints(&e.cols, buf, c.Seq[:n], 0)
-	buf, tLo, tHi := e.cols.f64(buf, c.T[:n])
-	buf, fromLo, fromHi := ints(&e.cols, buf, c.From[:n], i32Bias)
-	buf, toLo, toHi := ints(&e.cols, buf, c.To[:n], i32Bias)
-	buf, _, _ = ints(&e.cols, buf, c.Kind[:n], 0)
-	buf, roundLo, roundHi := ints(&e.cols, buf, c.Round[:n], i32Bias)
-	buf, _, _ = e.cols.f64(buf, c.Value[:n])
-	buf, _, _ = e.cols.f64(buf, c.Aux[:n])
+	buf, _, _ = ints(&e.cols, buf, c.Seq[:n], 0, false)
+	buf, tLo, tHi := ints(&e.cols, buf, images(c.T[:n]), 0, true)
+	buf, fromLo, fromHi := ints(&e.cols, buf, c.From[:n], i32Bias, false)
+	buf, toLo, toHi := ints(&e.cols, buf, c.To[:n], i32Bias, false)
+	buf, _, _ = ints(&e.cols, buf, c.Kind[:n], 0, false)
+	buf, roundLo, roundHi := ints(&e.cols, buf, c.Round[:n], i32Bias, false)
+	buf, _, _ = ints(&e.cols, buf, images(c.Value[:n]), 0, true)
+	buf, _, _ = ints(&e.cols, buf, images(c.Aux[:n]), 0, true)
 	seal(buf, crcAt)
 
 	// The footer entry's bounds fall out of the columns' image bounds: the

@@ -9,13 +9,13 @@
 # come from `syncsimlint -hotpath-ranges`). -a forces recompilation so a
 # warm build cache can never swallow the diagnostics and pass vacuously.
 #
-# MIN_HOTPATH (default 53) guards against the annotations being deleted
+# MIN_HOTPATH (default 51) guards against the annotations being deleted
 # wholesale: fewer annotated functions than the floor is itself a
 # failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-min="${MIN_HOTPATH:-53}"
+min="${MIN_HOTPATH:-51}"
 
 ranges="$(go run ./cmd/syncsimlint -hotpath-ranges ./...)"
 n="$(printf '%s\n' "$ranges" | sed '/^$/d' | wc -l)"
